@@ -88,10 +88,6 @@ class CriterionResult:
     elapsed_s: float
 
 
-def _timed(name, started, passed, detail) -> CriterionResult:
-    return CriterionResult(name, passed, detail, time.perf_counter() - started)
-
-
 def criterion_1_fixture_witness(cfg: GateConfig) -> CriterionResult:
     """Swap on the max-norm plane: [x,y] = 3/4 vs [Tx,Ty] = 1/4, exactly."""
     space, T, wit = swap_counterexample()
@@ -133,16 +129,13 @@ def criterion_2_closed_form_vs_oracle(cfg: GateConfig) -> CriterionResult:
                 rng = np.random.default_rng(
                     [cfg.seed, int(p * 2), n, 0 if field == REAL else 1]
                 )
-                err_h = err_half = 0.0
-                for _ in range(cfg.fd_pairs):
-                    x = _fd_draw(rng, n, cfg.fd_x_scale, field)
-                    y = _fd_draw(rng, n, 1.0, field)
-                    closed = sip(s, x, y)
-                    scale = norm(s, x) * norm(s, y)
-                    e1 = abs(closed - gateaux_sip_oracle(s, x, y, cfg.fd_h)) / scale
-                    e2 = abs(closed - gateaux_sip_oracle(s, x, y, cfg.fd_h / 2)) / scale
-                    err_h = max(err_h, e1)
-                    err_half = max(err_half, e2)
+                draws = [(_fd_draw(rng, n, cfg.fd_x_scale, field), _fd_draw(rng, n, 1.0, field))
+                         for _ in range(cfg.fd_pairs)]
+                x, y = (np.array(v) for v in zip(*draws))
+                closed = sip(s, x, y)
+                scale = norm(s, x) * norm(s, y)
+                err_h = np.max(np.abs(closed - gateaux_sip_oracle(s, x, y, cfg.fd_h)) / scale)
+                err_half = np.max(np.abs(closed - gateaux_sip_oracle(s, x, y, cfg.fd_h / 2)) / scale)
                 worst = max(worst, err_h)
                 ratios.append(err_h / err_half)
     elapsed = time.perf_counter() - started
@@ -365,13 +358,14 @@ def criterion_6b_minus_identity(cfg: GateConfig) -> CriterionResult:
     f = scale_oracle(identity_oracle(s), -1.0)
     samples = default_samples(s, 8, cfg.seed)
     report = check_exact_preservation(f, samples, seed=cfg.seed)
+    elapsed = time.perf_counter() - started
     ok = (not report.passed) and report.witness is not None
     detail = (
         f"-identity verdict: {report.verdict} (max violation "
         f"{report.max_violation:.3e}); a fail verdict is unattainable since "
         f"[-x,-y] = [x,y] identically"
     )
-    return _timed("6b_minus_identity", started, ok, detail)
+    return CriterionResult("6b_minus_identity", ok, detail, elapsed)
 
 
 def criterion_7_linear_isometries_pass_exact(cfg: GateConfig) -> CriterionResult:

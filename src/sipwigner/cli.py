@@ -105,14 +105,17 @@ class RunConfig:
         if "target" in d and Space.from_dict(d["target"]) != source:
             raise ContractViolation("all bundled maps act on a single space; "
                                     "target must match source")
-        checks = tuple(d.get("checks", ("wigner",)))
+        try:
+            checks = tuple(d.get("checks", ("wigner",)))
+            tol = float(d.get("tol", 1e-8))
+            samples = int(d.get("samples", 16))
+        except (TypeError, ValueError) as exc:
+            raise ContractViolation(f"malformed config value: {exc}") from exc
         bad = [c for c in checks if c not in CHECKS]
         if bad:
             raise ContractViolation(f"unknown checks {bad}; known: {sorted(CHECKS)}")
-        tol = float(d.get("tol", 1e-8))
         if not tol > 0:
             raise ContractViolation("tol must be positive")
-        samples = int(d.get("samples", 16))
         if samples < 2:
             raise ContractViolation("sample count must be at least 2")
         seed = d.get("seed")

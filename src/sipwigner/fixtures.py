@@ -79,17 +79,16 @@ class IsometrySpec:
     def from_dict(d: dict) -> "IsometrySpec":
         try:
             perm = tuple(int(i) for i in d["perm"])
-            raw = d["diag"]
             conj = bool(d.get("conjugate_first", False))
+            diag = []
+            for entry in d["diag"]:
+                if isinstance(entry, dict):
+                    z = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+                else:
+                    z = complex(entry)
+                diag.append(z if z.imag != 0 else z.real)
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed isometry spec: {d!r}") from exc
-        diag = []
-        for entry in raw:
-            if isinstance(entry, dict):
-                z = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-            else:
-                z = complex(entry)
-            diag.append(z if z.imag != 0 else z.real)
         return IsometrySpec(perm, tuple(diag), conj)
 
 

@@ -20,8 +20,18 @@ Two norm families are supported:
                x_2*y_2                          if |y_1| < |y_2|
                (3/4)*x_1*y_1 + (1/4)*x_2*y_2    if |y_1| = |y_2|.
 
+Both forms are evaluated as [x, y] = ||y|| * sum_i x_i * conj(g_i), where g
+holds the coefficients of the norm-one support functional at y, the same
+ones ``support_functional`` returns.
+
 Everything downstream (orthogonality decisions, symmetry checkers, the
 reconstruction pipeline) consumes spaces only through ``norm`` and ``sip``.
+The evaluators ``norm``, ``sip``, ``gateaux_sip_oracle`` and
+``support_functional`` are batch-first: the last axis of an argument holds
+the coordinates of a vector, and leading axes stack vectors and broadcast
+against each other as in numpy, so ``sip(s, X[:, None], Y[None])`` is the
+matrix of all [x_i, y_j].  A single vector is the 0-d case, which returns a
+Python float (complex over the complex field) from the scalar evaluators.
 ``gateaux_sip_oracle`` recovers [x, y] from norm evaluations alone via a
 central finite difference of t -> ||y + t*x||; it is the independent
 cross-check for the closed forms above and is *rejected* at non-smooth
@@ -103,12 +113,13 @@ class Space:
             field = d["field"]
             dim = int(d["dim"])
             norm = d["norm"]
+            p = float(norm["lp"]) if isinstance(norm, dict) and "lp" in norm else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed space descriptor: {d!r}") from exc
         if not isinstance(norm, dict):
             raise ContractViolation(f"malformed norm descriptor: {norm!r}")
-        if "lp" in norm:
-            return Space(field, dim, Lp(float(norm["lp"])))
+        if p is not None:
+            return Space(field, dim, Lp(p))
         if norm.get("linf2_fixture"):
             return Space(field, dim, Linf2())
         raise ContractViolation(f"malformed norm descriptor: {norm!r}")
@@ -122,6 +133,27 @@ def linf2_space() -> Space:
     return Space(REAL, 2, Linf2())
 
 
+def _as_array(space: Space, x) -> np.ndarray:
+    """Coerce ``x`` to validated coordinates of ``space`` stacked along
+    leading axes: the last axis holds the coordinates of each vector."""
+    v = np.asarray(x)
+    if v.ndim == 0 or v.shape[-1] != space.dim:
+        raise ContractViolation(
+            f"expected vectors of length {space.dim} along the last axis, got shape {v.shape}"
+        )
+    if space.field == REAL:
+        if np.iscomplexobj(v):
+            if np.any(v.imag != 0):
+                raise ContractViolation("complex coordinates in a real space")
+            v = v.real
+        v = np.asarray(v, dtype=np.float64)
+    else:
+        v = np.asarray(v, dtype=np.complex128)
+    if not np.isfinite(v).all():
+        raise ContractViolation("coordinates must be finite")
+    return v
+
+
 def as_vec(space: Space, x) -> Vector:
     """Coerce ``x`` to a validated coordinate vector of ``space``."""
     v = np.asarray(x)
@@ -129,13 +161,15 @@ def as_vec(space: Space, x) -> Vector:
         raise ContractViolation(
             f"expected a vector of length {space.dim}, got shape {v.shape}"
         )
-    if space.field == REAL:
-        if np.iscomplexobj(v):
-            if np.any(v.imag != 0):
-                raise ContractViolation("complex coordinates in a real space")
-            v = v.real
-        return np.asarray(v, dtype=np.float64)
-    return np.asarray(v, dtype=np.complex128)
+    return _as_array(space, v)
+
+
+def _scalar(value, field: str = REAL):
+    """A 0-d result as a Python float (complex over the complex field);
+    stacked results stay arrays."""
+    if np.ndim(value):
+        return value
+    return complex(value) if field == COMPLEX else float(value)
 
 
 def basis_vec(space: Space, i: int) -> Vector:
@@ -146,12 +180,20 @@ def basis_vec(space: Space, i: int) -> Vector:
     return e
 
 
-def norm(space: Space, x) -> float:
-    v = as_vec(space, x)
+def _norm(space: Space, v: np.ndarray):
+    """||v|| along the last axis of validated coordinates."""
     if isinstance(space.norm, Linf2):
-        return float(np.max(np.abs(v)))
+        return np.maximum.reduce(np.abs(v), axis=-1)
     p = space.norm.p
-    return float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+    # np.power, not **: on a 0-d sum ** would take numpy's scalar pow, which
+    # rounds differently from the array loop that stacked sums go through.
+    # The ufunc reductions skip np.sum's dispatch cost in the minimizers.
+    return np.power(np.add.reduce(np.abs(v) ** p, axis=-1), 1.0 / p)
+
+
+def norm(space: Space, x):
+    """||x|| of each vector stacked along the last axis of ``x``."""
+    return _scalar(_norm(space, _as_array(space, x)))
 
 
 def norm_fn(space: Space):
@@ -160,123 +202,111 @@ def norm_fn(space: Space):
     The returned callable assumes its argument is already a coordinate
     array of the right dtype and shape; use ``norm`` everywhere else.
     """
+    return lambda v: float(_norm(space, v))
+
+
+def _smooth(space: Space, yv: np.ndarray):
+    """Where the norm is Gateaux differentiable, per stacked vector: off the
+    origin, and off the ties |y_1| = |y_2| of the max-norm plane."""
+    smooth = np.any(yv != 0, axis=-1)
     if isinstance(space.norm, Linf2):
-        return lambda v: float(np.max(np.abs(v)))
-    p = space.norm.p
-    inv = 1.0 / p
-    return lambda v: float(np.sum(np.abs(v) ** p) ** inv)
+        smooth = smooth & (np.abs(yv[..., 0]) != np.abs(yv[..., 1]))
+    return smooth
 
 
 def is_smooth_point(space: Space, y) -> bool:
     """True when the norm is Gateaux differentiable at ``y``."""
-    yv = as_vec(space, y)
-    if not np.any(yv != 0):
-        return False
+    return bool(_smooth(space, as_vec(space, y)))
+
+
+def _norm_at_smooth(space: Space, yv: np.ndarray):
+    """||y|| of each stacked y, refusing the origin and non-smooth points."""
+    ny = _norm(space, yv)
+    if np.any(ny == 0.0):
+        raise ContractViolation("the norm has no derivative at the origin")
+    smooth = _smooth(space, yv)
+    if not np.all(smooth):
+        raise NonSmoothPoint(f"norm not differentiable at {yv[~smooth][0].tolist()}")
+    return ny
+
+
+def _support(space: Space, yv: np.ndarray, ny) -> np.ndarray:
+    """Support-functional coefficients g at each stacked y (g = 0 at y = 0).
+
+    Lp: g_i = phase(y_i) * (|y_i|/||y||)^(p-1).  The ratio stays in [0, 1],
+    so no exponent overflows, and the phase is taken without dividing by
+    |y_i|: complex division forms 1/|y_i| first, which overflows for a
+    subnormal |y_i| and turns the coefficient into NaN.
+
+    Linf2: sign(y_k) on the dominant coordinate k, and the pinned weights
+    (3/4, 1/4) on the signs at ties |y_1| = |y_2|.
+    """
     if isinstance(space.norm, Linf2):
-        return abs(yv[0]) != abs(yv[1])
-    return True
+        a1, a2 = np.abs(yv[..., 0]), np.abs(yv[..., 1])
+        w1 = np.where(a1 > a2, 1.0, np.where(a1 < a2, 0.0, 0.75))
+        return np.stack([w1, 1.0 - w1], axis=-1) * np.sign(yv)
+    phase = np.sign(yv) if space.field == REAL else np.exp(1j * np.angle(yv))
+    safe = np.where(ny > 0, ny, 1.0)[..., None]
+    return phase * (np.abs(yv) / safe) ** (space.norm.p - 1.0)
 
 
-def sip(space: Space, x, y) -> Scalar:
+def _apply(g: np.ndarray, xv: np.ndarray):
+    """sum_i x_i * conj(g_i) along the last axis, broadcasting leading axes
+    without forming their elementwise product."""
+    return np.einsum("...i,...i->...", xv, np.conj(g))
+
+
+def sip(space: Space, x, y):
     """The semi-inner product [x, y] of ``space``.
 
     Linear in ``x``, conjugate-homogeneous in ``y``, with [x, x] = ||x||^2
-    and |[x, y]| <= ||x||*||y||.  By convention [x, 0] = 0.
+    and |[x, y]| <= ||x||*||y||.  By convention [x, 0] = 0.  Evaluated as
+    ||y|| * sum_i x_i * conj(g_i) with g the support coefficients at y, for
+    each pair of vectors stacked along the broadcast leading axes of x, y.
     """
-    xv = as_vec(space, x)
-    yv = as_vec(space, y)
-    if isinstance(space.norm, Linf2):
-        a1, a2 = abs(yv[0]), abs(yv[1])
-        if a1 > a2:
-            return float(xv[0] * yv[0])
-        if a1 < a2:
-            return float(xv[1] * yv[1])
-        return float(0.75 * xv[0] * yv[0] + 0.25 * xv[1] * yv[1])
-    p = space.norm.p
-    ay = np.abs(yv)
-    ny = float(np.sum(ay ** p) ** (1.0 / p))
-    if ny == 0.0:
-        return space.zero_scalar()
-    # conj(y_i)*|y_i|^(p-2) is evaluated as conj(y_i/|y_i|)*|y_i|^(p-1):
-    # the exponent p-1 is positive, so coordinates with tiny |y_i| underflow
-    # to 0 instead of overflowing when p < 2.  The phase quotient is scale
-    # invariant, so both operands are rescaled by an exact power of two
-    # before dividing; otherwise 1/|y_i| overflows for subnormal |y_i| and
-    # complex division turns the coordinate into NaN.
-    safe = np.where(ay > 0, ay, 1.0)
-    _, ex = np.frexp(safe)
-    safe = np.ldexp(safe, -ex)
-    if np.iscomplexobj(yv):
-        scaled = np.ldexp(yv.real, -ex) + 1j * np.ldexp(yv.imag, -ex)
-    else:
-        scaled = np.ldexp(yv, -ex)
-    phase_conj = np.where(ay > 0, np.conj(scaled) / safe, space.zero_scalar())
-    total = np.sum(xv * phase_conj * ay ** (p - 1.0))
-    value = ny ** (2.0 - p) * total
-    if space.field == REAL:
-        return float(np.real(value))
-    return complex(value)
+    xv = _as_array(space, x)
+    yv = _as_array(space, y)
+    ny = _norm(space, yv)
+    return _scalar(ny * _apply(_support(space, yv, ny), xv), space.field)
 
 
-def gateaux_sip_oracle(space: Space, x, y, h: float | None = None) -> Scalar:
+def gateaux_sip_oracle(space: Space, x, y, h: float | None = None):
     """Finite-difference reconstruction of [x, y] from norm values only.
 
     Uses the central difference (||y + h*v|| - ||y - h*v||)/(2h) for the
     real part of the support functional and, over the complex field, the
     identity Re phi(-i*v) = Im phi(v) for the imaginary part.  Second-order
-    accurate: the error shrinks ~4x when h is halved.
+    accurate: the error shrinks ~4x when h is halved.  Broadcasts over the
+    leading axes of x and y like ``sip``.
     """
-    xv = as_vec(space, x)
-    yv = as_vec(space, y)
-    ny = norm(space, yv)
-    if ny == 0.0:
-        raise ContractViolation("the difference quotient needs y != 0")
-    if not is_smooth_point(space, yv):
-        raise NonSmoothPoint(f"norm not differentiable at {yv.tolist()}")
-    if h is None:
-        h = 1e-5 * max(1.0, ny)
-    h = float(h)
-    if not (h > 0 and isfinite(h)):
-        raise ContractViolation(f"step must be a positive finite number, got {h!r}")
+    xv = _as_array(space, x)
+    yv = _as_array(space, y)
+    ny = _norm_at_smooth(space, yv)
+    h = 1e-5 * np.maximum(1.0, ny) if h is None else float(h)
+    if not np.all((h > 0) & np.isfinite(h)):
+        raise ContractViolation(f"step must be a positive finite number, got {_scalar(h)!r}")
+    step = np.expand_dims(h, -1)
 
     def slope(v):
-        return (norm(space, yv + h * v) - norm(space, yv - h * v)) / (2.0 * h)
+        return (_norm(space, yv + step * v) - _norm(space, yv - step * v)) / (2.0 * h)
 
-    if space.field == REAL:
-        return ny * slope(xv)
-    return complex(ny * slope(xv), ny * slope(-1j * xv))
+    value = ny * slope(xv)
+    if space.field == COMPLEX:
+        value = value + 1j * (ny * slope(-1j * xv))
+    return _scalar(value, space.field)
 
 
-def support_functional(space: Space, y) -> Vector:
+def support_functional(space: Space, y) -> np.ndarray:
     """Coefficients g of the norm-one support functional at a smooth point y.
 
     The functional acts by c -> sum_i c_i * conj(g_i); it satisfies
-    phi(y) = ||y|| and ||phi|| = 1, and [x, y] = ||y|| * phi(x).
+    phi(y) = ||y|| and ||phi|| = 1, and [x, y] = ||y|| * phi(x).  Stacked
+    points give stacked coefficient vectors.
     """
-    yv = as_vec(space, y)
-    ny = norm(space, yv)
-    if ny == 0.0:
-        raise ContractViolation("no support functional at the origin")
-    if not is_smooth_point(space, yv):
-        raise NonSmoothPoint(f"support functional not unique at {yv.tolist()}")
-    if isinstance(space.norm, Linf2):
-        g = np.zeros(2)
-        k = 0 if abs(yv[0]) > abs(yv[1]) else 1
-        g[k] = 1.0 if yv[k] > 0 else -1.0
-        return g
-    p = space.norm.p
-    ay = np.abs(yv)
-    safe = np.where(ay > 0, ay, 1.0)
-    phase = np.where(ay > 0, yv / safe, space.zero_scalar())
-    # (|y_i|/||y||)^(p-1) stays in [0, 1]; no overflow for any p.
-    return phase * (ay / ny) ** (p - 1.0)
+    yv = _as_array(space, y)
+    return _support(space, yv, _norm_at_smooth(space, yv))
 
 
 def functional_value(space: Space, coeffs, x) -> Scalar:
     """Apply a coefficient-represented functional: sum_i x_i * conj(g_i)."""
-    xv = as_vec(space, x)
-    g = as_vec(space, coeffs)
-    value = np.sum(xv * np.conj(g))
-    if space.field == REAL:
-        return float(np.real(value))
-    return complex(value)
+    return _scalar(_apply(as_vec(space, coeffs), as_vec(space, x)), space.field)

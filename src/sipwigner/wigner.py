@@ -14,6 +14,10 @@ A sample check can only ever certify "no violation found", and all the
 structure theorems need surjectivity on top; every Report therefore
 records the assumption explicitly.  Checks that evaluate semi-inner
 products require smooth (Lp) spaces and refuse the max-norm fixture.
+
+Each check evaluates all sample pairs at once as arrays (the pair checks
+compare Gram-type matrices), and a failing Report's witness is the first
+pair, in row-major order, attaining the largest violation.
 """
 
 from __future__ import annotations
@@ -92,68 +96,46 @@ class Report:
         }
 
 
-def _require_same_field(m: MapOracle) -> None:
-    if m.source.field != m.target.field:
-        raise ContractViolation("source and target must share the scalar field")
-
-
-def _require_smooth(m: MapOracle) -> None:
-    if not isinstance(m.source.norm, Lp) or not isinstance(m.target.norm, Lp):
-        raise UnsupportedSpace(
-            "semi-inner-product checks need smooth (Lp) spaces on both ends"
-        )
-
-
-def _prepared(m: MapOracle, samples: Sequence) -> tuple[list[Vector], list[Vector]]:
-    if len(samples) == 0:
-        raise ContractViolation("need at least one sample")
-    xs = [as_vec(m.source, s) for s in samples]
-    return xs, [m(x) for x in xs]
-
-
-def _pair_report(check, m, samples, tol, seed, lhs_rhs, scale, ordered=True):
-    """Shared max-violation scan over sample pairs."""
+def _prepared(m: MapOracle, samples: Sequence, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The samples and their images, stacked as rows, after the shared
+    argument checks."""
     if not (tol > 0):
         raise ContractViolation("tol must be positive")
-    _require_same_field(m)
-    xs, fxs = _prepared(m, samples)
-    worst = 0.0
-    worst_pair = None
-    failed = False
-    # ordered pairs for the asymmetric forms, unordered (diagonal included)
-    # for the symmetric multiset check
-    index_pairs = (
-        ((i, j) for i in range(len(xs)) for j in range(len(xs)))
-        if ordered
-        else ((i, j) for i in range(len(xs)) for j in range(i + 1))
-    )
-    for i, j in index_pairs:
-        lhs, rhs, violation = lhs_rhs(xs[i], xs[j], fxs[i], fxs[j])
-        if violation > worst:
-            worst = violation
-            worst_pair = (xs[i], xs[j], lhs, rhs)
-        if violation > tol * scale(xs[i], xs[j]):
-            failed = True
-    witness = None
-    if failed and worst_pair is not None:
-        witness = Witness(*worst_pair)
+    if m.source.field != m.target.field:
+        raise ContractViolation("source and target must share the scalar field")
+    if len(samples) == 0:
+        raise ContractViolation("need at least one sample")
+    xs = np.stack([as_vec(m.source, s) for s in samples])
+    return xs, np.stack([m(x) for x in xs])
+
+
+def _worst(violation: np.ndarray, bound: np.ndarray) -> tuple[bool, float, tuple]:
+    """Verdict, maximum violation, and the first index (row-major) attaining
+    it.  A NaN violation never passes."""
+    k = np.unravel_index(np.argmax(violation), violation.shape)
+    return not np.all(violation <= bound), float(violation[k]), k
+
+
+def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
+    """Compare the Gram-type matrices G_f[i, j] = [f(x_i), f(x_j)] and
+    G[i, j] = [x_i, x_j] entrywise, in modulus or as they are."""
+    if not isinstance(m.source.norm, Lp) or not isinstance(m.target.norm, Lp):
+        raise UnsupportedSpace("semi-inner-product checks need smooth (Lp) spaces on both ends")
+    xs, fxs = _prepared(m, samples, tol)
+    lhs = sip(m.target, fxs[:, None], fxs[None])
+    rhs = sip(m.source, xs[:, None], xs[None])
+    if modulus:
+        lhs, rhs = np.abs(lhs), np.abs(rhs)
+    nx = norm(m.source, xs)
+    failed, worst, (i, j) = _worst(np.abs(lhs - rhs), tol * (1.0 + nx[:, None] * nx[None]))
+    witness = Witness(xs[i], xs[j], lhs[i, j].item(), rhs[i, j].item()) if failed else None
     return Report(check, FAIL if failed else PASS, worst, witness, seed)
 
 
 def check_wigner(m: MapOracle, samples: Sequence, tol: float = 1e-8,
                  seed: int | None = None) -> Report:
     """Pass iff |[f(x), f(y)]| matches |[x, y]| on all ordered sample pairs."""
-    _require_smooth(m)
-
-    def lhs_rhs(x, y, fx, fy):
-        lhs = abs(sip(m.target, fx, fy))
-        rhs = abs(sip(m.source, x, y))
-        return lhs, rhs, abs(lhs - rhs)
-
-    def scale(x, y):
-        return 1.0 + norm(m.source, x) * norm(m.source, y)
-
-    return _pair_report("wigner", m, samples, tol, seed, lhs_rhs, scale)
+    return _gram_check("wigner", m, samples, tol, seed, modulus=True)
 
 
 def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -162,38 +144,34 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
 
     Real field only: the multiset identity characterizes phase-isometries
     there but not over the complex numbers.  Multisets are compared sorted,
-    which absorbs near-tied elements under either pairing.
+    which absorbs near-tied elements under either pairing.  The pairs are
+    unordered, diagonal included.
     """
     if m.source.field != REAL or m.target.field != REAL:
         raise UnsupportedField("the multiset criterion is a real-field check")
+    xs, fxs = _prepared(m, samples, tol)
+    i, j = np.tril_indices(len(xs))  # row-major: (0, 0), (1, 0), (1, 1), ...
 
-    def lhs_rhs(x, y, fx, fy):
-        lhs = sorted((norm(m.target, fx + fy), norm(m.target, fx - fy)))
-        rhs = sorted((norm(m.source, x + y), norm(m.source, x - y)))
-        violation = max(abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
-        return lhs, rhs, violation
+    def sorted_pair(space, v):
+        plus, minus = norm(space, v[i] + v[j]), norm(space, v[i] - v[j])
+        return np.minimum(plus, minus), np.maximum(plus, minus)
 
-    def scale(x, y):
-        return 1.0 + norm(m.source, x) + norm(m.source, y)
-
-    return _pair_report("phase_isometry_sets", m, samples, tol, seed, lhs_rhs, scale,
-                        ordered=False)
+    lo_f, hi_f = sorted_pair(m.target, fxs)
+    lo, hi = sorted_pair(m.source, xs)
+    nx = norm(m.source, xs)
+    violation = np.maximum(np.abs(lo_f - lo), np.abs(hi_f - hi))
+    failed, worst, (k,) = _worst(violation, tol * (1.0 + nx[i] + nx[j]))
+    witness = None
+    if failed:
+        witness = Witness(xs[i[k]], xs[j[k]], [lo_f[k].item(), hi_f[k].item()],
+                          [lo[k].item(), hi[k].item()])
+    return Report("phase_isometry_sets", FAIL if failed else PASS, worst, witness, seed)
 
 
 def check_exact_preservation(m: MapOracle, samples: Sequence, tol: float = 1e-8,
                              seed: int | None = None) -> Report:
     """Pass iff [f(x), f(y)] equals [x, y] (no absolute values) on all pairs."""
-    _require_smooth(m)
-
-    def lhs_rhs(x, y, fx, fy):
-        lhs = sip(m.target, fx, fy)
-        rhs = sip(m.source, x, y)
-        return lhs, rhs, abs(lhs - rhs)
-
-    def scale(x, y):
-        return 1.0 + norm(m.source, x) * norm(m.source, y)
-
-    return _pair_report("exact_preservation", m, samples, tol, seed, lhs_rhs, scale)
+    return _gram_check("exact_preservation", m, samples, tol, seed, modulus=False)
 
 
 def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -204,45 +182,36 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     The samples must span the source space, otherwise additivity off their
     span would go untested.
     """
-    if not (tol > 0):
-        raise ContractViolation("tol must be positive")
-    _require_same_field(m)
-    xs, fxs = _prepared(m, samples)
-    stacked = np.stack(xs, axis=0)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    xs, fxs = _prepared(m, samples, tol)
+    svals = np.linalg.svd(xs, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     if rank < m.source.dim:
         raise ContractViolation("samples must span the source space")
 
-    worst = 0.0
-    worst_pair = None
-    failed = False
-    for x, fx in zip(xs, fxs):
-        dev = abs(norm(m.target, fx) - norm(m.source, x))
-        if dev > worst:
-            worst = dev
-            worst_pair = (x, x, norm(m.target, fx), norm(m.source, x))
-        if dev > tol * (1.0 + norm(m.source, x)):
-            failed = True
-
     rng = np.random.default_rng(seed)
+    pairs, coeffs = [], []
     for _ in range(n_draws):
-        i = int(rng.integers(len(xs)))
-        j = int(rng.integers(len(xs)))
+        pairs.append((int(rng.integers(len(xs))), int(rng.integers(len(xs)))))
         if m.source.field == COMPLEX:
-            a = complex(rng.standard_normal(), rng.standard_normal())
-            b = complex(rng.standard_normal(), rng.standard_normal())
+            coeffs.append((complex(rng.standard_normal(), rng.standard_normal()),
+                           complex(rng.standard_normal(), rng.standard_normal())))
         else:
-            a = float(rng.standard_normal())
-            b = float(rng.standard_normal())
-        combo = a * xs[i] + b * xs[j]
-        dev = norm(m.target, m(combo) - a * fxs[i] - b * fxs[j])
-        bound = tol * (1.0 + abs(a) * norm(m.source, xs[i]) + abs(b) * norm(m.source, xs[j]))
-        if dev > worst:
-            worst = dev
-            worst_pair = (xs[i], xs[j], (a, b), dev)
-        if dev > bound:
-            failed = True
+            coeffs.append((float(rng.standard_normal()), float(rng.standard_normal())))
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    a, b = np.array(coeffs, dtype=m.source.dtype).reshape(-1, 2).T[:, :, None]
+    images = np.array([m(c) for c in a * xs[i] + b * xs[j]]).reshape(-1, m.target.dim)
 
-    witness = Witness(*worst_pair) if failed and worst_pair is not None else None
+    # the scan runs over the sample norms first, then the seeded combinations
+    nx, nfx = norm(m.source, xs), norm(m.target, fxs)
+    combo_dev = norm(m.target, images - a * fxs[i] - b * fxs[j])
+    failed, worst, (k,) = _worst(
+        np.concatenate([np.abs(nfx - nx), combo_dev]),
+        tol * np.concatenate([1.0 + nx, 1.0 + np.abs(a[:, 0]) * nx[i] + np.abs(b[:, 0]) * nx[j]]),
+    )
+    witness = None
+    if failed and k < len(xs):
+        witness = Witness(xs[k], xs[k], float(nfx[k]), float(nx[k]))
+    elif failed:
+        k -= len(xs)
+        witness = Witness(xs[i[k]], xs[j[k]], coeffs[k], float(combo_dev[k]))
     return Report("linearity", FAIL if failed else PASS, worst, witness, seed)

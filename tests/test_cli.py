@@ -44,9 +44,15 @@ def test_sip_eval_parse_error_exits_2(capsys):
     code, _, err = run(capsys, ["sip-eval", "--space", "{bad",
                                 "--x", "[1,0]", "--y", "[1,1]"])
     assert code == 2
-    code, _, err = run(capsys, ["sip-eval", "--space", LP3,
-                                "--x", "[1,0,0]", "--y", "[1,1]"])
-    assert code == 2
+    for space, x, y in (
+        (LP3, "[1,0,0]", "[1,1]"),
+        (LP3, "[NaN,0]", "[1,1]"),
+        (LP3, "[1,0]", "[Infinity,1]"),
+        (json.dumps({"field": "real", "dim": 2, "norm": {"lp": "abc"}}), "[1,0]", "[1,1]"),
+        (json.dumps({"field": "real", "dim": 2, "norm": {"lp": None}}), "[1,0]", "[1,1]"),
+    ):
+        code, _, err = run(capsys, ["sip-eval", "--space", space, "--x", x, "--y", y])
+        assert code == 2, (space, x, y)
 
 
 def test_orth_check_exit_codes(capsys):
@@ -58,6 +64,11 @@ def test_orth_check_exit_codes(capsys):
                                 "--x", "[1,1]", "--y", "[1,1]", "--json"])
     assert code == 1
     assert json.loads(out)["margin"] < 0
+    # non-finite input is a usage error, not a failed orthogonality decision
+    code, _, err = run(capsys, ["orth-check", "--space", LP3,
+                                "--x", "[NaN,1]", "--y", "[1,-1]"])
+    assert code == 2
+    assert "finite" in err
 
 
 def test_check_identity_passes(tmp_path, capsys):
@@ -118,6 +129,18 @@ def test_check_config_validation_exit_2(tmp_path, capsys):
          "map": {"builtin": "identity"}, "samples": 1},
         {"source": {"field": "real", "dim": 2, "norm": {"lp": 3.0}},
          "map": {"builtin": "identity"}, "tol": 0.0},
+        {"source": {"field": "real", "dim": 2, "norm": {"lp": "abc"}},
+         "map": {"builtin": "identity"}},
+        {"source": {"field": "real", "dim": 2, "norm": {"lp": None}},
+         "map": {"builtin": "identity"}},
+        {"source": {"field": "real", "dim": 2, "norm": {"lp": 3.0}},
+         "map": {"builtin": "identity"}, "samples": "many"},
+        {"source": {"field": "real", "dim": 2, "norm": {"lp": 3.0}},
+         "map": {"builtin": "identity"}, "tol": "x"},
+        {"source": {"field": "real", "dim": 2, "norm": {"lp": 3.0}},
+         "map": {"builtin": "identity"}, "checks": 5},
+        {"source": {"field": "complex", "dim": 1, "norm": {"lp": 2.0}},
+         "map": {"isometry": {"perm": [1], "diag": [{"re": "a"}]}}},
     ]
     for obj in bad:
         code, _, err = run(capsys, ["check", "--config", write_config(tmp_path, obj)])

@@ -12,9 +12,11 @@ from sipwigner import (
     bj_orthogonal,
     linf2_space,
     lp_space,
+    gateaux_sip_oracle,
     minimize_scalar,
     norm,
     sip,
+    support_functional,
 )
 
 SPACES = (
@@ -28,18 +30,26 @@ SPACES = (
 coord = st.floats(min_value=-4.0, max_value=4.0)
 
 
+def vector(draw, space):
+    re = draw(st.tuples(*[coord] * space.dim))
+    if space.field == COMPLEX:
+        im = draw(st.tuples(*[coord] * space.dim))
+        return np.array(re) + 1j * np.array(im)
+    return np.array(re)
+
+
 @st.composite
 def space_and_vectors(draw, count=2):
     space = draw(st.sampled_from(SPACES))
-    vecs = []
-    for _ in range(count):
-        re = draw(st.tuples(*[coord] * space.dim))
-        if space.field == COMPLEX:
-            im = draw(st.tuples(*[coord] * space.dim))
-            vecs.append(np.array(re) + 1j * np.array(im))
-        else:
-            vecs.append(np.array(re))
-    return (space, *vecs)
+    return (space, *[vector(draw, space) for _ in range(count)])
+
+
+@st.composite
+def space_and_stacks(draw):
+    space = draw(st.sampled_from(SPACES))
+    stacks = [np.array([vector(draw, space) for _ in range(draw(st.integers(1, 4)))])
+              for _ in range(2)]
+    return (space, *stacks)
 
 
 def scalar_for(space, draw_pair):
@@ -90,6 +100,23 @@ def test_sip_of_a_vector_with_itself_is_its_norm_squared(svx):
     s, x = svx
     n2 = norm(s, x) ** 2
     assert abs(sip(s, x, x) - n2) <= 1e-12 * (1.0 + n2)
+
+
+@given(space_and_stacks())
+@settings(max_examples=100, deadline=None)
+def test_stacked_evaluation_matches_one_pair_at_a_time(sxy):
+    # the batched path runs the same arithmetic per pair, so equality is exact
+    s, xs, ys = sxy
+    assume(all(norm(s, y) > 0 for y in ys))
+    gram = sip(s, xs[:, None], ys[None])
+    oracle = gateaux_sip_oracle(s, xs[:, None], ys[None])
+    assert gram.shape == oracle.shape == (len(xs), len(ys))
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            assert gram[i, j] == sip(s, x, y)
+            assert oracle[i, j] == gateaux_sip_oracle(s, x, y)
+    assert np.array_equal(norm(s, xs), [norm(s, x) for x in xs])
+    assert np.array_equal(support_functional(s, ys), [support_functional(s, y) for y in ys])
 
 
 int_coord = st.integers(min_value=-9, max_value=9)

@@ -84,6 +84,17 @@ def test_sip_small_p_small_components_do_not_overflow():
     assert value == pytest.approx(1.0, rel=1e-10)
 
 
+def test_fixture_sip_broadcasts_exactly_over_stacked_pairs():
+    grid = np.array([[1, 0], [1, 1], [0, 1], [-1, 1], [2, -1], [0, 0], [5, -7], [-3, 3]],
+                    dtype=float)
+    gram = sip(FIX, grid[:, None], grid[None])
+    assert gram.shape == (len(grid), len(grid))
+    for i, x in enumerate(grid):
+        for j, y in enumerate(grid):
+            assert gram[i, j] == sip(FIX, x, y)
+    assert np.array_equal(norm(FIX, grid), [norm(FIX, v) for v in grid])
+
+
 # ---------------------------------------------------------------- FD oracle
 
 def test_closed_form_matches_difference_quotient():
@@ -136,6 +147,18 @@ def test_support_functional_reproduces_sip():
             sip(LP3, x, y), rel=1e-12)
 
 
+def test_support_functional_is_finite_at_subnormal_complex_coordinates():
+    # the phase of y_2 must not come from a division by |y_2|: 1/|y_2|
+    # overflows for a subnormal modulus and complex division yields NaN
+    s = lp_space(COMPLEX, 2, 1.5)
+    y = np.array([1.0, 1e-310 * (1 + 1j)])
+    g = support_functional(s, y)
+    assert np.all(np.isfinite(g))
+    assert g[0] == pytest.approx(1.0, rel=1e-15)
+    assert np.angle(g[1]) == pytest.approx(np.pi / 4, rel=1e-15)
+    assert sip(s, [1.0, 1.0], y) == pytest.approx(norm(s, y) * np.sum(np.conj(g)), rel=1e-15)
+
+
 def test_support_functional_fixture_cases():
     assert np.array_equal(support_functional(FIX, [2.0, -1.0]), [1.0, 0.0])
     assert np.array_equal(support_functional(FIX, [-1.0, 3.0]), [0.0, 1.0])
@@ -161,6 +184,16 @@ def test_as_vec_contract():
         as_vec(LP3, [1.0 + 1j, 0.0])
     v = as_vec(lp_space(COMPLEX, 2, 2.0), [1, 2])
     assert v.dtype == np.complex128
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]):
+        with pytest.raises(ContractViolation):
+            as_vec(LP3, bad)
+    with pytest.raises(ContractViolation):
+        as_vec(lp_space(COMPLEX, 2, 2.0), [complex(0.0, np.nan), 1.0])
+    # the evaluators validate stacked vectors the same way
+    with pytest.raises(ContractViolation):
+        sip(LP3, [[1.0, 2.0], [np.nan, 0.0]], [1.0, 1.0])
+    with pytest.raises(ContractViolation):
+        norm(LP3, [[1.0, 2.0, 3.0]])
 
 
 def test_basis_vec():

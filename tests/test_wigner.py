@@ -12,6 +12,7 @@ from sipwigner import (
     MapOracle,
     UnsupportedField,
     UnsupportedSpace,
+    as_vec,
     check_exact_preservation,
     check_linearity,
     check_phase_isometry_sets,
@@ -165,6 +166,16 @@ def test_map_oracle_validates_shapes_and_fields():
     bad = MapOracle(RC3, RC3, lambda v: v[:2])
     with pytest.raises(ContractViolation):
         bad(np.array([1.0, 0.0, 0.0]))
+    for poison in (np.nan, np.inf):
+        broken = MapOracle(RC3, RC3, lambda v, c=poison: v + np.array([c, 0.0, 0.0]))
+        with pytest.raises(ContractViolation):
+            broken(np.array([1.0, 0.0, 0.0]))
+        for check in (check_wigner, check_phase_isometry_sets,
+                      check_exact_preservation, check_linearity):
+            with pytest.raises(ContractViolation):
+                check(broken, samples_for(RC3))
+    with pytest.raises(ContractViolation):
+        identity_oracle(RC3)(np.array([np.nan, 0.0, 0.0]))
     with pytest.raises(ContractViolation):
         identity_oracle(RC3)(np.array([1.0, 0.0]))
     mixed = MapOracle(RC3, lp_space(COMPLEX, 3, 3.0), lambda v: v + 0j)
@@ -178,3 +189,85 @@ def test_checks_reject_degenerate_input():
         check_wigner(m, [])
     with pytest.raises(ContractViolation):
         check_wigner(m, samples_for(RC3), tol=0.0)
+
+
+# ---------------------------------------------------------------- pairwise reference
+
+def reference_scan(check, m, samples, tol=1e-8, seed=101):
+    """The checkers' contract as a plain loop over sample pairs.
+
+    Returns (failed, max violation, witness pair or None); the witness is
+    the first pair attaining the maximum in the scan order below.
+    """
+    s, t = m.source, m.target
+    xs = [as_vec(s, x) for x in samples]
+    fxs = [m(x) for x in xs]
+    entries = []  # (violation, bound, x, y) in scan order
+    if check in (check_wigner, check_exact_preservation):
+        for i, (x, fx) in enumerate(zip(xs, fxs)):
+            for j, (y, fy) in enumerate(zip(xs, fxs)):
+                lhs, rhs = sip(t, fx, fy), sip(s, x, y)
+                if check is check_wigner:
+                    lhs, rhs = abs(lhs), abs(rhs)
+                entries.append((abs(lhs - rhs), tol * (1.0 + norm(s, x) * norm(s, y)), x, y))
+    elif check is check_phase_isometry_sets:
+        for i in range(len(xs)):
+            for j in range(i + 1):
+                x, y, fx, fy = xs[i], xs[j], fxs[i], fxs[j]
+                lhs = sorted((norm(t, fx + fy), norm(t, fx - fy)))
+                rhs = sorted((norm(s, x + y), norm(s, x - y)))
+                violation = max(abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
+                entries.append((violation, tol * (1.0 + norm(s, x) + norm(s, y)), x, y))
+    else:
+        for x, fx in zip(xs, fxs):
+            entries.append((abs(norm(t, fx) - norm(s, x)), tol * (1.0 + norm(s, x)), x, x))
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            i = int(rng.integers(len(xs)))
+            j = int(rng.integers(len(xs)))
+            if s.field == COMPLEX:
+                a = complex(rng.standard_normal(), rng.standard_normal())
+                b = complex(rng.standard_normal(), rng.standard_normal())
+            else:
+                a = float(rng.standard_normal())
+                b = float(rng.standard_normal())
+            dev = norm(t, m(a * xs[i] + b * xs[j]) - a * fxs[i] - b * fxs[j])
+            bound = tol * (1.0 + abs(a) * norm(s, xs[i]) + abs(b) * norm(s, xs[j]))
+            entries.append((dev, bound, xs[i], xs[j]))
+    worst, pair, failed = 0.0, None, False
+    for violation, bound, x, y in entries:
+        if violation > worst:
+            worst, pair = violation, (x, y)
+        failed = failed or violation > bound
+    return failed, worst, pair if failed else None
+
+
+REFERENCE_MAPS = [
+    ("identity", RC3, identity_oracle),
+    ("double", RC3, lambda s: scale_oracle(identity_oracle(s), 2.0)),
+    ("seeded_phase", RC3, lambda s: make_phase_equivalent(identity_oracle(s), seeded_phase(s, 5))),
+    ("identity", CC2, identity_oracle),
+    ("double", CC2, lambda s: scale_oracle(identity_oracle(s), 2.0)),
+    ("conjugation", CC2, conjugation_oracle),
+    ("seeded_phase", CC2, lambda s: make_phase_equivalent(identity_oracle(s), seeded_phase(s, 5))),
+]
+
+
+@pytest.mark.parametrize("name, space, build", REFERENCE_MAPS,
+                         ids=[f"{n}-{s.field}" for n, s, _ in REFERENCE_MAPS])
+def test_checkers_match_the_pairwise_reference(name, space, build):
+    m = build(space)
+    xs = samples_for(space)
+    checks = [check_wigner, check_exact_preservation, check_linearity]
+    if space.field == REAL:
+        checks.append(check_phase_isometry_sets)
+    for check in checks:
+        report = check(m, xs, seed=101)
+        failed, worst, pair = reference_scan(check, m, xs)
+        assert report.passed is not failed, check.__name__
+        assert abs(report.max_violation - worst) <= 1e-12, check.__name__
+        if pair is None:
+            assert report.witness is None
+        else:
+            assert np.array_equal(report.witness.x, pair[0]), check.__name__
+            assert np.array_equal(report.witness.y, pair[1]), check.__name__
