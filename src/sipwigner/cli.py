@@ -50,7 +50,7 @@ from .fixtures import (
     seeded_phase,
     swap_counterexample,
 )
-from .jsonio import dumps, vec_from_json
+from .jsonio import dumps, int_from_json, vec_from_json
 from .orthogonality import bj_orthogonal
 from .reconstruct import reconstruct
 from .spaces import Space, gateaux_sip_oracle, sip
@@ -108,7 +108,7 @@ class RunConfig:
         try:
             checks = tuple(d.get("checks", ("wigner",)))
             tol = float(d.get("tol", 1e-8))
-            samples = int(d.get("samples", 16))
+            samples = int_from_json(d.get("samples", 16))
         except (TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed config value: {exc}") from exc
         bad = [c for c in checks if c not in CHECKS]

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractViolation
+from .jsonio import int_from_json, scalar_from_json
 from .spaces import (
     COMPLEX,
     Lp,
@@ -78,18 +79,12 @@ class IsometrySpec:
     @staticmethod
     def from_dict(d: dict) -> "IsometrySpec":
         try:
-            perm = tuple(int(i) for i in d["perm"])
+            perm = tuple(int_from_json(i) for i in d["perm"])
             conj = bool(d.get("conjugate_first", False))
-            diag = []
-            for entry in d["diag"]:
-                if isinstance(entry, dict):
-                    z = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
-                else:
-                    z = complex(entry)
-                diag.append(z if z.imag != 0 else z.real)
+            diag = [complex(scalar_from_json(entry)) for entry in d["diag"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed isometry spec: {d!r}") from exc
-        return IsometrySpec(perm, tuple(diag), conj)
+        return IsometrySpec(perm, tuple(z if z.imag != 0 else z.real for z in diag), conj)
 
 
 def matrix_oracle(space: Space, matrix, conjugate_first: bool = False,

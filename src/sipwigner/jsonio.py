@@ -86,6 +86,13 @@ def scalar_from_json(v) -> float | complex:
     raise ContractViolation(f"expected a scalar, got {v!r}")
 
 
+def int_from_json(v) -> int:
+    """Accept a JSON integer only; bools, floats and strings are refused."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ContractViolation(f"expected an integer, got {v!r}")
+    return v
+
+
 def vec_from_json(v) -> np.ndarray:
     if not isinstance(v, list):
         raise ContractViolation(f"expected a vector (JSON array), got {v!r}")

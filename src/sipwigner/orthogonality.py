@@ -83,7 +83,7 @@ def _expand_bracket(g, center: float, width: float, max_width: float):
     a, m, b = center - width, center, center + width
     ga, gm, gb = g(a), g(m), g(b)
     while not (ga >= gm <= gb):
-        if (b - a) > max_width:
+        if not (b - a) <= max_width:  # also stops a NaN width
             raise SolverError(
                 "bracket expansion exceeded its bound; objective looks non-coercive"
             )
@@ -95,6 +95,8 @@ def _expand_bracket(g, center: float, width: float, max_width: float):
             step = 2.0 * (b - a)
             a, m, b = m, b, b + step
             ga, gm, gb = gm, gb, g(b)
+    if not math.isfinite(gm):
+        raise SolverError(f"objective is not finite at the bracket center: {gm!r}")
     return a, b
 
 
@@ -168,7 +170,7 @@ def minimize_scalar(
     the sweeps monotone.  Sweeping stops once the coordinates settle within
     ``xatol`` or the value stalls within relative ``ftol`` twice in a row.
     Raises SolverError when bracket expansion runs past ``max_width``
-    (non-coercive input).
+    (non-coercive input) or the objective is not finite at its center.
     """
     if not all(v > 0 and math.isfinite(v)
                for v in (initial_width, xatol, ftol, max_width)):

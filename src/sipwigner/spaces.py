@@ -47,6 +47,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractViolation, NonSmoothPoint
+from .jsonio import int_from_json
 
 REAL = "real"
 COMPLEX = "complex"
@@ -111,7 +112,7 @@ class Space:
     def from_dict(d: dict) -> "Space":
         try:
             field = d["field"]
-            dim = int(d["dim"])
+            dim = int_from_json(d["dim"])
             norm = d["norm"]
             p = float(norm["lp"]) if isinstance(norm, dict) and "lp" in norm else None
         except (KeyError, TypeError, ValueError) as exc:

@@ -50,6 +50,10 @@ def test_sip_eval_parse_error_exits_2(capsys):
         (LP3, "[1,0]", "[Infinity,1]"),
         (json.dumps({"field": "real", "dim": 2, "norm": {"lp": "abc"}}), "[1,0]", "[1,1]"),
         (json.dumps({"field": "real", "dim": 2, "norm": {"lp": None}}), "[1,0]", "[1,1]"),
+        # dim takes JSON integers only, never a truncated float, string or bool
+        (json.dumps({"field": "real", "dim": 2.7, "norm": {"lp": 3}}), "[1,0]", "[1,1]"),
+        (json.dumps({"field": "real", "dim": "2", "norm": {"lp": 3}}), "[1,0]", "[1,1]"),
+        (json.dumps({"field": "real", "dim": True, "norm": {"lp": 3}}), "[1]", "[1]"),
     ):
         code, _, err = run(capsys, ["sip-eval", "--space", space, "--x", x, "--y", y])
         assert code == 2, (space, x, y)
@@ -142,6 +146,20 @@ def test_check_config_validation_exit_2(tmp_path, capsys):
         {"source": {"field": "complex", "dim": 1, "norm": {"lp": 2.0}},
          "map": {"isometry": {"perm": [1], "diag": [{"re": "a"}]}}},
     ]
+    # integer fields take JSON integers only, never a truncated float, string or bool
+    for bad_int in (2.7, "2", True):
+        bad += [
+            {"source": {"field": "real", "dim": bad_int, "norm": {"lp": 3.0}},
+             "map": {"builtin": "identity"}},
+            {"source": {"field": "real", "dim": 2, "norm": {"lp": 3.0}},
+             "map": {"builtin": "identity"}, "samples": bad_int},
+            {"source": {"field": "real", "dim": 1, "norm": {"lp": 2.0}},
+             "map": {"isometry": {"perm": [bad_int], "diag": [1.0]}}},
+        ]
+    # diagonal weights are JSON numbers or {"re", "im"} objects, never strings or bools
+    for bad_weight in ("1", True):
+        bad.append({"source": {"field": "real", "dim": 1, "norm": {"lp": 2.0}},
+                    "map": {"isometry": {"perm": [1], "diag": [bad_weight]}}})
     for obj in bad:
         code, _, err = run(capsys, ["check", "--config", write_config(tmp_path, obj)])
         assert code == 2, obj

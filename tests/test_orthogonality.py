@@ -104,6 +104,10 @@ def test_quartic_contact_reports_a_float_plateau():
 def test_non_coercive_objective_raises():
     with pytest.raises(SolverError):
         minimize_scalar(lambda c: -c, REAL, max_width=1e6)
+    # a constant inf passes the bracket test at once; inf is no minimum
+    for field in (REAL, COMPLEX):
+        with pytest.raises(SolverError):
+            minimize_scalar(lambda c: np.inf, field)
 
 
 def test_minimize_rejects_bad_arguments():
@@ -157,6 +161,16 @@ def test_bj_tiny_y_keeps_the_bracket_search_terminating():
     # min_t ||(1 + t, 1)|| is at t = -1, so the margin is 1 - ||x||
     assert verdict.margin == pytest.approx(1.0 - 2.0 ** (1.0 / 3.0), abs=1e-9)
     assert verdict.minimizer == pytest.approx(-1e16, rel=1e-6)
+
+
+def test_bj_overflowing_norm_raises_instead_of_hanging():
+    # ||x + lam*y|| overflows to inf in l_7 at 1e50; the bracket walk used to
+    # widen until its center was inf - inf = NaN and never stop.  The overflow
+    # itself is a separate scale problem, so its warnings are silenced here.
+    s = lp_space(COMPLEX, 2, 7.0)
+    x, y = np.array([1e50, 2e50j]), np.array([3e50, -1e50])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError):
+        bj_orthogonal(s, x, y)
 
 
 def test_bj_subnormal_y_is_decided_without_overflow():

@@ -17,7 +17,9 @@ from sipwigner import (
     HypothesisViolation,
     IsometrySpec,
     MapOracle,
+    Reconstruction,
     UnsupportedSpace,
+    basis_vec,
     conjugation_oracle,
     detect_kind,
     identity_oracle,
@@ -25,6 +27,7 @@ from sipwigner import (
     make_isometry,
     make_phase_equivalent,
     matrix_oracle,
+    norm,
     random_unitary,
     reconstruct,
     recover_pair_coeffs,
@@ -32,6 +35,7 @@ from sipwigner import (
     reproduction_residual,
     scale_oracle,
     seeded_phase,
+    sip,
     swap_counterexample,
     unit_sphere_samples,
 )
@@ -139,6 +143,9 @@ def test_recover_scalar_action():
     shift = MapOracle(s, s, lambda v: v + np.array([1.0, 0.0]))
     with pytest.raises(HypothesisViolation):
         recover_scalar_action(shift, x, 3.0)
+    gamma = recover_scalar_action(identity_oracle(RC3), [1.0, -2.0, 0.5], -3.0)
+    assert type(gamma) is float  # a real field gives a Python float
+    assert gamma == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_recover_pair_coeffs_unimodular():
@@ -150,6 +157,11 @@ def test_recover_pair_coeffs_unimodular():
     assert abs(beta) == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(ContractViolation):
         recover_pair_coeffs(f, x, 2.0 * x)
+    # v -> (||v||, 0, 0) sends e1 and e2 to the same vector, so f(e1 + e2)
+    # has no unique coefficients on {f(e1), f(e2)}
+    collapse = MapOracle(RC3, RC3, lambda v: np.array([norm(RC3, v), 0.0, 0.0]))
+    with pytest.raises(ContractViolation):
+        recover_pair_coeffs(collapse, basis_vec(RC3, 0), basis_vec(RC3, 1))
 
 
 def test_reconstruct_rejects_the_doubled_map():
@@ -165,6 +177,96 @@ def test_reconstruct_rejects_norm_preserving_nonadditive_map():
     with pytest.raises(HypothesisViolation) as info:
         reconstruct(m, seed=11)
     assert info.value.witness is not None
+
+
+# --------------------------------------------- per-sample reference pipeline
+
+def reference_phase_and_residual(m, U, kind, x):
+    image = U @ (np.conj(x) if kind == KIND_CONJUGATE else x)
+    fx = m(x)
+    sigma = sip(m.target, fx, image) / norm(m.source, x) ** 2
+    return sigma, norm(m.target, fx - sigma * image), image
+
+
+def reference_columns(m, tol=1e-8):
+    """U in the gauge sigma(e1) = 1, and the kind, as reconstruct builds them."""
+    s, n = m.source, m.source.dim
+    e1 = basis_vec(s, 0)
+    cols = [m(e1)]
+    for j in range(1, n):
+        alpha, beta = recover_pair_coeffs(m, e1, basis_vec(s, j), tol)
+        cols.append((beta / alpha) * m(basis_vec(s, j)))
+    return np.stack(cols, axis=1), KIND_LINEAR if s.field == REAL or n == 1 else detect_kind(m, tol)
+
+
+def reference_verify(m, U, kind, *, tol=1e-8, phase_tol=1e-8, iso_tol=1e-7, n_test=64, seed=7):
+    """reconstruct's verification as one loop over samples, on the public
+    norm and sip.
+
+    Returns (phase_samples, residual) or raises HypothesisViolation at the
+    first failing sample, testing isometry, phase, then residual.
+    """
+    s, n = m.source, m.source.dim
+    rng = np.random.default_rng(seed)
+    worst, samples = 0.0, []
+    for _ in range(n_test):
+        v = rng.standard_normal(n)
+        if s.field == COMPLEX:
+            v = v + 1j * rng.standard_normal(n)
+        nv = norm(s, v)
+        if nv < 1e-6:
+            continue
+        v = v * (float(rng.uniform(0.5, 2.0)) / nv)
+        sigma, residual, image = reference_phase_and_residual(m, U, kind, v)
+        nv = norm(s, v)
+        iso_dev = abs(norm(m.target, image) - nv)
+        if iso_dev > iso_tol * (1.0 + nv):
+            raise HypothesisViolation("isometry", {"x": v.tolist(), "deviation": iso_dev})
+        if abs(abs(sigma) - 1.0) > phase_tol:
+            raise HypothesisViolation("phase", {"x": v.tolist(), "sigma": sigma})
+        if residual > tol * (1.0 + nv):
+            raise HypothesisViolation("residual", {"x": v.tolist(), "residual": residual})
+        worst = max(worst, residual)
+        samples.append((v, sigma))
+    return samples, worst
+
+
+REFERENCE_MAPS = {
+    "identity": lambda: identity_oracle(RC3),
+    "twisted_linear": lambda: make_phase_equivalent(
+        make_isometry(CC3, SPEC3), seeded_phase(CC3, 21)),
+    "conjugate_linear": lambda: make_phase_equivalent(
+        make_isometry(CC3, SPEC3C), seeded_phase(CC3, 22)),
+    "double": lambda: scale_oracle(identity_oracle(RC3), 2.0),
+    "abs": lambda: MapOracle(RC3, RC3, np.abs),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_MAPS))
+def test_batched_verification_matches_the_per_sample_loop(name):
+    m = REFERENCE_MAPS[name]()
+    U, kind = reference_columns(m)
+    held_out = unit_sphere_samples(m.source, 50, np.random.default_rng(4))
+    expected = max(reference_phase_and_residual(m, U, kind, x)[1] for x in held_out)
+    got = reproduction_residual(m, Reconstruction(U, kind, [], 0.0), held_out)
+    assert got == pytest.approx(expected, abs=1e-12)
+    try:
+        samples, worst = reference_verify(m, U, kind, seed=11)
+    except HypothesisViolation as ref:
+        with pytest.raises(type(ref)) as info:
+            reconstruct(m, seed=11)
+        # same first failing sample, failing the same test
+        assert info.value.witness["x"] == ref.witness["x"]
+        assert set(info.value.witness) == set(ref.witness)
+        return
+    rec = reconstruct(m, seed=11)
+    assert rec.kind == kind
+    assert np.array_equal(rec.U, U)
+    assert rec.residual == pytest.approx(worst, abs=1e-12)
+    assert len(rec.phase_samples) == len(samples)
+    for (x, sigma), (x_ref, sigma_ref) in zip(rec.phase_samples, samples):
+        assert np.array_equal(x, x_ref)
+        assert abs(sigma - sigma_ref) <= 1e-12
 
 
 def test_reconstruct_requires_lp_spaces():
