@@ -120,11 +120,12 @@ class RunConfig:
             raise ContractViolation("sample count must be at least 2")
         seed = d.get("seed")
         if seed is not None:
-            seed = _u64(seed)
+            seed = _u64(int_from_json(seed))
         return RunConfig(source, map_spec, checks, tol, samples, seed)
 
 
 def _u64(v) -> int:
+    """A seed from decimal text (--seed, SIPWIGNER_SEED) or a JSON integer."""
     try:
         n = int(v)
     except (TypeError, ValueError):
@@ -169,7 +170,7 @@ def _resolve_map(cfg: RunConfig) -> MapOracle:
         m = make_isometry(cfg.source, IsometrySpec.from_dict(spec["isometry"]))
         phase_seed = spec.get("phase_seed")
         if phase_seed is not None:
-            m = make_phase_equivalent(m, seeded_phase(cfg.source, _u64(phase_seed)))
+            m = make_phase_equivalent(m, seeded_phase(cfg.source, _u64(int_from_json(phase_seed))))
         return m
     raise ContractViolation('map spec needs "builtin" or "isometry"')
 

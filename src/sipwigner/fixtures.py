@@ -80,7 +80,9 @@ class IsometrySpec:
     def from_dict(d: dict) -> "IsometrySpec":
         try:
             perm = tuple(int_from_json(i) for i in d["perm"])
-            conj = bool(d.get("conjugate_first", False))
+            conj = d.get("conjugate_first", False)
+            if not isinstance(conj, bool):
+                raise TypeError("conjugate_first must be a JSON bool")
             diag = [complex(scalar_from_json(entry)) for entry in d["diag"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise ContractViolation(f"malformed isometry spec: {d!r}") from exc

@@ -2,25 +2,32 @@
 
 x is orthogonal to y when ||x + lam*y|| >= ||x|| for every scalar lam,
 i.e. when lam = 0 already minimizes lam -> ||x + lam*y||.  The objective
-is convex, so a golden-section search on an auto-expanded bracket decides
-it from norm queries alone; over the complex field we run coordinate
-descent on (Re lam, Im lam) with golden-section line searches.  In smooth
-spaces the decision agrees with the semi-inner product criterion
-[y, x] = 0, which callers can cross-check through ``spaces.sip``.
+is convex, so a grid line search decides it from norm queries alone: each
+probe evaluates the objective on a 17-point grid in one batched call, and
+the grid minima of a convex function bracket all of its minimizers.  Over
+the complex field each sweep searches along Re lam, along Im lam and then
+along the sweep's displacement; a 2-D grid argmin is not a sound bracket
+for elongated convex level sets.  In smooth spaces the decision agrees
+with the semi-inner product criterion [y, x] = 0, which callers can
+cross-check through ``spaces.sip``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, SolverError
-from .spaces import COMPLEX, REAL, Scalar, Space, as_vec, norm, norm_fn
+from .spaces import COMPLEX, REAL, Scalar, Space, as_vec, norm_fn
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_SPAN = np.linspace(-1.0, 1.0, 17)  # first grid center + width * _SPAN holds center exactly
+_FRAC = np.linspace(0.0, 1.0, 17)  # a grid across a bracket: a + (b - a) * _FRAC
+_EDGE = np.linspace(0.0, 1.0, 9)  # a grid across one plateau edge cell
+_FLAT = 1e-6  # runs of equal minima wider than this are flat
+_MAX_PROBES = 2000  # far past any expansion to max_width; guards a stuck loop
 
 
 @dataclass(frozen=True)
@@ -34,120 +41,121 @@ class ScalarMin:
     (cubic and flatter minima, e.g. ||x + t*y|| in l_3 when the minimum
     touches a zero coordinate), whose argmin is unresolvable from value
     queries at float precision; simple quadratic minima never do.
+    ``nfev`` counts the objective points evaluated and ``probes`` the
+    batched calls that evaluated them.
     """
 
     argmin: Scalar
     value: float
     flat: bool = False
+    nfev: int = 0
+    probes: int = 0
 
 
-def _golden(g, a: float, b: float, xatol: float):
-    """Golden-section search on [a, b]; returns the best point seen.
+def _line_min(G, center: float, width: float, xatol: float, max_width: float) -> ScalarMin:
+    """Minimize a convex function of one real variable by grid probes.
 
-    Stops at width xatol, or as soon as the width stops shrinking: once the
-    interval is a few ulp wide at the scale of its endpoints the update
-    cannot make progress, and for brackets seeded far from the origin that
-    can happen above any absolute xatol.
+    ``G`` maps a 1-D array of points to their values.  The grid minima of a
+    convex function form one run t[i..j], and every minimizer lies in
+    [t[i-1], t[j+1]], which becomes the next grid (~8x narrower).  While
+    the run touches a free end of the grid, one that no probe has yet shown
+    to lie past every minimizer, the bracket widens outwards on that side
+    instead, up to ``max_width``; a single minimum at a free end past that
+    bound means the objective still descends there (SolverError).  A run of
+    three or more points is a plateau: the objective is constant between
+    its ends, so the next probe refines only the two cells holding its
+    edges.  The search stops once the bracket exceeds the run by at most
+    2*xatol, or stops shrinking (a few ulp at the scale of the points); the
+    argmin is the run's midpoint and ``flat`` says the run is wider than
+    1e-6.
     """
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    gc, gd = g(c), g(d)
-    best_x, best_v = (c, gc) if gc <= gd else (d, gd)
-    width = b - a
-    while width > xatol:
-        if gc < gd:
-            b, d, gd = d, c, gc
-            c = b - _INVPHI * (b - a)
-            gc = g(c)
-            if gc < best_v:
-                best_x, best_v = c, gc
-        else:
-            a, c, gc = c, d, gd
-            d = a + _INVPHI * (b - a)
-            gd = g(d)
-            if gd < best_v:
-                best_x, best_v = d, gd
-        new_width = b - a
-        if not new_width < width:
+    t = center + width * _SPAN
+    free_lo = free_hi = True
+    gap = math.inf
+    nfev = 0
+    for probes in range(1, _MAX_PROBES + 1):
+        v = G(t)
+        last = len(t) - 1
+        nfev += last + 1
+        i = int(v.argmin())
+        j = last - int(v[::-1].argmin())
+        vmin = float(v[i])
+        if not math.isfinite(vmin):
+            raise SolverError(f"objective has no finite minimum on the bracket: {vmin!r}")
+        ts = t.tolist()
+        lo, hi = ts[max(i - 1, 0)], ts[min(j + 1, last)]
+        free_lo, free_hi = free_lo and i == 0, free_hi and j == last
+        if free_lo or free_hi:
+            w = ts[last] - ts[0]
+            if w <= max_width:  # also stops a NaN width
+                lo = ts[0] - 2.0 * w if free_lo else lo
+                hi = ts[last] + 2.0 * w if free_hi else hi
+                t = lo + (hi - lo) * _FRAC
+                continue
+            if i == j:
+                raise SolverError(
+                    "bracket expansion exceeded its bound; objective looks non-coercive"
+                )
+            # a plateau reaching past max_width keeps the part that was probed
+            free_lo = free_hi = False
+        new_gap = (ts[i] - lo) + (hi - ts[j])
+        if new_gap <= 2.0 * xatol or not new_gap < gap:
             break
-        width = new_width
-    mid = 0.5 * (a + b)
-    gm = g(mid)
-    if gm <= best_v:
-        return mid, gm
-    return best_x, best_v
-
-
-def _expand_bracket(g, center: float, width: float, max_width: float):
-    """Walk a (a, m, b) triple downhill until g(a) >= g(m) <= g(b)."""
-    a, m, b = center - width, center, center + width
-    ga, gm, gb = g(a), g(m), g(b)
-    while not (ga >= gm <= gb):
-        if not (b - a) <= max_width:  # also stops a NaN width
-            raise SolverError(
-                "bracket expansion exceeded its bound; objective looks non-coercive"
-            )
-        if ga < gm:
-            step = 2.0 * (b - a)
-            a, m, b = a - step, a, m
-            ga, gm, gb = g(a), ga, gm
+        gap = new_gap
+        if j - i >= 2:
+            t = np.concatenate((lo + (ts[i] - lo) * _EDGE, ts[j] + (hi - ts[j]) * _EDGE))
         else:
-            step = 2.0 * (b - a)
-            a, m, b = m, b, b + step
-            ga, gm, gb = gm, gb, g(b)
-    if not math.isfinite(gm):
-        raise SolverError(f"objective is not finite at the bracket center: {gm!r}")
-    return a, b
+            t = lo + (hi - lo) * _FRAC
+    else:
+        raise SolverError(f"line search did not settle in {_MAX_PROBES} probes")
+    return ScalarMin(0.5 * (ts[i] + ts[j]), vmin, ts[j] - ts[i] > _FLAT, nfev, probes)
 
 
-def _flat_interval(g, x: float, v: float, max_width: float):
-    """Widest interval around x on which g is float-equal to (or below) v.
+def _minimize(G, field: str, *, start: Scalar = 0.0, initial_width: float, xatol: float,
+              max_width: float, detect_flat: bool = False, ftol: float = 1e-13,
+              max_sweeps: int = 60) -> ScalarMin:
+    """``minimize_scalar`` on an objective ``G`` batched over 1-D arrays."""
+    if field == REAL:
+        res = _line_min(G, float(start), initial_width, xatol, max_width)
+        return replace(res, flat=res.flat and detect_flat)
+    if field != COMPLEX:
+        raise ContractViolation(f"unknown field {field!r}")
 
-    Exact equality is the right probe here: a genuinely flat stretch of a
-    piecewise-linear norm reproduces the minimum bit for bit, while near a
-    smooth strict minimum the function climbs past one ulp within ~1e-8,
-    far below the caller's width threshold.
-    """
+    lam = complex(start)
 
-    def edge(direction: float) -> float:
-        w = 1e-9
-        inside = 0.0
-        while w < max_width and g(x + direction * w) <= v:
-            inside = w
-            w *= 2.0
-        if inside == 0.0:
-            return x
-        lo, hi = inside, w  # flat at lo, not flat at hi (or out of bounds)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if g(x + direction * mid) <= v:
-                lo = mid
-            else:
-                hi = mid
-        return x + direction * lo
+    def search(d: complex, reach: float, tol: float) -> ScalarMin:
+        """A line search from lam along d over |t*d| <= reach, to tol in lam."""
+        step = abs(d)
+        return _line_min(lambda t: G(lam + t * d), 0.0, reach / step, tol / step,
+                         max_width / step)
 
-    return edge(-1.0), edge(+1.0)
-
-
-def _minimize_real(
-    g: Callable[[float], float],
-    *,
-    start: float,
-    initial_width: float,
-    xatol: float,
-    max_width: float,
-    detect_flat: bool,
-) -> ScalarMin:
-    a, b = _expand_bracket(g, start, initial_width, max_width)
-    x, v = _golden(g, a, b, xatol)
-    flat = False
-    if detect_flat:
-        lo, hi = _flat_interval(g, x, v, max_width=max_width)
-        if hi - lo > 1e-6:
-            flat = True
-            x = 0.5 * (lo + hi)
-            v = min(v, g(x))
-    return ScalarMin(float(x), float(v), flat)
+    width = initial_width
+    value = math.inf
+    nfev = probes = stalls = 0
+    for _ in range(max_sweeps):
+        begin = lam
+        # a wide sweep only has to place the next, narrower one, so only a
+        # sweep run to xatol may end the descent
+        tol = max(xatol, 1e-2 * width)
+        for d in (1.0, 1j):
+            res = search(d, width, tol)
+            lam += res.argmin * d
+            nfev, probes = nfev + res.nfev, probes + res.probes
+        # then along the sweep's displacement: on the curved valleys of l_p at
+        # large p the coordinate steps alone shrink geometrically and stall
+        d = lam - begin
+        if d != 0:
+            res = search(d, abs(d), tol)
+            lam += res.argmin * d
+            nfev, probes = nfev + res.nfev, probes + res.probes
+        moved = abs(lam.real - begin.real) + abs(lam.imag - begin.imag)
+        improvement = value - res.value
+        value = res.value
+        stalls = stalls + 1 if improvement <= ftol * (1.0 + abs(value)) else 0
+        if tol == xatol and (moved <= 2.0 * xatol or stalls >= 2):
+            break
+        width = max(4.0 * moved, 100.0 * xatol)
+    return ScalarMin(lam, value, False, nfev, probes)
 
 
 def minimize_scalar(
@@ -164,65 +172,35 @@ def minimize_scalar(
 ) -> ScalarMin:
     """Minimize a convex scalar -> real objective over the given field.
 
-    Real field: golden-section on an auto-expanded bracket around ``start``.
-    Complex field: coordinate descent over (Re, Im), each line search a
-    golden-section pass; convexity of the objective along every line makes
-    the sweeps monotone.  Sweeping stops once the coordinates settle within
-    ``xatol`` or the value stalls within relative ``ftol`` twice in a row.
-    Raises SolverError when bracket expansion runs past ``max_width``
-    (non-coercive input) or the objective is not finite at its center.
+    ``g`` takes one scalar of the field.  Real field: a grid line search on
+    a bracket around ``start``, widened while the minimum sits at its edge.
+    Complex field: sweeps of such line searches along Re, along Im and along
+    the sweep's displacement, each to 1% of the sweep's width but no finer
+    than ``xatol``; convexity of the objective along every line makes the
+    sweeps monotone.  Sweeping stops once a sweep run to ``xatol`` moves the
+    point by at most 2*xatol, or the value stalls within relative ``ftol``
+    twice in a row.
+    Raises SolverError when the bracket widens past ``max_width`` with the
+    objective still descending (non-coercive input) or the objective has no
+    finite minimum on the grid.
     """
-    if not all(v > 0 and math.isfinite(v)
-               for v in (initial_width, xatol, ftol, max_width)):
+    if not (all(v > 0 and math.isfinite(v) for v in (initial_width, xatol, ftol, max_width))
+            and max_sweeps >= 1):
         raise ContractViolation(
-            "initial_width, xatol, ftol and max_width must be positive and finite"
+            "initial_width, xatol, ftol and max_width must be positive and finite, "
+            "and max_sweeps at least 1"
         )
-    if field == REAL:
-        return _minimize_real(
-            g,
-            start=float(start),
-            initial_width=initial_width,
-            xatol=xatol,
-            max_width=max_width,
-            detect_flat=detect_flat,
-        )
-    if field != COMPLEX:
-        raise ContractViolation(f"unknown field {field!r}")
-
-    re, im = float(np.real(start)), float(np.imag(start))
-    width = initial_width
-    value = g(complex(re, im))
-    stalls = 0
-    for _ in range(max_sweeps):
-        res_re = _minimize_real(
-            lambda t: g(complex(t, im)),
-            start=re,
-            initial_width=width,
-            xatol=xatol,
-            max_width=max_width,
-            detect_flat=False,
-        )
-        moved = abs(res_re.argmin - re)
-        re = res_re.argmin
-        res_im = _minimize_real(
-            lambda t: g(complex(re, t)),
-            start=im,
-            initial_width=width,
-            xatol=xatol,
-            max_width=max_width,
-            detect_flat=False,
-        )
-        moved += abs(res_im.argmin - im)
-        im = res_im.argmin
-        improvement = value - res_im.value
-        value = res_im.value
-        if moved <= 2.0 * xatol:
-            break
-        stalls = stalls + 1 if improvement <= ftol * (1.0 + abs(value)) else 0
-        if stalls >= 2:
-            break
-        width = max(4.0 * moved, 100.0 * xatol)
-    return ScalarMin(complex(re, im), float(value), False)
+    return _minimize(
+        lambda lams: np.array([g(lam) for lam in lams.tolist()], dtype=float),
+        field,
+        start=start,
+        initial_width=initial_width,
+        xatol=xatol,
+        max_width=max_width,
+        detect_flat=detect_flat,
+        ftol=ftol,
+        max_sweeps=max_sweeps,
+    )
 
 
 @dataclass(frozen=True)
@@ -235,12 +213,14 @@ class OrthVerdict:
     whole interval of minimizers: genuine ones on the non-strictly-convex
     max-norm fixture, float-resolution ones at higher-order contact in l_p
     (see ``ScalarMin``); ``minimizer`` is then the interval midpoint.
+    ``nfev`` counts the norm values computed for the decision.
     """
 
     orthogonal: bool
     margin: float
     minimizer: Scalar
     flat_minimizer: bool = False
+    nfev: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -254,14 +234,21 @@ class OrthVerdict:
 def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     """Decide x perp y (Birkhoff-James) by minimizing ||x + lam*y||.
 
-    The margin only needs norm-value accuracy, so the line searches run at
-    a loose coordinate tolerance (1e-6): around a smooth minimum the value
-    error is quadratic in the coordinate error, ~1e-12, well inside tol.
+    The problem is solved at unit scale: x and y are divided once by
+    s = max(|x_i|, |y_i|), which leaves every minimizer in place and keeps
+    the norm finite at any float scale, and the margin is multiplied back
+    by s, so ``tol`` stays an absolute margin in norm units.  The margin
+    only needs norm-value accuracy, so the line searches run at a loose
+    coordinate tolerance (1e-6): around a smooth minimum the value error is
+    quadratic in the coordinate error, ~1e-12, well inside tol.
     """
     if not (tol > 0):
         raise ContractViolation("tol must be positive")
     xv = as_vec(space, x)
     yv = as_vec(space, y)
+    scale = float(max(np.max(np.abs(xv)), np.max(np.abs(yv))))
+    if scale > 0.0:
+        xv, yv = xv / scale, yv / scale
     nrm = norm_fn(space)
     nx = nrm(xv)
     if nx == 0.0:
@@ -269,7 +256,7 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     ny = nrm(yv)
     if ny == 0.0:
         # ||x + lam*0|| is constant: trivially orthogonal, every lam minimizes.
-        return OrthVerdict(True, 0.0, space.zero_scalar(), flat_minimizer=True)
+        return OrthVerdict(True, 0.0, space.zero_scalar(), flat_minimizer=True, nfev=2)
 
     # any minimizer satisfies |lam| <= 2||x||/||y||, so seed the bracket there;
     # for ||y|| so small that the bound leaves the float range, searching the
@@ -277,19 +264,19 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     reach = 2.0 * nx / ny + 1.0
     if not math.isfinite(reach) or reach > 1e300:
         reach = 1e300
-    res = minimize_scalar(
-        lambda lam: nrm(xv + lam * yv),
+    res = _minimize(
+        lambda lams: nrm(xv + lams[:, None] * yv),
         space.field,
         initial_width=reach,
         max_width=64.0 * reach,
         xatol=1e-6,
         detect_flat=(space.field == REAL),
     )
-    value, minimizer, flat = res.value, res.argmin, res.flat
+    value, minimizer = res.value, res.argmin
     if nx <= value:
         value, minimizer = nx, space.zero_scalar()
-    margin = value - nx
-    return OrthVerdict(margin >= -tol, margin, minimizer, flat)
+    margin = (value - nx) * scale
+    return OrthVerdict(margin >= -tol, margin, minimizer, res.flat, res.nfev + 2)
 
 
 def best_coeffs(
@@ -302,9 +289,9 @@ def best_coeffs(
 ) -> list[Scalar]:
     """Coefficients minimizing ||target - sum_i c_i * basis_i|| (1 or 2 vectors).
 
-    Block coordinate descent, one ``minimize_scalar`` per block and sweep;
-    jointly convex, so sweeps are monotone.  Raises ContractViolation when
-    the basis vectors are linearly dependent.
+    Block coordinate descent, one scalar minimization per block and sweep,
+    each probe one batched norm call; jointly convex, so sweeps are monotone.
+    Raises ContractViolation when the basis vectors are linearly dependent.
     """
     t = as_vec(space, target)
     vecs = [as_vec(space, b) for b in basis]
@@ -312,7 +299,7 @@ def best_coeffs(
         raise ContractViolation("basis must hold one or two vectors")
     stacked = np.stack(vecs, axis=1)
     svals = np.linalg.svd(stacked, compute_uv=False)
-    if svals[-1] <= 1e-12 * svals[0] or svals[0] == 0.0:
+    if len(svals) < len(vecs) or svals[-1] <= 1e-12 * svals[0] or svals[0] == 0.0:
         raise ContractViolation("basis vectors are linearly dependent")
 
     nrm = norm_fn(space)
@@ -320,8 +307,8 @@ def best_coeffs(
     reaches = [2.0 * nt / nrm(v) + 1.0 for v in vecs]
 
     if len(vecs) == 1:
-        res = minimize_scalar(
-            lambda c: nrm(t - c * vecs[0]),
+        res = _minimize(
+            lambda cs: nrm(t - cs[:, None] * vecs[0]),
             space.field,
             initial_width=reaches[0],
             max_width=64.0 * reaches[0],
@@ -335,8 +322,8 @@ def best_coeffs(
         moved = 0.0
         for i in (0, 1):
             rest = t - coeffs[1 - i] * vecs[1 - i]
-            res = minimize_scalar(
-                lambda c, r=rest, v=vecs[i]: nrm(r - c * v),
+            res = _minimize(
+                lambda cs, r=rest, v=vecs[i]: nrm(r - cs[:, None] * v),
                 space.field,
                 start=coeffs[i],
                 initial_width=widths[i],

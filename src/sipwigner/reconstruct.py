@@ -82,7 +82,8 @@ def _span_coeffs(target: Space, w: Vector, basis) -> tuple[list[Scalar], float]:
     target-norm residual ||w - sum_i c_i * basis_i||."""
     A = np.stack(basis, axis=1)
     c, _, _, svals = np.linalg.lstsq(A, w, rcond=None)
-    if svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
+    # fewer singular values than columns (a 1-dimensional space) is dependent
+    if len(svals) < A.shape[1] or svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
         raise ContractViolation("basis vectors are linearly dependent")
     return c.tolist(), norm(target, w - A @ c)
 
@@ -120,7 +121,7 @@ def recover_pair_coeffs(m: MapOracle, x, y, tol: float = 1e-8) -> tuple[Scalar, 
     yv = as_vec(m.source, y)
     stacked = np.stack([xv, yv], axis=1)
     svals = np.linalg.svd(stacked, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
+    if len(svals) < 2 or svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
         raise ContractViolation("x and y must be linearly independent")
     fx, fy, fxy = m(xv), m(yv), m(xv + yv)
     (alpha, beta), residual = _span_coeffs(m.target, fxy, [fx, fy])

@@ -201,9 +201,11 @@ def norm_fn(space: Space):
     """A validation-free norm evaluator for hot loops.
 
     The returned callable assumes its argument is already a coordinate
-    array of the right dtype and shape; use ``norm`` everywhere else.
+    array of the right dtype, with the coordinates along the last axis; a
+    single vector gives a float and stacked vectors an array of norms.  Use
+    ``norm`` everywhere else.
     """
-    return lambda v: float(_norm(space, v))
+    return lambda v: _scalar(_norm(space, v))
 
 
 def _smooth(space: Space, yv: np.ndarray):

@@ -75,6 +75,16 @@ def test_orth_check_exit_codes(capsys):
     assert "finite" in err
 
 
+def test_orth_check_json_carries_no_counters(capsys):
+    # OrthVerdict.nfev is a dataclass field only: stdout keeps its bytes
+    code, out, _ = run(capsys, ["orth-check", "--space", LP3,
+                                "--x", "[1,1]", "--y", "[1,-1]", "--json"])
+    assert code == 0
+    assert out == ('{"space":{"field":"real","dim":2,"norm":{"lp":3}},"x":[1,1],'
+                   '"y":[1,-1],"orthogonal":true,"margin":0,"minimizer":0,'
+                   '"flat_minimizer":false}\n')
+
+
 def test_check_identity_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "source": {"field": "complex", "dim": 3, "norm": {"lp": 3.0}},
@@ -160,6 +170,18 @@ def test_check_config_validation_exit_2(tmp_path, capsys):
     for bad_weight in ("1", True):
         bad.append({"source": {"field": "real", "dim": 1, "norm": {"lp": 2.0}},
                     "map": {"isometry": {"perm": [1], "diag": [bad_weight]}}})
+    # seeds are JSON integers, never a truncated float or a string
+    for bad_seed in (2.7, "2"):
+        bad += [
+            {"source": {"field": "real", "dim": 2, "norm": {"lp": 3.0}},
+             "map": {"builtin": "identity"}, "seed": bad_seed},
+            {"source": {"field": "real", "dim": 1, "norm": {"lp": 2.0}},
+             "map": {"isometry": {"perm": [1], "diag": [1.0]}, "phase_seed": bad_seed}},
+        ]
+    # conjugate_first is a JSON bool: the string "false" must not build a conjugate map
+    bad.append({"source": {"field": "complex", "dim": 2, "norm": {"lp": 2.0}},
+                "map": {"isometry": {"perm": [1, 2], "diag": [1.0, 1.0],
+                                     "conjugate_first": "false"}}})
     for obj in bad:
         code, _, err = run(capsys, ["check", "--config", write_config(tmp_path, obj)])
         assert code == 2, obj

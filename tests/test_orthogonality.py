@@ -1,13 +1,13 @@
 """Scalar minimization and Birkhoff-James verdicts against dense grid oracles.
 
 The grid oracles below evaluate the objective on a fine lattice with plain
-numpy broadcasting, independently of the golden-section machinery they
-verify.
+numpy broadcasting, independently of the grid line search they verify.
 """
 
 import numpy as np
 import pytest
 
+from sipwigner import orthogonality
 from sipwigner import (
     COMPLEX,
     REAL,
@@ -110,11 +110,34 @@ def test_non_coercive_objective_raises():
             minimize_scalar(lambda c: np.inf, field)
 
 
+def test_line_search_probe_cap_raises(monkeypatch):
+    # the cap guards the loop against never settling; a quadratic needs ~14 probes
+    monkeypatch.setattr(orthogonality, "_MAX_PROBES", 3)
+    with pytest.raises(SolverError, match="did not settle"):
+        minimize_scalar(lambda c: (c - 0.3) ** 2, REAL)
+
+
+def test_scalar_only_objective_works_through_minimize_scalar():
+    # Python's max refuses arrays: g is called with one scalar at a time
+    g = lambda c: max(abs(c - 2.0), 0.5)  # flat on [1.5, 2.5]
+    res = minimize_scalar(g, REAL, initial_width=8.0, detect_flat=True)
+    assert res.flat is True
+    assert res.argmin == pytest.approx(2.0, abs=1e-9)
+    assert res.value == 0.5
+    assert res.nfev >= res.probes > 0
+    res = minimize_scalar(lambda c: max(abs(c - (1 + 1j)), 0.25) + abs(c.imag - 1.0),
+                          COMPLEX, initial_width=4.0)
+    assert res.value == pytest.approx(0.25, abs=1e-9)
+    assert abs(res.argmin - (1 + 1j)) <= 0.25 + 1e-6
+
+
 def test_minimize_rejects_bad_arguments():
     with pytest.raises(ContractViolation):
         minimize_scalar(lambda c: c * c, "quaternion")
     with pytest.raises(ContractViolation):
         minimize_scalar(lambda c: c * c, REAL, xatol=0.0)
+    with pytest.raises(ContractViolation):
+        minimize_scalar(lambda c: c * c, COMPLEX, max_sweeps=0)
 
 
 # ---------------------------------------------------------------- bj_orthogonal
@@ -163,14 +186,17 @@ def test_bj_tiny_y_keeps_the_bracket_search_terminating():
     assert verdict.minimizer == pytest.approx(-1e16, rel=1e-6)
 
 
-def test_bj_overflowing_norm_raises_instead_of_hanging():
+def test_bj_overflowing_norm_is_decided_at_unit_scale():
     # ||x + lam*y|| overflows to inf in l_7 at 1e50; the bracket walk used to
-    # widen until its center was inf - inf = NaN and never stop.  The overflow
-    # itself is a separate scale problem, so its warnings are silenced here.
+    # widen until its center was inf - inf = NaN and never stop.  Decided at
+    # unit scale, the pair gets the verdict of (x, y) / 1e50, margin times 1e50.
     s = lp_space(COMPLEX, 2, 7.0)
     x, y = np.array([1e50, 2e50j]), np.array([3e50, -1e50])
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError):
-        bj_orthogonal(s, x, y)
+    verdict = bj_orthogonal(s, x, y)
+    unit = bj_orthogonal(s, x / 1e50, y / 1e50)
+    assert not verdict.orthogonal and not unit.orthogonal
+    assert verdict.margin == pytest.approx(-3.586e49, rel=1e-3)
+    assert verdict.margin == pytest.approx(1e50 * unit.margin, rel=1e-9)
 
 
 def test_bj_subnormal_y_is_decided_without_overflow():
@@ -227,6 +253,43 @@ def test_bj_scale_equivariance():
     assert b.margin == pytest.approx(3.0 * a.margin, rel=1e-6)
 
 
+def _seeded_pair(rng, s, orthogonal):
+    def draw():
+        v = rng.standard_normal(s.dim)
+        if s.field == COMPLEX:
+            v = v + 1j * rng.standard_normal(s.dim)
+        return v
+    x = draw()
+    while norm(s, x) < 0.5:
+        x = draw()
+    y = draw()
+    if orthogonal:
+        return x, y - (sip(s, y, x) / norm(s, x) ** 2) * x
+    # decisively non-orthogonal, as in criterion 3
+    while abs(sip(s, y, x)) < 5e-2 * norm(s, x) * norm(s, y):
+        y = draw()
+    return x, y
+
+
+def test_bj_agrees_with_sip_route_and_grid_oracles():
+    rng = np.random.default_rng(20201)
+    for k in range(200):
+        field = REAL if k % 2 == 0 else COMPLEX
+        p = float(rng.choice([1.5, 2.0, 3.0, 7.0, 50.0, 100.0]))
+        s = lp_space(field, int(rng.choice([2, 5, 16])), p)
+        x, y = _seeded_pair(rng, s, orthogonal=k % 4 < 2)
+        verdict = bj_orthogonal(s, x, y)
+        by_sip = abs(sip(s, y, x)) <= 1e-7 * norm(s, x) * norm(s, y)
+        assert verdict.orthogonal == by_sip, (k, s)
+        reach = 2.0 * norm(s, x) / norm(s, y) + 1.0
+        if field == REAL:
+            _, val = grid_min_1d(p, x, y, -reach, reach, count=4001)
+        else:
+            _, val = grid_min_2d(p, x, y, (-reach, -reach), (reach, reach), count=81)
+        assert verdict.margin <= val - norm(s, x) + 1e-10, (k, s)
+        assert bj_orthogonal(s, x, y) == verdict  # counters included
+
+
 # ---------------------------------------------------------------- best_coeffs
 
 def test_best_coeffs_recovers_exact_combination():
@@ -260,3 +323,7 @@ def test_best_coeffs_rejects_dependent_basis():
         best_coeffs(s, [1.0, 1.0], [[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ContractViolation):
         best_coeffs(s, [1.0, 1.0], [])
+    # in dimension 1 two vectors are dependent, though the 1x2 matrix has a
+    # single singular value
+    with pytest.raises(ContractViolation):
+        best_coeffs(lp_space(REAL, 1, 2.0), [1.0], [[1.0], [2.0]])

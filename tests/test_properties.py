@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sipwigner import (
@@ -166,6 +167,33 @@ def test_bj_verdict_is_scale_invariant(svx, t):
     base = bj_orthogonal(s, x, y)
     # scaling y moves the minimizer but never the verdict
     assert bj_orthogonal(s, x, t * y).orthogonal == base.orthogonal
+
+
+@given(st.sampled_from((REAL, COMPLEX)), st.sampled_from((1.5, 2.0, 3.0, 7.0, 50.0, 100.0)),
+       st.integers(min_value=2, max_value=4), st.integers(min_value=-150, max_value=150),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bj_verdict_is_invariant_under_float_scale(field, p, n, k, orthogonalize, data):
+    s = lp_space(field, n, p)
+    coords = st.lists(st.integers(-64, 64).map(lambda m: m / 16.0), min_size=n, max_size=n)
+
+    def vec():
+        v = np.array(data.draw(coords))
+        return v + 1j * np.array(data.draw(coords)) if field == COMPLEX else v
+
+    x, y = vec(), vec()
+    assume(norm(s, x) > 0.0)
+    if orthogonalize:
+        y = y - (sip(s, y, x) / norm(s, x) ** 2) * x
+    tol = 1e-7
+    base = bj_orthogonal(s, x, y, tol=tol)
+    # rescaling rounds the coordinates; keep margins that rounding cannot tip
+    assume(abs(base.margin + tol) > 1e-3 * tol)
+    c = 10.0 ** k
+    scaled = bj_orthogonal(s, c * x, c * y, tol=tol * c)
+    assert np.isfinite(scaled.margin)
+    assert scaled.orthogonal == base.orthogonal
+    assert scaled.margin == pytest.approx(c * base.margin, rel=1e-6, abs=c * 1e-10)
 
 
 @given(space_and_vectors(count=2), st.integers(min_value=0, max_value=2 ** 32))

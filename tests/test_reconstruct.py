@@ -162,6 +162,11 @@ def test_recover_pair_coeffs_unimodular():
     collapse = MapOracle(RC3, RC3, lambda v: np.array([norm(RC3, v), 0.0, 0.0]))
     with pytest.raises(ContractViolation):
         recover_pair_coeffs(collapse, basis_vec(RC3, 0), basis_vec(RC3, 1))
+    # in dimension 1 any two vectors are dependent, though the 1x2 system
+    # has a single singular value
+    line = identity_oracle(lp_space(COMPLEX, 1, 2.0))
+    with pytest.raises(ContractViolation):
+        recover_pair_coeffs(line, [1.0], [2.0])
 
 
 def test_reconstruct_rejects_the_doubled_map():
