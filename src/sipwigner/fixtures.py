@@ -124,13 +124,22 @@ def conjugation_oracle(space: Space) -> MapOracle:
 
 
 def scale_oracle(base: MapOracle, factor: float | complex) -> MapOracle:
-    return MapOracle(base.source, base.target, lambda x: factor * base(x),
+    """The map x -> factor * f(x).
+
+    Composes on ``base.fn``, so each point is validated once, by the
+    returned oracle, however deep the composition.
+    """
+    return MapOracle(base.source, base.target, lambda x: factor * np.asarray(base.fn(x)),
                      name=f"{factor} * ({base.name or 'map'})")
 
 
 def make_phase_equivalent(base: MapOracle, sigma, name: str = "") -> MapOracle:
-    """Compose a map with a pointwise unimodular factor x -> sigma(x)*f(x)."""
-    return MapOracle(base.source, base.target, lambda x: sigma(x) * base(x),
+    """Compose a map with a pointwise unimodular factor x -> sigma(x)*f(x).
+
+    ``sigma`` takes one source vector and returns a scalar; like
+    ``scale_oracle``, the composition is on ``base.fn``.
+    """
+    return MapOracle(base.source, base.target, lambda x: sigma(x) * np.asarray(base.fn(x)),
                      name=name or f"phase * ({base.name or 'map'})")
 
 
@@ -204,15 +213,23 @@ def swap_counterexample() -> tuple[Space, MapOracle, SwapWitness]:
 
 
 def unit_sphere_samples(space: Space, count: int, rng: np.random.Generator) -> list[Vector]:
-    """Seeded draws normalized to the unit sphere of the space's norm."""
+    """Seeded draws normalized to the unit sphere of the space's norm.
+
+    Drawn as one stack (per draw, ``dim`` normals, then ``dim`` more for the
+    imaginary part); draws with norm <= 1e-6 are rejected and only the
+    shortfall is drawn again, so the stream matches one draw at a time.
+    """
     out: list[Vector] = []
     while len(out) < count:
-        v = rng.standard_normal(space.dim)
+        k = count - len(out)
         if space.field == COMPLEX:
-            v = v + 1j * rng.standard_normal(space.dim)
+            g = rng.standard_normal((k, 2, space.dim))
+            v = g[:, 0] + 1j * g[:, 1]
+        else:
+            v = rng.standard_normal((k, space.dim))
         n = norm(space, v)
-        if n > 1e-6:
-            out.append(v / n)
+        keep = n > 1e-6
+        out.extend(v[keep] / n[keep, None])
     return out
 
 

@@ -35,7 +35,7 @@ from .errors import (
     KindAmbiguous,
     UnsupportedSpace,
 )
-from .spaces import COMPLEX, Lp, REAL, Scalar, Space, Vector, as_vec, basis_vec, norm, sip
+from .spaces import COMPLEX, Lp, REAL, Scalar, Space, Vector, _as_rows, as_vec, norm, sip
 from .wigner import MapOracle
 
 KIND_LINEAR = "linear"
@@ -94,8 +94,7 @@ def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Sc
     xv = as_vec(m.source, x)
     if norm(m.source, xv) == 0.0:
         raise ContractViolation("scalar action is probed at nonzero x")
-    fx = m(xv)
-    flx = m(lam * xv)
+    fx, flx = m(np.stack([xv, lam * xv]))
     if norm(m.target, fx) == 0.0:
         raise HypothesisViolation("f vanished at a nonzero point",
                                   {"x": xv.tolist()})
@@ -123,7 +122,7 @@ def recover_pair_coeffs(m: MapOracle, x, y, tol: float = 1e-8) -> tuple[Scalar, 
     svals = np.linalg.svd(stacked, compute_uv=False)
     if len(svals) < 2 or svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
         raise ContractViolation("x and y must be linearly independent")
-    fx, fy, fxy = m(xv), m(yv), m(xv + yv)
+    fx, fy, fxy = m(np.stack([xv, yv, xv + yv]))
     (alpha, beta), residual = _span_coeffs(m.target, fxy, [fx, fy])
     scale = 1.0 + norm(m.source, xv + yv)
     if residual > tol * scale:
@@ -153,11 +152,11 @@ def detect_kind(m: MapOracle, tol: float = 1e-8) -> str:
         raise ContractViolation("kind detection needs the complex field")
     if m.source.dim < 2:
         raise ContractViolation("kind detection needs dim >= 2")
-    e1 = basis_vec(m.source, 0)
-    e2 = basis_vec(m.source, 1)
+    e1, e2 = np.eye(m.source.dim, dtype=m.source.dtype)[:2]
     alpha, beta = recover_pair_coeffs(m, e1, e2, tol)
-    col2 = (beta / alpha) * m(e2)  # = sigma(e1) * U e2, same gauge as f(e1)
-    (a, b), residual = _span_coeffs(m.target, m(e1 + 1j * e2), [m(e1), col2])
+    f1, f2, f12 = m(np.stack([e1, e2, e1 + 1j * e2]))
+    col2 = (beta / alpha) * f2  # = sigma(e1) * U e2, same gauge as f(e1)
+    (a, b), residual = _span_coeffs(m.target, f12, [f1, col2])
     if residual > tol * (1.0 + norm(m.source, e1 + 1j * e2)):
         raise HypothesisViolation(
             f"f(e1 + i*e2) leaves span(f(e1), f(e2)): residual {residual:.3e}",
@@ -180,7 +179,7 @@ def detect_kind(m: MapOracle, tol: float = 1e-8) -> str:
 def _phase_and_residual(m: MapOracle, U: np.ndarray, kind: str, X: np.ndarray):
     """For each row x of X: ||x||, sigma(x) via the semi-inner product, the
     residual ||f(x) - sigma(x) * U x*|| and the image U x*."""
-    F = np.array([m(x) for x in X], dtype=m.target.dtype).reshape(X.shape)
+    F = m(X)
     images = (np.conj(X) if kind == KIND_CONJUGATE else X) @ U.T
     nx = norm(m.source, X)
     sigma = sip(m.target, F, images) / nx ** 2
@@ -212,10 +211,12 @@ def reconstruct(
     source = m.source
     n = source.dim
 
-    cols = [m(basis_vec(source, 0))]
+    E = np.eye(n, dtype=source.dtype)
+    F = m(E)
+    cols = [F[0]]
     for j in range(1, n):
-        alpha, beta = recover_pair_coeffs(m, basis_vec(source, 0), basis_vec(source, j), tol)
-        cols.append((beta / alpha) * m(basis_vec(source, j)))
+        alpha, beta = recover_pair_coeffs(m, E[0], E[j], tol)
+        cols.append((beta / alpha) * F[j])
     U = np.stack(cols, axis=1)
 
     # dim-1 maps are always phase-equivalent to a linear isometry:
@@ -260,8 +261,7 @@ def reconstruct(
 
 def reproduction_residual(m: MapOracle, rec: Reconstruction, vectors) -> float:
     """Worst ||f(x) - sigma(x) * U x*|| over held-out vectors."""
-    X = np.array([as_vec(m.source, v) for v in vectors],
-                 dtype=m.source.dtype).reshape(-1, m.source.dim)
+    X = _as_rows(m.source, vectors)
     if np.any(norm(m.source, X) == 0.0):
         raise ContractViolation("held-out vectors must be nonzero")
     _, _, residual, _ = _phase_and_residual(m, rec.U, rec.kind, X)

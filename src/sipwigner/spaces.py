@@ -134,10 +134,19 @@ def linf2_space() -> Space:
     return Space(REAL, 2, Linf2())
 
 
+def _asarray(x, dtype=None) -> np.ndarray:
+    """``np.asarray`` that reports ragged or non-numeric coordinates as a
+    ContractViolation instead of numpy's ValueError or TypeError."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"malformed coordinates: {exc}") from None
+
+
 def _as_array(space: Space, x) -> np.ndarray:
     """Coerce ``x`` to validated coordinates of ``space`` stacked along
     leading axes: the last axis holds the coordinates of each vector."""
-    v = np.asarray(x)
+    v = _asarray(x)
     if v.ndim == 0 or v.shape[-1] != space.dim:
         raise ContractViolation(
             f"expected vectors of length {space.dim} along the last axis, got shape {v.shape}"
@@ -147,17 +156,31 @@ def _as_array(space: Space, x) -> np.ndarray:
             if np.any(v.imag != 0):
                 raise ContractViolation("complex coordinates in a real space")
             v = v.real
-        v = np.asarray(v, dtype=np.float64)
+        v = _asarray(v, np.float64)
     else:
-        v = np.asarray(v, dtype=np.complex128)
+        v = _asarray(v, np.complex128)
     if not np.isfinite(v).all():
         raise ContractViolation("coordinates must be finite")
     return v
 
 
+def _as_rows(space: Space, vectors) -> np.ndarray:
+    """Validated coordinates of a sequence of vectors, one vector per row;
+    an empty sequence gives zero rows."""
+    v = _asarray(vectors)
+    if v.shape == (0,):
+        v = v.reshape(0, space.dim)
+    v = _as_array(space, v)
+    if v.ndim != 2:
+        raise ContractViolation(
+            f"expected a sequence of vectors of length {space.dim}, got shape {v.shape}"
+        )
+    return v
+
+
 def as_vec(space: Space, x) -> Vector:
     """Coerce ``x`` to a validated coordinate vector of ``space``."""
-    v = np.asarray(x)
+    v = _asarray(x)
     if v.shape != (space.dim,):
         raise ContractViolation(
             f"expected a vector of length {space.dim}, got shape {v.shape}"

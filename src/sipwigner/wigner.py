@@ -28,7 +28,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedField, UnsupportedSpace
-from .spaces import COMPLEX, Lp, REAL, Space, Vector, as_vec, norm, sip
+from .spaces import COMPLEX, Lp, REAL, Space, Vector, _as_array, _as_rows, norm, sip
 
 PASS = "pass"
 FAIL = "fail"
@@ -38,10 +38,13 @@ ASSUMPTIONS = ("surjectivity",)
 
 @dataclass(frozen=True)
 class MapOracle:
-    """A black-box map between spaces, queried pointwise.
+    """A black-box map between spaces, queried on stacks of points.
 
-    ``fn`` receives a validated source vector and must return a vector of
-    the target dimension; every call re-validates both ends.
+    ``fn`` receives one validated source vector and must return a vector of
+    the target dimension.  A call takes points stacked along leading axes,
+    like the ``spaces`` evaluators (a 1-D ``x`` is one point): the stack is
+    validated once, ``fn`` is applied to each point, and the stacked images
+    are validated once and returned with the same leading axes.
     """
 
     source: Space
@@ -49,14 +52,14 @@ class MapOracle:
     fn: Callable[[Vector], Vector]
     name: str = ""
 
-    def __call__(self, x) -> Vector:
-        xv = as_vec(self.source, x)
-        out = np.asarray(self.fn(xv))
-        if out.shape != (self.target.dim,):
-            raise ContractViolation(
-                f"map output has shape {out.shape}, expected ({self.target.dim},)"
-            )
-        return as_vec(self.target, out)
+    def __call__(self, x) -> np.ndarray:
+        xv = _as_array(self.source, x)
+        shape = (self.target.dim,)
+        images = [np.asarray(self.fn(v)) for v in xv.reshape(-1, self.source.dim)]
+        for out in images:
+            if out.shape != shape:
+                raise ContractViolation(f"map output has shape {out.shape}, expected {shape}")
+        return _as_array(self.target, np.array(images).reshape(xv.shape[:-1] + shape))
 
 
 @dataclass(frozen=True)
@@ -105,8 +108,8 @@ def _prepared(m: MapOracle, samples: Sequence, tol: float) -> tuple[np.ndarray, 
         raise ContractViolation("source and target must share the scalar field")
     if len(samples) == 0:
         raise ContractViolation("need at least one sample")
-    xs = np.stack([as_vec(m.source, s) for s in samples])
-    return xs, np.stack([m(x) for x in xs])
+    xs = _as_rows(m.source, samples)
+    return xs, m(xs)
 
 
 def _worst(violation: np.ndarray, bound: np.ndarray) -> tuple[bool, float, tuple]:
@@ -199,7 +202,7 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
             coeffs.append((float(rng.standard_normal()), float(rng.standard_normal())))
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     a, b = np.array(coeffs, dtype=m.source.dtype).reshape(-1, 2).T[:, :, None]
-    images = np.array([m(c) for c in a * xs[i] + b * xs[j]]).reshape(-1, m.target.dim)
+    images = m(a * xs[i] + b * xs[j])
 
     # the scan runs over the sample norms first, then the seeded combinations
     nx, nfx = norm(m.source, xs), norm(m.target, fxs)

@@ -14,6 +14,7 @@ from sipwigner import (
     linf2_space,
     lp_space,
     make_isometry,
+    make_phase_equivalent,
     matrix_oracle,
     norm,
     random_isometry_spec,
@@ -139,6 +140,62 @@ def test_unit_sphere_samples_are_unit():
     s = lp_space(COMPLEX, 3, 1.5)
     for v in unit_sphere_samples(s, 10, np.random.default_rng(2)):
         assert norm(s, v) == pytest.approx(1.0, rel=1e-12)
+
+
+def sequential_sphere_draws(space, count, rng):
+    """The reference draw loop: one vector, and one norm call, at a time."""
+    out = []
+    while len(out) < count:
+        v = rng.standard_normal(space.dim)
+        if space.field == COMPLEX:
+            v = v + 1j * rng.standard_normal(space.dim)
+        n = norm(space, v)
+        if n > 1e-6:
+            out.append(v / n)
+    return out
+
+
+class ZeroedStart:
+    """A generator whose first ``zeros`` normals are 0, to force rejections."""
+
+    def __init__(self, seed, zeros):
+        self.rng, self.zeros = np.random.default_rng(seed), zeros
+
+    def standard_normal(self, shape):
+        g = self.rng.standard_normal(shape)
+        k = min(self.zeros, g.size)
+        g.reshape(-1)[:k] = 0.0
+        self.zeros -= k
+        return g
+
+
+def test_unit_sphere_samples_match_the_sequential_draws_bit_for_bit():
+    for field in (REAL, COMPLEX):
+        for p in (1.5, 2.0, 3.0, 7.0):
+            for n in (1, 2, 3, 5, 16):
+                s = lp_space(field, n, p)
+                for seed in range(20):
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = unit_sphere_samples(s, 7, rng)
+                    want = sequential_sphere_draws(s, 7, ref_rng)
+                    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+                    assert rng.random() == ref_rng.random()  # same stream position
+                # two rejected draws, made up by a second batch
+                zeros = 2 * n * (2 if field == COMPLEX else 1)
+                got = unit_sphere_samples(s, 5, ZeroedStart(3, zeros))
+                want = sequential_sphere_draws(s, 5, ZeroedStart(3, zeros))
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_composed_wrappers_match_the_public_calls_bit_for_bit():
+    for s in (lp_space(REAL, 3, 3.0), lp_space(COMPLEX, 3, 1.5)):
+        base = make_isometry(s, random_isometry_spec(s, np.random.default_rng(3)))
+        sigma = seeded_phase(s, 17)
+        f = scale_oracle(make_phase_equivalent(base, sigma), -1.0)
+        X = np.stack(default_samples(s, 12, 5))
+        by_hand = np.stack([-1.0 * (sigma(x) * base(x)) for x in X])
+        assert f(X).tobytes() == by_hand.tobytes()
+        assert [f(x).tobytes() for x in X] == [row.tobytes() for row in by_hand]
 
 
 def test_random_unitary_contract():

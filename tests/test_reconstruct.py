@@ -274,6 +274,16 @@ def test_batched_verification_matches_the_per_sample_loop(name):
         assert abs(sigma - sigma_ref) <= 1e-12
 
 
+def test_reproduction_residual_validates_the_held_out_set():
+    m = identity_oracle(RC3)
+    rec = reconstruct(m, seed=11)
+    for bad in ([[1, 0, 0], [1, 0]], np.ones((2, 2, 3)), [1.0, 0.0, 0.0],
+                [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]):
+        with pytest.raises(ContractViolation):
+            reproduction_residual(m, rec, bad)
+    assert reproduction_residual(m, rec, []) == 0.0
+
+
 def test_reconstruct_requires_lp_spaces():
     _, swap, _ = swap_counterexample()
     with pytest.raises(UnsupportedSpace):

@@ -194,6 +194,12 @@ def test_as_vec_contract():
         sip(LP3, [[1.0, 2.0], [np.nan, 0.0]], [1.0, 1.0])
     with pytest.raises(ContractViolation):
         norm(LP3, [[1.0, 2.0, 3.0]])
+    # ragged or non-numeric coordinates are contract violations, not numpy errors
+    for space in (lp_space(REAL, 3, 3.0), lp_space(COMPLEX, 3, 3.0)):
+        for bad in ([[1, 0, 0], [1, 0]], [{}, 1, 2], ["a", 1, 2]):
+            for evaluate in (norm, as_vec, lambda s, v: sip(s, v, v)):
+                with pytest.raises(ContractViolation):
+                    evaluate(space, bad)
 
 
 def test_basis_vec():

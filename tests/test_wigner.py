@@ -24,8 +24,10 @@ from sipwigner import (
     lp_space,
     make_isometry,
     make_phase_equivalent,
+    matrix_oracle,
     norm,
     random_isometry_spec,
+    reconstruct,
     scale_oracle,
     seeded_phase,
     sip,
@@ -181,6 +183,21 @@ def test_map_oracle_validates_shapes_and_fields():
     mixed = MapOracle(RC3, lp_space(COMPLEX, 3, 3.0), lambda v: v + 0j)
     with pytest.raises(ContractViolation):
         check_wigner(mixed, samples_for(RC3))
+    # a stack of points maps row by row and keeps its leading axes
+    for space in (RC3, CC2):
+        f = make_phase_equivalent(identity_oracle(space), seeded_phase(space, 5))
+        X = np.stack(samples_for(space)[-6:])
+        assert np.array_equal(f(X), np.stack([f(x) for x in X]))
+        assert np.array_equal(f(X.reshape(2, 3, -1)), f(X).reshape(2, 3, -1))
+    # one row with the wrong output shape, or of the wrong length, fails the stack
+    uneven = MapOracle(RC3, RC3, lambda v: v if v[0] >= 0 else v[:2])
+    assert np.array_equal(uneven(np.eye(3)), np.eye(3))
+    with pytest.raises(ContractViolation):
+        uneven(np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))
+    with pytest.raises(ContractViolation):
+        identity_oracle(RC3)(np.ones((2, 2)))
+    with pytest.raises(ContractViolation):
+        identity_oracle(RC3)([[1.0, 0.0, 0.0], [1.0, 0.0]])
 
 
 def test_checks_reject_degenerate_input():
@@ -189,6 +206,54 @@ def test_checks_reject_degenerate_input():
         check_wigner(m, [])
     with pytest.raises(ContractViolation):
         check_wigner(m, samples_for(RC3), tol=0.0)
+    # a sample set is a sequence of source vectors: not ragged, not a 3-D stack
+    for bad in ([[1, 0, 0], [1, 0]], np.ones((2, 2, 3)), [1.0, 0.0, 0.0], [{}, 1, 2]):
+        for check in (check_wigner, check_phase_isometry_sets,
+                      check_exact_preservation, check_linearity):
+            with pytest.raises(ContractViolation):
+                check(m, bad)
+
+
+def per_vector_real(v):
+    """(a, b, c) -> (-c, a, b), read one coordinate at a time with float()."""
+    return np.array([-float(v[2]), float(v[0]), float(v[1])])
+
+
+def per_vector_complex(v):
+    """(a, b) -> (i*b, -a), read one coordinate at a time with complex()."""
+    return np.array([1j * complex(v[1]), -complex(v[0])])
+
+
+def test_per_vector_user_map_matches_its_matrix_oracle():
+    # float()/complex() of a coordinate fails on a stack, so these maps only
+    # work one vector at a time; every checker and reconstruct must still see
+    # the same map as the equivalent matrix oracle, passing and failing
+    cases = [
+        (RC3, per_vector_real, [[0, 0, -1], [1, 0, 0], [0, 1, 0]],
+         (check_wigner, check_phase_isometry_sets, check_exact_preservation, check_linearity)),
+        (CC2, per_vector_complex, [[0, 1j], [-1, 0]],
+         (check_wigner, check_exact_preservation, check_linearity)),
+    ]
+    for space, fn, matrix, checks in cases:
+        with pytest.raises(TypeError):
+            fn(np.ones((space.dim, space.dim)))
+        user, ref = MapOracle(space, space, fn), matrix_oracle(space, matrix)
+        xs = samples_for(space)
+        for m, m_ref in ((user, ref), (scale_oracle(user, 2.0), scale_oracle(ref, 2.0))):
+            for check in checks:
+                got, want = check(m, xs, seed=101), check(m_ref, xs, seed=101)
+                assert (got.verdict, got.max_violation) == (want.verdict, want.max_violation)
+                assert (got.witness is None) == (want.witness is None)
+                if got.witness is not None:
+                    assert np.array_equal(got.witness.x, want.witness.x)
+                    assert np.array_equal(got.witness.y, want.witness.y)
+        got, want = reconstruct(user, seed=11), reconstruct(ref, seed=11)
+        assert got.kind == want.kind
+        assert np.array_equal(got.U, want.U)
+        assert got.residual == want.residual
+        assert len(got.phase_samples) == len(want.phase_samples)
+        for (x, sigma), (x_ref, sigma_ref) in zip(got.phase_samples, want.phase_samples):
+            assert np.array_equal(x, x_ref) and sigma == sigma_ref
 
 
 # ---------------------------------------------------------------- pairwise reference
