@@ -108,13 +108,45 @@ def criterion_1_fixture_witness(cfg: GateConfig) -> CriterionResult:
     return CriterionResult("1_fixture_witness", ok, detail, elapsed)
 
 
-def _fd_draw(rng, n, scale, field):
-    mag = rng.uniform(0.3, 1.3, n)
+def _fd_draws(rng, pairs, n, scale, field):
+    """Criterion 2's sample pairs as two ``(pairs, n)`` stacks, x and y.
+
+    Each coordinate is a magnitude in [0.3, 1.3) times a phase: a uniform
+    angle over the complex field, a sign over the reals; x is scaled by
+    ``scale``.  The stacks are bit-identical to drawing x then y, pair by
+    pair, with ``rng.uniform(0.3, 1.3, n)`` and then ``rng.random(n)``
+    (complex) or ``rng.choice([-1.0, 1.0], n)`` (real), and leave ``rng``
+    where those draws left it.  That keeps the gate on the data it has
+    always checked; a fresh stream would re-seed it.
+
+    Complex field: one ``rng.random`` stack read, per draw, as n
+    magnitudes then n angles; ``uniform`` computes ``low + (high - low) * u``,
+    and ``scale * mag * phase`` stays in that order (regrouped, it moves
+    results by an ulp).
+
+    Real field: ``choice`` takes 32-bit halves of the PCG64 output words,
+    low half first, and the generator keeps an unused high half for its
+    next 32-bit call, so the signs interleave with the 64-bit magnitude
+    words.  Per pair the raw stream holds x's n magnitude words,
+    ceil(n/2) sign words, y's n magnitude words and floor(n/2) sign words;
+    the pair's n sign words give x's n signs, then y's.  A magnitude word
+    w gives ``u = (w >> 11) * 2**-53``; a sign is the top bit of its half,
+    1 -> +1.0 and 0 -> -1.0.  This assumes a PCG64 generator whose 32-bit
+    buffer is empty, as it is for a fresh ``default_rng``; 2n signs per
+    pair leave it empty again.
+    """
     if field == COMPLEX:
-        phase = np.exp(2j * np.pi * rng.random(n))
+        u = rng.random((pairs, 2, 2, n))
+        mag, phase = 0.3 + (1.3 - 0.3) * u[:, :, 0], np.exp(2j * np.pi * u[:, :, 1])
     else:
-        phase = rng.choice([-1.0, 1.0], n)
-    return scale * mag * phase
+        h = (n + 1) // 2
+        w = rng.bit_generator.random_raw((pairs, 3 * n))
+        u = (np.stack([w[:, :n], w[:, n + h:2 * n + h]], axis=1) >> 11) * 2.0 ** -53
+        mag = 0.3 + (1.3 - 0.3) * u
+        signs = np.concatenate([w[:, n:n + h], w[:, 2 * n + h:]], axis=1)
+        top = np.stack([signs >> 31 & 1, signs >> 63], axis=-1).reshape(pairs, 2, n)
+        phase = np.where(top == 1, 1.0, -1.0)
+    return scale * mag[:, 0] * phase[:, 0], mag[:, 1] * phase[:, 1]
 
 
 def criterion_2_closed_form_vs_oracle(cfg: GateConfig) -> CriterionResult:
@@ -129,9 +161,7 @@ def criterion_2_closed_form_vs_oracle(cfg: GateConfig) -> CriterionResult:
                 rng = np.random.default_rng(
                     [cfg.seed, int(p * 2), n, 0 if field == REAL else 1]
                 )
-                draws = [(_fd_draw(rng, n, cfg.fd_x_scale, field), _fd_draw(rng, n, 1.0, field))
-                         for _ in range(cfg.fd_pairs)]
-                x, y = (np.array(v) for v in zip(*draws))
+                x, y = _fd_draws(rng, cfg.fd_pairs, n, cfg.fd_x_scale, field)
                 closed = sip(s, x, y)
                 scale = norm(s, x) * norm(s, y)
                 err_h = np.max(np.abs(closed - gateaux_sip_oracle(s, x, y, cfg.fd_h)) / scale)

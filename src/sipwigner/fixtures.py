@@ -21,7 +21,6 @@ from .spaces import (
     Space,
     Vector,
     as_vec,
-    basis_vec,
     linf2_space,
     norm,
 )
@@ -234,15 +233,25 @@ def unit_sphere_samples(space: Space, count: int, rng: np.random.Generator) -> l
 
 
 def structured_samples(space: Space, unit: bool = False) -> list[Vector]:
-    """Basis vectors plus pairwise sums and differences (tie-prone points)."""
-    vecs = [basis_vec(space, i) for i in range(space.dim)]
-    for i in range(space.dim):
-        for j in range(i + 1, space.dim):
-            vecs.append(basis_vec(space, i) + basis_vec(space, j))
-            vecs.append(basis_vec(space, i) - basis_vec(space, j))
+    """Basis vectors plus pairwise sums and differences (tie-prone points).
+
+    The rows are ``e_0 .. e_{n-1}``, then ``e_i + e_j`` and ``e_i - e_j``
+    for each ``i < j`` in row-major order, built as one stack (and, with
+    ``unit``, normalized by one stacked ``norm`` call).
+    """
+    n = space.dim
+    eye = np.eye(n, dtype=space.dtype)
+    # index lists, not np.triu_indices: at n <= 5 that call alone costs
+    # more than the whole old per-vector loop
+    i = [a for a in range(n) for _ in range(a + 1, n)]
+    j = [b for a in range(n) for b in range(a + 1, n)]
+    pm = np.empty((len(i), 2, n), dtype=space.dtype)
+    pm[:, 0] = eye[i] + eye[j]
+    pm[:, 1] = eye[i] - eye[j]
+    vecs = np.concatenate([eye, pm.reshape(-1, n)])
     if unit:
-        vecs = [v / norm(space, v) for v in vecs]
-    return vecs
+        vecs = vecs / norm(space, vecs)[:, None]
+    return list(vecs)
 
 
 def default_samples(space: Space, count: int, seed: int, unit: bool = False) -> list[Vector]:

@@ -77,12 +77,20 @@ class Witness:
 
 @dataclass(frozen=True)
 class Report:
+    """A check's verdict, worst violation and witness.
+
+    ``pairs`` counts the sample pairs (or combinations) examined and
+    ``map_calls`` the batched map calls made; both stay out of ``to_dict``.
+    """
+
     check: str
     verdict: str
     max_violation: float
     witness: Witness | None
     seed: int | None = None
     assumptions: tuple[str, ...] = ASSUMPTIONS
+    pairs: int = 0
+    map_calls: int = 0
 
     @property
     def passed(self) -> bool:
@@ -132,7 +140,8 @@ def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
     nx = norm(m.source, xs)
     failed, worst, (i, j) = _worst(np.abs(lhs - rhs), tol * (1.0 + nx[:, None] * nx[None]))
     witness = Witness(xs[i], xs[j], lhs[i, j].item(), rhs[i, j].item()) if failed else None
-    return Report(check, FAIL if failed else PASS, worst, witness, seed)
+    return Report(check, FAIL if failed else PASS, worst, witness, seed,
+                  pairs=len(xs) ** 2, map_calls=1)
 
 
 def check_wigner(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -168,7 +177,8 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
     if failed:
         witness = Witness(xs[i[k]], xs[j[k]], [lo_f[k].item(), hi_f[k].item()],
                           [lo[k].item(), hi[k].item()])
-    return Report("phase_isometry_sets", FAIL if failed else PASS, worst, witness, seed)
+    return Report("phase_isometry_sets", FAIL if failed else PASS, worst, witness, seed,
+                  pairs=len(i), map_calls=1)
 
 
 def check_exact_preservation(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -217,4 +227,5 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     elif failed:
         k -= len(xs)
         witness = Witness(xs[i[k]], xs[j[k]], coeffs[k], float(combo_dev[k]))
-    return Report("linearity", FAIL if failed else PASS, worst, witness, seed)
+    return Report("linearity", FAIL if failed else PASS, worst, witness, seed,
+                  pairs=len(xs) + n_draws, map_calls=2)

@@ -10,6 +10,7 @@ from sipwigner import (
     REAL,
     ContractViolation,
     IsometrySpec,
+    basis_vec,
     default_samples,
     linf2_space,
     lp_space,
@@ -125,6 +126,31 @@ def test_structured_samples_lead_and_unit_option():
     assert any(np.array_equal(v, [1.0, 1.0]) for v in xs)
     assert all(norm(s, v) == pytest.approx(1.0, rel=1e-12)
                for v in structured_samples(s, unit=True))
+
+
+def sequential_structured_samples(space, unit=False):
+    """The reference loop: one basis vector, sum, difference and norm at a time."""
+    vecs = [basis_vec(space, i) for i in range(space.dim)]
+    for i in range(space.dim):
+        for j in range(i + 1, space.dim):
+            vecs.append(basis_vec(space, i) + basis_vec(space, j))
+            vecs.append(basis_vec(space, i) - basis_vec(space, j))
+    if unit:
+        vecs = [v / norm(space, v) for v in vecs]
+    return vecs
+
+
+def test_structured_samples_match_the_sequential_loop_bit_for_bit():
+    for field in (REAL, COMPLEX):
+        for p in (1.5, 2.0, 3.0, 7.0):
+            for n in (1, 2, 3, 5, 16):
+                s = lp_space(field, n, p)
+                for unit in (False, True):
+                    got = structured_samples(s, unit=unit)
+                    want = sequential_structured_samples(s, unit=unit)
+                    assert isinstance(got, list)
+                    assert [(v.dtype, v.shape) for v in got] == [(v.dtype, v.shape) for v in want]
+                    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
 
 
 def test_default_samples_contract():

@@ -164,6 +164,32 @@ def test_report_shape_and_serialization():
     dumps(d)
 
 
+def test_reports_count_pairs_and_map_calls_outside_to_dict():
+    calls = []
+
+    class CountingOracle(MapOracle):
+        def __call__(self, x):
+            calls.append(np.shape(x))
+            return super().__call__(x)
+
+    xs = samples_for(RC3)
+    k = len(xs)
+    keys = {"check", "verdict", "max_violation", "witness", "seed", "assumptions"}
+    for fn in (identity_oracle(RC3).fn, scale_oracle(identity_oracle(RC3), 2.0).fn):
+        m = CountingOracle(RC3, RC3, fn)
+        for report, pairs in (
+            (lambda: check_wigner(m, xs, seed=3), k * k),
+            (lambda: check_exact_preservation(m, xs, seed=3), k * k),
+            (lambda: check_phase_isometry_sets(m, xs, seed=3), k * (k + 1) // 2),
+            (lambda: check_linearity(m, xs, seed=3, n_draws=20), k + 20),
+        ):
+            calls.clear()
+            r = report()
+            assert (r.pairs, r.map_calls) == (pairs, len(calls))
+            assert r.map_calls == (2 if r.check == "linearity" else 1)
+            assert set(r.to_dict()) == keys
+
+
 def test_map_oracle_validates_shapes_and_fields():
     bad = MapOracle(RC3, RC3, lambda v: v[:2])
     with pytest.raises(ContractViolation):
