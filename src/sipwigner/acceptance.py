@@ -297,12 +297,7 @@ def criterion_5_roundtrip(cfg: GateConfig) -> CriterionResult:
         f = make_phase_equivalent(base, seeded_phase(s, int(rng.integers(2 ** 63))))
         expected = KIND_CONJUGATE if (conjugate and n > 1) else KIND_LINEAR
         try:
-            rec = reconstruct(
-                f,
-                tol=cfg.roundtrip_tol,
-                phase_tol=cfg.roundtrip_tol,
-                seed=int(rng.integers(2 ** 63)),
-            )
+            rec = reconstruct(f, tol=cfg.roundtrip_tol, seed=int(rng.integers(2 ** 63)))
         except Exception as exc:  # any escape is a criterion failure
             bad.append((k, type(exc).__name__))
             continue

@@ -240,7 +240,7 @@ def cmd_reconstruct(args) -> int:
     seed = _resolve_seed(args.seed, cfg.seed)
     tol = args.tol if args.tol is not None else cfg.tol
     m = _resolve_map(cfg)
-    rec = reconstruct(m, tol=tol, phase_tol=tol, seed=seed)
+    rec = reconstruct(m, tol=tol, seed=seed)
     _emit({
         "space": cfg.source.to_dict(),
         "map": cfg.map_spec,

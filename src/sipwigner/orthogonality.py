@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, SolverError
-from .spaces import COMPLEX, REAL, Scalar, Space, as_vec, norm_fn
+from .spaces import COMPLEX, REAL, Scalar, Space, _require_independent, as_vec, norm_fn
 
 _SPAN = np.linspace(-1.0, 1.0, 17)  # first grid center + width * _SPAN holds center exactly
 _FRAC = np.linspace(0.0, 1.0, 17)  # a grid across a bracket: a + (b - a) * _FRAC
@@ -112,12 +112,11 @@ def _line_min(G, center: float, width: float, xatol: float, max_width: float) ->
 
 
 def _minimize(G, field: str, *, start: Scalar = 0.0, initial_width: float, xatol: float,
-              max_width: float, detect_flat: bool = False, ftol: float = 1e-13,
-              max_sweeps: int = 60) -> ScalarMin:
-    """``minimize_scalar`` on an objective ``G`` batched over 1-D arrays."""
+              max_width: float, ftol: float = 1e-13, max_sweeps: int = 60) -> ScalarMin:
+    """``minimize_scalar`` on an objective ``G`` batched over 1-D arrays;
+    ``flat`` is ``_line_min``'s over the reals and never set over C."""
     if field == REAL:
-        res = _line_min(G, float(start), initial_width, xatol, max_width)
-        return replace(res, flat=res.flat and detect_flat)
+        return _line_min(G, float(start), initial_width, xatol, max_width)
     if field != COMPLEX:
         raise ContractViolation(f"unknown field {field!r}")
 
@@ -190,17 +189,17 @@ def minimize_scalar(
             "initial_width, xatol, ftol and max_width must be positive and finite, "
             "and max_sweeps at least 1"
         )
-    return _minimize(
+    res = _minimize(
         lambda lams: np.array([g(lam) for lam in lams.tolist()], dtype=float),
         field,
         start=start,
         initial_width=initial_width,
         xatol=xatol,
         max_width=max_width,
-        detect_flat=detect_flat,
         ftol=ftol,
         max_sweeps=max_sweeps,
     )
+    return replace(res, flat=res.flat and detect_flat)
 
 
 @dataclass(frozen=True)
@@ -270,7 +269,6 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
         initial_width=reach,
         max_width=64.0 * reach,
         xatol=1e-6,
-        detect_flat=(space.field == REAL),
     )
     value, minimizer = res.value, res.argmin
     if nx <= value:
@@ -289,18 +287,23 @@ def best_coeffs(
 ) -> list[Scalar]:
     """Coefficients minimizing ||target - sum_i c_i * basis_i|| (1 or 2 vectors).
 
-    Block coordinate descent, one scalar minimization per block and sweep,
-    each probe one batched norm call; jointly convex, so sweeps are monotone.
+    Block coordinate descent on the Euclidean-orthonormal basis Q of the
+    span (basis = Q R, coefficients mapped back through R, ``xatol`` on Q),
+    so an ill-conditioned basis cannot narrow the objective's valleys; one
+    scalar minimization per block and sweep, then one along the sweep's
+    displacement over the field's scalars, as ``_minimize`` does after its
+    Re/Im steps.  Jointly convex, so sweeps are monotone.
     Raises ContractViolation when the basis vectors are linearly dependent.
     """
     t = as_vec(space, target)
     vecs = [as_vec(space, b) for b in basis]
     if not 1 <= len(vecs) <= 2:
         raise ContractViolation("basis must hold one or two vectors")
-    stacked = np.stack(vecs, axis=1)
-    svals = np.linalg.svd(stacked, compute_uv=False)
-    if len(svals) < len(vecs) or svals[-1] <= 1e-12 * svals[0] or svals[0] == 0.0:
-        raise ContractViolation("basis vectors are linearly dependent")
+    A = np.stack(vecs, axis=1)
+    _require_independent(np.linalg.svd(A, compute_uv=False), len(vecs),
+                         "basis vectors are linearly dependent")
+    Q, R = np.linalg.qr(A)
+    vecs = list(Q.T)
 
     nrm = norm_fn(space)
     nt = nrm(t)
@@ -314,12 +317,12 @@ def best_coeffs(
             max_width=64.0 * reaches[0],
             xatol=xatol,
         )
-        return [res.argmin]
+        return np.linalg.solve(R, [res.argmin]).tolist()
 
     coeffs = [space.zero_scalar(), space.zero_scalar()]
     widths = list(reaches)
     for _ in range(max_sweeps):
-        moved = 0.0
+        begin = list(coeffs)
         for i in (0, 1):
             rest = t - coeffs[1 - i] * vecs[1 - i]
             res = _minimize(
@@ -330,9 +333,18 @@ def best_coeffs(
                 max_width=64.0 * reaches[i],
                 xatol=xatol,
             )
-            moved += abs(res.argmin - coeffs[i])
             coeffs[i] = res.argmin
+        d = [c - b for c, b in zip(coeffs, begin)]
+        step = abs(d[0]) + abs(d[1])
+        if step > 0:
+            rest = t - coeffs[0] * vecs[0] - coeffs[1] * vecs[1]
+            w = d[0] * vecs[0] + d[1] * vecs[1]
+            # coercive along w != 0 (the basis is independent): expansion ends
+            res = _minimize(lambda ss: nrm(rest - ss[:, None] * w), space.field,
+                            initial_width=1.0, xatol=xatol / step, max_width=math.inf)
+            coeffs = [c + res.argmin * e for c, e in zip(coeffs, d)]
+        moved = sum(abs(c - b) for c, b in zip(coeffs, begin))
         widths = [max(4.0 * moved, 100.0 * xatol)] * 2
         if moved <= 2.0 * xatol:
             break
-    return coeffs
+    return np.linalg.solve(R, coeffs).tolist()

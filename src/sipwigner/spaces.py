@@ -36,6 +36,10 @@ Python float (complex over the complex field) from the scalar evaluators.
 central finite difference of t -> ||y + t*x||; it is the independent
 cross-check for the closed forms above and is *rejected* at non-smooth
 points, where the one-sided derivatives disagree.
+
+Coordinates are validated in one place, ``_as_array``: the evaluators here,
+``as_vec`` and ``wigner.MapOracle`` (once per stack of points, once per
+stack of images) all call it; code holding validated arrays uses ``norm_fn``.
 """
 
 from __future__ import annotations
@@ -134,58 +138,45 @@ def linf2_space() -> Space:
     return Space(REAL, 2, Linf2())
 
 
-def _asarray(x, dtype=None) -> np.ndarray:
-    """``np.asarray`` that reports ragged or non-numeric coordinates as a
-    ContractViolation instead of numpy's ValueError or TypeError."""
+def _as_array(space: Space, x, ndim: int | None = None) -> np.ndarray:
+    """The package's one coordinate validator: ``x`` as finite coordinates of
+    ``space``, one vector along the last axis and vectors stacked along the
+    leading ones.  ``ndim=1`` asks for one vector, ``ndim=2`` for one vector
+    per row (an empty sequence gives zero rows).  Ragged or non-numeric
+    input, a wrong shape, complex coordinates in a real space and non-finite
+    ones raise ContractViolation."""
     try:
-        return np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ContractViolation(f"malformed coordinates: {exc}") from None
-
-
-def _as_array(space: Space, x) -> np.ndarray:
-    """Coerce ``x`` to validated coordinates of ``space`` stacked along
-    leading axes: the last axis holds the coordinates of each vector."""
-    v = _asarray(x)
-    if v.ndim == 0 or v.shape[-1] != space.dim:
-        raise ContractViolation(
-            f"expected vectors of length {space.dim} along the last axis, got shape {v.shape}"
-        )
-    if space.field == REAL:
-        if np.iscomplexobj(v):
+        v = np.asarray(x)
+        if ndim == 2 and v.shape == (0,):
+            v = v.reshape(0, space.dim)
+        if v.ndim == 0 or v.shape[-1] != space.dim or ndim not in (None, v.ndim):
+            want = {None: "(..., {})", 1: "({},)", 2: "(k, {})"}[ndim].format(space.dim)
+            raise ContractViolation(f"expected coordinates of shape {want}, got shape {v.shape}")
+        if space.field == REAL and np.iscomplexobj(v):
             if np.any(v.imag != 0):
                 raise ContractViolation("complex coordinates in a real space")
             v = v.real
-        v = _asarray(v, np.float64)
-    else:
-        v = _asarray(v, np.complex128)
+        v = np.asarray(v, space.dtype)
+    except ContractViolation:  # itself a ValueError: keep its message
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"malformed coordinates: {exc}") from None
     if not np.isfinite(v).all():
         raise ContractViolation("coordinates must be finite")
     return v
 
 
-def _as_rows(space: Space, vectors) -> np.ndarray:
-    """Validated coordinates of a sequence of vectors, one vector per row;
-    an empty sequence gives zero rows."""
-    v = _asarray(vectors)
-    if v.shape == (0,):
-        v = v.reshape(0, space.dim)
-    v = _as_array(space, v)
-    if v.ndim != 2:
-        raise ContractViolation(
-            f"expected a sequence of vectors of length {space.dim}, got shape {v.shape}"
-        )
-    return v
-
-
 def as_vec(space: Space, x) -> Vector:
-    """Coerce ``x`` to a validated coordinate vector of ``space``."""
-    v = _asarray(x)
-    if v.shape != (space.dim,):
-        raise ContractViolation(
-            f"expected a vector of length {space.dim}, got shape {v.shape}"
-        )
-    return _as_array(space, v)
+    """Coerce ``x`` to one validated coordinate vector of ``space``."""
+    return _as_array(space, x, ndim=1)
+
+
+def _require_independent(svals, count: int, message: str) -> None:
+    """Raise ContractViolation(message) unless the descending singular values
+    ``svals`` of a ``count``-column matrix show independent columns: all
+    ``count`` of them present, the smallest above 1e-12 of the largest."""
+    if len(svals) < count or svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
+        raise ContractViolation(message)
 
 
 def _scalar(value, field: str = REAL):

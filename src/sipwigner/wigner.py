@@ -28,7 +28,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedField, UnsupportedSpace
-from .spaces import COMPLEX, Lp, REAL, Space, Vector, _as_array, _as_rows, norm, sip
+from .spaces import COMPLEX, Lp, REAL, Space, Vector, _as_array, norm, sip
 
 PASS = "pass"
 FAIL = "fail"
@@ -42,9 +42,12 @@ class MapOracle:
 
     ``fn`` receives one validated source vector and must return a vector of
     the target dimension.  A call takes points stacked along leading axes,
-    like the ``spaces`` evaluators (a 1-D ``x`` is one point): the stack is
-    validated once, ``fn`` is applied to each point, and the stacked images
-    are validated once and returned with the same leading axes.
+    like the ``spaces`` evaluators (a 1-D ``x`` is one point).  The call is
+    where validation happens: ``spaces._as_array`` checks the stack of
+    points once, ``fn`` is applied to each point, and the list of images is
+    checked once as a 2-D stack, which every image must fill with exactly
+    one row of the target dimension, before it is returned with the points'
+    leading axes.
     """
 
     source: Space
@@ -54,12 +57,8 @@ class MapOracle:
 
     def __call__(self, x) -> np.ndarray:
         xv = _as_array(self.source, x)
-        shape = (self.target.dim,)
-        images = [np.asarray(self.fn(v)) for v in xv.reshape(-1, self.source.dim)]
-        for out in images:
-            if out.shape != shape:
-                raise ContractViolation(f"map output has shape {out.shape}, expected {shape}")
-        return _as_array(self.target, np.array(images).reshape(xv.shape[:-1] + shape))
+        images = [self.fn(v) for v in xv.reshape(-1, self.source.dim)]
+        return _as_array(self.target, images, ndim=2).reshape(xv.shape[:-1] + (self.target.dim,))
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def _prepared(m: MapOracle, samples: Sequence, tol: float) -> tuple[np.ndarray, 
         raise ContractViolation("source and target must share the scalar field")
     if len(samples) == 0:
         raise ContractViolation("need at least one sample")
-    xs = _as_rows(m.source, samples)
+    xs = _as_array(m.source, samples, ndim=2)
     return xs, m(xs)
 
 

@@ -1,5 +1,6 @@
 """Exit codes, JSON payloads, and rerun determinism of the command line."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -82,6 +83,22 @@ def test_orth_check_json_carries_no_counters(capsys):
     assert code == 0
     assert out == ('{"space":{"field":"real","dim":2,"norm":{"lp":3}},"x":[1,1],'
                    '"y":[1,-1],"orthogonal":true,"margin":0,"minimizer":0,'
+                   '"flat_minimizer":false}\n')
+
+
+def test_complex_orth_check_output_is_pinned(capsys):
+    # bytes of an earlier release: a non-orthogonal complex pair, whose
+    # margin and minimizer come from the complex sweeps of the minimizer
+    code, out, err = run(capsys, ["orth-check", "--space",
+                                  '{"field":"complex","dim":2,"norm":{"lp":3}}',
+                                  "--x", '[1,{"re":0,"im":1}]',
+                                  "--y", '[{"re":1,"im":1},0.5]', "--json"])
+    assert (code, err) == (1, "")
+    assert out == ('{"space":{"field":"complex","dim":2,"norm":{"lp":3}},'
+                   '"x":[{"re":1,"im":0},{"re":0,"im":1}],'
+                   '"y":[{"re":1,"im":1},{"re":0.5,"im":0}],"orthogonal":false,'
+                   '"margin":-0.13743018052547684,'
+                   '"minimizer":{"re":-0.41314663760588088,"im":0.065733117368639904},'
                    '"flat_minimizer":false}\n')
 
 
@@ -254,6 +271,34 @@ def test_reconstruct_double_map_violates_hypotheses(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["error"] == "HypothesisViolation"
     assert "witness" in payload
+
+
+def test_complex_reconstruct_output_is_pinned(tmp_path, capsys):
+    # the README's RunConfig, conjugated: bytes of an earlier release, pinned
+    # by digest because the 64 phase samples make ~15 kB
+    cfg = write_config(tmp_path, {
+        "source": {"field": "complex", "dim": 3, "norm": {"lp": 1.5}},
+        "map": {"isometry": {"perm": [3, 1, 2],
+                             "diag": [{"re": 0, "im": 1}, {"re": -1, "im": 0},
+                                      {"re": 1, "im": 0}],
+                             "conjugate_first": True},
+                "phase_seed": 11},
+        "checks": ["wigner", "linearity"], "tol": 1e-8, "samples": 20, "seed": 7,
+    })
+    code, out, err = run(capsys, ["reconstruct", "--config", cfg, "--json"])
+    assert (code, err) == (0, "")
+    head = out[:out.index(',"phase_samples"')]
+    assert head.endswith(
+        '"seed":7,"kind":"conjugate_linear","matrix":['
+        '[{"re":0,"im":-0},{"re":0,"im":-0},'
+        '{"re":0.99998273704065632,"im":-0.0058758506343193446}],'
+        '[{"re":0.005875850634319179,"im":0.99998273704065666},'
+        '{"re":0,"im":-0},{"re":0,"im":-0}],'
+        '[{"re":0,"im":-0},{"re":-0.0058758506343191998,"im":-0.99998273704065688},'
+        '{"re":0,"im":-0}]],"residual":1.3836080204126784e-15,"gauge":"sigma(e_1)=1"')
+    assert len(out) == 15211
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "038f40e8ede1df6678f0956386dc93cd0c6206557e55b4c818fc2f3a4003160a")
 
 
 def test_counterexample_prints_the_rational_witness(capsys):

@@ -317,6 +317,51 @@ def test_best_coeffs_single_vector():
     assert c == pytest.approx(-1.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("field, p, target, b1, b2", [
+    # condition number 33: plain block descent zig-zags down the valley and
+    # used to stop at residual 0.0151 with no error
+    (REAL, 3.0, [-1.45663774256872, -0.16463575180371992],
+     [-0.2593164895494978, 0.2075467211604842], [-1.3586941642962918, 1.634114776892911]),
+    # condition number 346 over C: a search along each sweep's displacement
+    # alone still stops at residual ~2e-4
+    (COMPLEX, 7.0, [-0.08011614473408182 + 0.12035491427317502j,
+                    0.6082484271232689 + 0.19903012491274652j],
+     [-0.34400754985883303 - 0.48239538641784946j, -2.013482844627813 + 1.5224601960339834j],
+     [-0.357000913961899 - 0.4853041691575171j, -2.0150266744506617 + 1.5133411035443807j]),
+], ids=["real-l3-cond33", "complex-l7-cond346"])
+def test_best_coeffs_reaches_the_minimum_on_an_ill_conditioned_basis(field, p, target, b1, b2):
+    s = lp_space(field, 2, p)
+    target, b1, b2 = map(np.array, (target, b1, b2))
+    c1, c2 = best_coeffs(s, target, [b1, b2])
+    want = np.linalg.solve(np.stack([b1, b2], axis=1), target)
+    assert np.abs(np.array([c1, c2]) - want).max() <= 1e-8
+    assert norm(s, target - c1 * b1 - c2 * b2) <= 1e-9
+
+
+@pytest.mark.parametrize("p, target, b1, b2", [
+    (1.5, [0.3, -1.2, 2.0], [1.0, 0.4, -0.5], [0.2, -1.0, 0.8]),
+    # condition number 381 in l_1.1^5: without the displacement search the
+    # sweeps stop ~2e-8 above the minimum, without the orthonormal basis ~5e-6
+    (1.1, [0.009264513337087887, -0.024949830418830164, -0.01738389362919807,
+           -0.0016083632362688801, -0.0038852629656130444],
+     [-0.7364540870016669, -0.16290994799305278, -0.48211931267997826,
+      0.5988462126346276, 0.03972210748165899],
+     [-0.7394358834609578, -0.1638907468325011, -0.48208826259392684,
+      0.5977952049953, 0.04465700086833263]),
+], ids=["l1.5", "l1.1-cond381"])
+def test_best_coeffs_off_span_matches_a_dense_grid(p, target, b1, b2):
+    target, b1, b2 = map(np.array, (target, b1, b2))
+    c1, c2 = best_coeffs(lp_space(REAL, len(target), p), target, [b1, b2])
+    value = float(lp_norms(p, target - c1 * b1 - c2 * b2))
+    assert value > 1e-3  # the target is off the span
+    # no point of a dense coefficient grid around the result, at any of
+    # four zoom levels, beats it
+    for half in (1.0, 1e-2, 1e-4, 1e-6):
+        g = np.linspace(-half, half, 401)
+        C = np.array([c1, c2]) + np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        assert value <= lp_norms(p, target - C[:, :1] * b1 - C[:, 1:] * b2).min() + 1e-10
+
+
 def test_best_coeffs_rejects_dependent_basis():
     s = lp_space(REAL, 2, 2.0)
     with pytest.raises(ContractViolation):

@@ -224,6 +224,13 @@ def test_map_oracle_validates_shapes_and_fields():
         identity_oracle(RC3)(np.ones((2, 2)))
     with pytest.raises(ContractViolation):
         identity_oracle(RC3)([[1.0, 0.0, 0.0], [1.0, 0.0]])
+    # images checked as one stack must still be one image of length dim per
+    # point: a (1, dim) image, scalar images that a stack of exactly dim
+    # points would line up into one vector, and dim + 1 coordinates all fail
+    for fn in (lambda v: v[None, :], lambda v: float(v[0]), lambda v: np.append(v, 0.0)):
+        for x in (np.ones(3), np.eye(3), np.eye(3)[None]):
+            with pytest.raises(ContractViolation):
+                MapOracle(RC3, RC3, fn)(x)
 
 
 def test_checks_reject_degenerate_input():
