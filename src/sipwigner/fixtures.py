@@ -88,8 +88,7 @@ class IsometrySpec:
         return IsometrySpec(perm, tuple(z if z.imag != 0 else z.real for z in diag), conj)
 
 
-def matrix_oracle(space: Space, matrix, conjugate_first: bool = False,
-                  name: str = "") -> MapOracle:
+def matrix_oracle(space: Space, matrix, conjugate_first: bool = False) -> MapOracle:
     """Wrap a square matrix (optionally composed with conjugation) as a map."""
     m = np.asarray(matrix, dtype=space.dtype)
     if m.shape != (space.dim, space.dim):
@@ -97,8 +96,8 @@ def matrix_oracle(space: Space, matrix, conjugate_first: bool = False,
     if conjugate_first and space.field != COMPLEX:
         raise ContractViolation("conjugation needs the complex field")
     if conjugate_first:
-        return MapOracle(space, space, lambda x: m @ np.conj(x), name)
-    return MapOracle(space, space, lambda x: m @ x, name)
+        return MapOracle(space, space, lambda x: m @ np.conj(x))
+    return MapOracle(space, space, lambda x: m @ x)
 
 
 def make_isometry(space: Space, spec: IsometrySpec) -> MapOracle:
@@ -107,19 +106,17 @@ def make_isometry(space: Space, spec: IsometrySpec) -> MapOracle:
         raise ContractViolation("isometry specs are realized on Lp spaces")
     if spec.dim != space.dim:
         raise ContractViolation(f"spec dim {spec.dim} != space dim {space.dim}")
-    kind = "conjugate" if spec.conjugate_first else "linear"
-    return matrix_oracle(space, spec.matrix(space.field), spec.conjugate_first,
-                         name=f"{kind} isometry spec")
+    return matrix_oracle(space, spec.matrix(space.field), spec.conjugate_first)
 
 
 def identity_oracle(space: Space) -> MapOracle:
-    return matrix_oracle(space, np.eye(space.dim), name="identity")
+    return matrix_oracle(space, np.eye(space.dim))
 
 
 def conjugation_oracle(space: Space) -> MapOracle:
     if space.field != COMPLEX:
         raise ContractViolation("conjugation needs the complex field")
-    return MapOracle(space, space, np.conj, name="conjugation")
+    return MapOracle(space, space, np.conj)
 
 
 def scale_oracle(base: MapOracle, factor: float | complex) -> MapOracle:
@@ -128,18 +125,16 @@ def scale_oracle(base: MapOracle, factor: float | complex) -> MapOracle:
     Composes on ``base.fn``, so each point is validated once, by the
     returned oracle, however deep the composition.
     """
-    return MapOracle(base.source, base.target, lambda x: factor * np.asarray(base.fn(x)),
-                     name=f"{factor} * ({base.name or 'map'})")
+    return MapOracle(base.source, base.target, lambda x: factor * np.asarray(base.fn(x)))
 
 
-def make_phase_equivalent(base: MapOracle, sigma, name: str = "") -> MapOracle:
+def make_phase_equivalent(base: MapOracle, sigma) -> MapOracle:
     """Compose a map with a pointwise unimodular factor x -> sigma(x)*f(x).
 
     ``sigma`` takes one source vector and returns a scalar; like
     ``scale_oracle``, the composition is on ``base.fn``.
     """
-    return MapOracle(base.source, base.target, lambda x: sigma(x) * np.asarray(base.fn(x)),
-                     name=name or f"phase * ({base.name or 'map'})")
+    return MapOracle(base.source, base.target, lambda x: sigma(x) * np.asarray(base.fn(x)))
 
 
 def seeded_phase(space: Space, seed: int):
@@ -203,7 +198,7 @@ def swap_counterexample() -> tuple[Space, MapOracle, SwapWitness]:
     refuse this space.
     """
     space = linf2_space()
-    swap = MapOracle(space, space, lambda v: v[::-1].copy(), name="coordinate swap")
+    swap = MapOracle(space, space, lambda v: v[::-1].copy())
     x = np.array([1.0, 0.0])
     y = np.array([1.0, 1.0])
     before = _sip_linf2_exact((1, 0), (1, 1))

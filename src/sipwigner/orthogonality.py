@@ -28,6 +28,9 @@ _FRAC = np.linspace(0.0, 1.0, 17)  # a grid across a bracket: a + (b - a) * _FRA
 _EDGE = np.linspace(0.0, 1.0, 9)  # a grid across one plateau edge cell
 _FLAT = 1e-6  # runs of equal minima wider than this are flat
 _MAX_PROBES = 2000  # far past any expansion to max_width; guards a stuck loop
+_STALL = 1e-13  # a sweep lowering the value by at most this, relatively, has stalled
+_COEFF_TOL = 1e-12  # best_coeffs' coordinate tolerance on the orthonormal basis
+_MAX_SWEEPS = 200  # best_coeffs' sweep cap
 
 
 @dataclass(frozen=True)
@@ -112,9 +115,10 @@ def _line_min(G, center: float, width: float, xatol: float, max_width: float) ->
 
 
 def _minimize(G, field: str, *, start: Scalar = 0.0, initial_width: float, xatol: float,
-              max_width: float, ftol: float = 1e-13, max_sweeps: int = 60) -> ScalarMin:
-    """``minimize_scalar`` on an objective ``G`` batched over 1-D arrays;
-    ``flat`` is ``_line_min``'s over the reals and never set over C."""
+              max_width: float, max_sweeps: int = 60) -> ScalarMin:
+    """``minimize_scalar`` on an objective ``G`` batched over 1-D arrays,
+    from ``start`` (``best_coeffs`` warm-starts its blocks there); ``flat``
+    is ``_line_min``'s over the reals and never set over C."""
     if field == REAL:
         return _line_min(G, float(start), initial_width, xatol, max_width)
     if field != COMPLEX:
@@ -150,7 +154,7 @@ def _minimize(G, field: str, *, start: Scalar = 0.0, initial_width: float, xatol
         moved = abs(lam.real - begin.real) + abs(lam.imag - begin.imag)
         improvement = value - res.value
         value = res.value
-        stalls = stalls + 1 if improvement <= ftol * (1.0 + abs(value)) else 0
+        stalls = stalls + 1 if improvement <= _STALL * (1.0 + abs(value)) else 0
         if tol == xatol and (moved <= 2.0 * xatol or stalls >= 2):
             break
         width = max(4.0 * moved, 100.0 * xatol)
@@ -161,10 +165,8 @@ def minimize_scalar(
     g,
     field: str,
     *,
-    start: Scalar = 0.0,
     initial_width: float = 1.0,
     xatol: float = 1e-12,
-    ftol: float = 1e-13,
     max_width: float = 1e12,
     max_sweeps: int = 60,
     detect_flat: bool = False,
@@ -172,31 +174,30 @@ def minimize_scalar(
     """Minimize a convex scalar -> real objective over the given field.
 
     ``g`` takes one scalar of the field.  Real field: a grid line search on
-    a bracket around ``start``, widened while the minimum sits at its edge.
-    Complex field: sweeps of such line searches along Re, along Im and along
-    the sweep's displacement, each to 1% of the sweep's width but no finer
-    than ``xatol``; convexity of the objective along every line makes the
-    sweeps monotone.  Sweeping stops once a sweep run to ``xatol`` moves the
-    point by at most 2*xatol, or the value stalls within relative ``ftol``
-    twice in a row.
+    a bracket of half-width ``initial_width`` around 0, widened while the
+    minimum sits at its edge.  Complex field: sweeps of such line searches
+    along Re, along Im and along the sweep's displacement, each to 1% of
+    the sweep's width but no finer than ``xatol``; convexity of the
+    objective along every line makes the sweeps monotone.  Sweeping stops
+    once a sweep run to ``xatol`` moves the point by at most 2*xatol, or
+    the value stalls (improves by at most 1e-13 relative, a constant) twice
+    in a row.
     Raises SolverError when the bracket widens past ``max_width`` with the
     objective still descending (non-coercive input) or the objective has no
     finite minimum on the grid.
     """
-    if not (all(v > 0 and math.isfinite(v) for v in (initial_width, xatol, ftol, max_width))
+    if not (all(v > 0 and math.isfinite(v) for v in (initial_width, xatol, max_width))
             and max_sweeps >= 1):
         raise ContractViolation(
-            "initial_width, xatol, ftol and max_width must be positive and finite, "
+            "initial_width, xatol and max_width must be positive and finite, "
             "and max_sweeps at least 1"
         )
     res = _minimize(
         lambda lams: np.array([g(lam) for lam in lams.tolist()], dtype=float),
         field,
-        start=start,
         initial_width=initial_width,
         xatol=xatol,
         max_width=max_width,
-        ftol=ftol,
         max_sweeps=max_sweeps,
     )
     return replace(res, flat=res.flat and detect_flat)
@@ -277,22 +278,19 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     return OrthVerdict(margin >= -tol, margin, minimizer, res.flat, res.nfev + 2)
 
 
-def best_coeffs(
-    space: Space,
-    target,
-    basis: Sequence,
-    *,
-    xatol: float = 1e-12,
-    max_sweeps: int = 200,
-) -> list[Scalar]:
+def best_coeffs(space: Space, target, basis: Sequence) -> list[Scalar]:
     """Coefficients minimizing ||target - sum_i c_i * basis_i|| (1 or 2 vectors).
 
     Block coordinate descent on the Euclidean-orthonormal basis Q of the
-    span (basis = Q R, coefficients mapped back through R, ``xatol`` on Q),
-    so an ill-conditioned basis cannot narrow the objective's valleys; one
-    scalar minimization per block and sweep, then one along the sweep's
-    displacement over the field's scalars, as ``_minimize`` does after its
-    Re/Im steps.  Jointly convex, so sweeps are monotone.
+    span (basis = Q R, coefficients mapped back through R), so an
+    ill-conditioned basis cannot narrow the objective's valleys; each sweep
+    runs one scalar minimization per block, warm-started at its coefficient
+    and to 1e-12 on Q, then one along the sweep's displacement over the
+    field's scalars, as ``_minimize`` does after its Re/Im steps.  Jointly
+    convex, so sweeps are monotone.  Sweeping stops by ``_minimize``'s rule:
+    once a sweep moves the coefficients by at most 2e-12, or the value
+    stalls (improves by at most 1e-13 relative) twice in a row; 200 sweeps
+    are the cap.
     Raises ContractViolation when the basis vectors are linearly dependent.
     """
     t = as_vec(space, target)
@@ -308,43 +306,37 @@ def best_coeffs(
     nrm = norm_fn(space)
     nt = nrm(t)
     reaches = [2.0 * nt / nrm(v) + 1.0 for v in vecs]
-
-    if len(vecs) == 1:
-        res = _minimize(
-            lambda cs: nrm(t - cs[:, None] * vecs[0]),
-            space.field,
-            initial_width=reaches[0],
-            max_width=64.0 * reaches[0],
-            xatol=xatol,
-        )
-        return np.linalg.solve(R, [res.argmin]).tolist()
-
-    coeffs = [space.zero_scalar(), space.zero_scalar()]
+    coeffs = [space.zero_scalar()] * len(vecs)
     widths = list(reaches)
-    for _ in range(max_sweeps):
+    value = math.inf
+    stalls = 0
+    for _ in range(_MAX_SWEEPS):
         begin = list(coeffs)
-        for i in (0, 1):
-            rest = t - coeffs[1 - i] * vecs[1 - i]
+        for i, v in enumerate(vecs):
+            rest = t - sum(c * u for k, (c, u) in enumerate(zip(coeffs, vecs)) if k != i)
             res = _minimize(
-                lambda cs, r=rest, v=vecs[i]: nrm(r - cs[:, None] * v),
+                lambda cs, r=rest, v=v: nrm(r - cs[:, None] * v),
                 space.field,
                 start=coeffs[i],
                 initial_width=widths[i],
                 max_width=64.0 * reaches[i],
-                xatol=xatol,
+                xatol=_COEFF_TOL,
             )
             coeffs[i] = res.argmin
         d = [c - b for c, b in zip(coeffs, begin)]
-        step = abs(d[0]) + abs(d[1])
+        step = sum(abs(e) for e in d)
         if step > 0:
-            rest = t - coeffs[0] * vecs[0] - coeffs[1] * vecs[1]
-            w = d[0] * vecs[0] + d[1] * vecs[1]
+            rest = rest - coeffs[-1] * vecs[-1]  # the last block's rest less its term
+            w = sum(e * u for e, u in zip(d, vecs))
             # coercive along w != 0 (the basis is independent): expansion ends
             res = _minimize(lambda ss: nrm(rest - ss[:, None] * w), space.field,
-                            initial_width=1.0, xatol=xatol / step, max_width=math.inf)
+                            initial_width=1.0, xatol=_COEFF_TOL / step, max_width=math.inf)
             coeffs = [c + res.argmin * e for c, e in zip(coeffs, d)]
         moved = sum(abs(c - b) for c, b in zip(coeffs, begin))
-        widths = [max(4.0 * moved, 100.0 * xatol)] * 2
-        if moved <= 2.0 * xatol:
+        improvement = value - res.value
+        value = res.value
+        stalls = stalls + 1 if improvement <= _STALL * (1.0 + abs(value)) else 0
+        if moved <= 2.0 * _COEFF_TOL or stalls >= 2:
             break
+        widths = [max(4.0 * moved, 100.0 * _COEFF_TOL)] * len(vecs)
     return np.linalg.solve(R, coeffs).tolist()

@@ -72,27 +72,38 @@ class Reconstruction:
         }
 
 
-def _require_reconstructible(m: MapOracle) -> None:
+def _require_reconstructible(m: MapOracle, tol: float) -> None:
     if not isinstance(m.source.norm, Lp) or not isinstance(m.target.norm, Lp):
         raise UnsupportedSpace("reconstruction needs smooth (Lp) spaces")
     if m.source.field != m.target.field:
         raise ContractViolation("source and target must share the scalar field")
     if m.source.dim != m.target.dim:
         raise ContractViolation("reconstruction needs equal dimensions")
+    if not (tol > 0):
+        raise ContractViolation("tol must be positive")
 
 
-def _span_coeffs(target: Space, w: Vector, basis) -> tuple[list[Scalar], float]:
-    """Least-squares coefficients c of w on the basis vectors, and the
-    target-norm residual ||w - sum_i c_i * basis_i||."""
+def _span_coeffs(target: Space, w: Vector, basis, bound: float, leaves: str,
+                 witness: dict) -> list[Scalar]:
+    """Least-squares coefficients c of w on the basis vectors.
+
+    A target-norm residual ||w - sum_i c_i * basis_i|| above ``bound``
+    raises HypothesisViolation "<leaves>: residual ...", whose witness is
+    ``witness`` followed by the residual.
+    """
     A = np.stack(basis, axis=1)
     c, _, _, svals = np.linalg.lstsq(A, w, rcond=None)
     _require_independent(svals, A.shape[1], "basis vectors are linearly dependent")
-    return c.tolist(), norm(target, w - A @ c)
+    residual = norm(target, w - A @ c)
+    if residual > bound:
+        raise HypothesisViolation(f"{leaves}: residual {residual:.3e}",
+                                  {**witness, "residual": residual})
+    return c.tolist()
 
 
 def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Scalar:
     """The scalar gamma with f(lam*x) = gamma*f(x); |gamma| = |lam| must hold."""
-    _require_reconstructible(m)
+    _require_reconstructible(m, tol)
     xv = as_vec(m.source, x)
     if norm(m.source, xv) == 0.0:
         raise ContractViolation("scalar action is probed at nonzero x")
@@ -100,13 +111,9 @@ def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Sc
     if norm(m.target, fx) == 0.0:
         raise HypothesisViolation("f vanished at a nonzero point",
                                   {"x": xv.tolist()})
-    (gamma,), residual = _span_coeffs(m.target, flx, [fx])
-    scale = 1.0 + abs(lam) * norm(m.source, xv)
-    if residual > tol * scale:
-        raise HypothesisViolation(
-            f"f(lam*x) leaves the line through f(x): residual {residual:.3e}",
-            {"x": xv.tolist(), "lam": lam, "residual": residual},
-        )
+    (gamma,) = _span_coeffs(m.target, flx, [fx], tol * (1.0 + abs(lam) * norm(m.source, xv)),
+                            "f(lam*x) leaves the line through f(x)",
+                            {"x": xv.tolist(), "lam": lam})
     if abs(abs(gamma) - abs(lam)) > tol * (1.0 + abs(lam)):
         raise HypothesisViolation(
             f"|gamma| = {abs(gamma):.17g} drifted from |lam| = {abs(lam):.17g}",
@@ -117,19 +124,15 @@ def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Sc
 
 def recover_pair_coeffs(m: MapOracle, x, y, tol: float = 1e-8) -> tuple[Scalar, Scalar]:
     """Unimodular (alpha, beta) with f(x+y) = alpha*f(x) + beta*f(y)."""
-    _require_reconstructible(m)
+    _require_reconstructible(m, tol)
     xv = as_vec(m.source, x)
     yv = as_vec(m.source, y)
     svals = np.linalg.svd(np.stack([xv, yv], axis=1), compute_uv=False)
     _require_independent(svals, 2, "x and y must be linearly independent")
     fx, fy, fxy = m(np.stack([xv, yv, xv + yv]))
-    (alpha, beta), residual = _span_coeffs(m.target, fxy, [fx, fy])
-    scale = 1.0 + norm(m.source, xv + yv)
-    if residual > tol * scale:
-        raise HypothesisViolation(
-            f"f(x+y) leaves span(f(x), f(y)): residual {residual:.3e}",
-            {"x": xv.tolist(), "y": yv.tolist(), "residual": residual},
-        )
+    alpha, beta = _span_coeffs(m.target, fxy, [fx, fy], tol * (1.0 + norm(m.source, xv + yv)),
+                               "f(x+y) leaves span(f(x), f(y))",
+                               {"x": xv.tolist(), "y": yv.tolist()})
     for name, c in (("alpha", alpha), ("beta", beta)):
         if abs(abs(c) - 1.0) > tol:
             raise HypothesisViolation(
@@ -147,7 +150,7 @@ def detect_kind(m: MapOracle, tol: float = 1e-8) -> str:
     +i for linear and -i for conjugate-linear maps; the classification must
     be decisive by a factor of 10, otherwise KindAmbiguous is raised.
     """
-    _require_reconstructible(m)
+    _require_reconstructible(m, tol)
     if m.source.field != COMPLEX:
         raise ContractViolation("kind detection needs the complex field")
     if m.source.dim < 2:
@@ -156,12 +159,8 @@ def detect_kind(m: MapOracle, tol: float = 1e-8) -> str:
     alpha, beta = recover_pair_coeffs(m, e1, e2, tol)
     f1, f2, f12 = m(np.stack([e1, e2, e1 + 1j * e2]))
     col2 = (beta / alpha) * f2  # = sigma(e1) * U e2, same gauge as f(e1)
-    (a, b), residual = _span_coeffs(m.target, f12, [f1, col2])
-    if residual > tol * (1.0 + norm(m.source, e1 + 1j * e2)):
-        raise HypothesisViolation(
-            f"f(e1 + i*e2) leaves span(f(e1), f(e2)): residual {residual:.3e}",
-            {"residual": residual},
-        )
+    a, b = _span_coeffs(m.target, f12, [f1, col2], tol * (1.0 + norm(m.source, e1 + 1j * e2)),
+                        "f(e1 + i*e2) leaves span(f(e1), f(e2))", {})
     if abs(a) < 1e-6:
         raise KindAmbiguous(f"degenerate leading coefficient {a!r}")
     ratio = b / a  # carries h(i)
@@ -200,9 +199,7 @@ def reconstruct(
     1e-7*(1 + ||x||), a phase with ||sigma| - 1| > tol, or a reproduction
     residual beyond tol*(1 + ||x||) raises HypothesisViolation.
     """
-    _require_reconstructible(m)
-    if not (tol > 0):
-        raise ContractViolation("tol must be positive")
+    _require_reconstructible(m, tol)
     source = m.source
     n = source.dim
 

@@ -47,13 +47,12 @@ class MapOracle:
     points once, ``fn`` is applied to each point, and the list of images is
     checked once as a 2-D stack, which every image must fill with exactly
     one row of the target dimension, before it is returned with the points'
-    leading axes.
+    leading axes.  An oracle is its two spaces and ``fn``, nothing more.
     """
 
     source: Space
     target: Space
     fn: Callable[[Vector], Vector]
-    name: str = ""
 
     def __call__(self, x) -> np.ndarray:
         xv = _as_array(self.source, x)
@@ -78,6 +77,7 @@ class Witness:
 class Report:
     """A check's verdict, worst violation and witness.
 
+    ``to_dict`` records ``ASSUMPTIONS``, which every check rests on.
     ``pairs`` counts the sample pairs (or combinations) examined and
     ``map_calls`` the batched map calls made; both stay out of ``to_dict``.
     """
@@ -87,7 +87,6 @@ class Report:
     max_violation: float
     witness: Witness | None
     seed: int | None = None
-    assumptions: tuple[str, ...] = ASSUMPTIONS
     pairs: int = 0
     map_calls: int = 0
 
@@ -102,7 +101,7 @@ class Report:
             "max_violation": self.max_violation,
             "witness": None if self.witness is None else self.witness.to_dict(),
             "seed": self.seed,
-            "assumptions": list(self.assumptions),
+            "assumptions": list(ASSUMPTIONS),
         }
 
 

@@ -362,6 +362,37 @@ def test_best_coeffs_off_span_matches_a_dense_grid(p, target, b1, b2):
         assert value <= lp_norms(p, target - C[:, :1] * b1 - C[:, 1:] * b2).min() + 1e-10
 
 
+def test_best_coeffs_stops_once_the_value_stalls(monkeypatch):
+    # an off-span target whose minimum is too flat for the coefficients to
+    # settle to 2e-12: a stop rule on coefficient moves alone ran all 200
+    # sweeps, ~72k batched norm calls, without an error
+    s = lp_space(COMPLEX, 5, 1.5)
+    rng = np.random.default_rng(2)
+
+    def z():
+        return rng.standard_normal(5) + 1j * rng.standard_normal(5)
+
+    b1 = z()
+    b2 = b1 + 1e-6 * z()
+    target = z()
+    calls = 0
+    norm_fn = orthogonality.norm_fn
+
+    def counting_norm_fn(space):
+        nrm = norm_fn(space)
+
+        def count(v):
+            nonlocal calls
+            calls += 1
+            return nrm(v)
+        return count
+
+    monkeypatch.setattr(orthogonality, "norm_fn", counting_norm_fn)
+    c1, c2 = best_coeffs(s, target, [b1, b2])
+    assert calls <= 20_000
+    assert norm(s, target - c1 * b1 - c2 * b2) <= 3.1878383594088944 * (1 + 1e-9)
+
+
 def test_best_coeffs_rejects_dependent_basis():
     s = lp_space(REAL, 2, 2.0)
     with pytest.raises(ContractViolation):

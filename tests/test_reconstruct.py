@@ -169,6 +169,20 @@ def test_recover_pair_coeffs_unimodular():
         recover_pair_coeffs(line, [1.0], [2.0])
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_reconstruct_helpers_reject_a_non_positive_tol(tol):
+    # with tol = nan every bound test "residual > nan * scale" is False, so
+    # the hypothesis checks were silently off: the shift map passed them
+    e1, e2 = basis_vec(CC3, 0), basis_vec(CC3, 1)
+    shift = MapOracle(CC3, CC3, lambda v: v + e1)
+    with pytest.raises(ContractViolation, match="tol must be positive"):
+        recover_scalar_action(shift, e1, 2.0, tol=tol)
+    with pytest.raises(ContractViolation, match="tol must be positive"):
+        recover_pair_coeffs(shift, e1, e2, tol=tol)
+    with pytest.raises(ContractViolation, match="tol must be positive"):
+        detect_kind(shift, tol=tol)
+
+
 def test_reconstruct_rejects_the_doubled_map():
     with pytest.raises(HypothesisViolation) as info:
         reconstruct(scale_oracle(identity_oracle(RC3), 2.0), seed=11)
