@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ContractViolation, SolverError
 from .spaces import COMPLEX, REAL, Scalar, Space, _require_independent, as_vec, norm_fn
 
-_SPAN = np.linspace(-1.0, 1.0, 17)  # first grid center + width * _SPAN holds center exactly
+_SPAN = np.linspace(-1.0, 1.0, 17)  # the first grid, width * _SPAN, holds 0 exactly
 _FRAC = np.linspace(0.0, 1.0, 17)  # a grid across a bracket: a + (b - a) * _FRAC
 _EDGE = np.linspace(0.0, 1.0, 9)  # a grid across one plateau edge cell
 _FLAT = 1e-6  # runs of equal minima wider than this are flat
@@ -55,7 +55,7 @@ class ScalarMin:
     probes: int = 0
 
 
-def _line_min(G, center: float, width: float, xatol: float, max_width: float) -> ScalarMin:
+def _line_min(G, width: float, xatol: float, max_width: float) -> ScalarMin:
     """Minimize a convex function of one real variable by grid probes.
 
     ``G`` maps a 1-D array of points to their values.  The grid minima of a
@@ -72,7 +72,7 @@ def _line_min(G, center: float, width: float, xatol: float, max_width: float) ->
     argmin is the run's midpoint and ``flat`` says the run is wider than
     1e-6.
     """
-    t = center + width * _SPAN
+    t = width * _SPAN
     free_lo = free_hi = True
     gap = math.inf
     nfev = 0
@@ -114,24 +114,26 @@ def _line_min(G, center: float, width: float, xatol: float, max_width: float) ->
     return ScalarMin(0.5 * (ts[i] + ts[j]), vmin, ts[j] - ts[i] > _FLAT, nfev, probes)
 
 
-def _minimize(G, field: str, *, start: Scalar = 0.0, initial_width: float, xatol: float,
-              max_width: float, max_sweeps: int = 60) -> ScalarMin:
-    """``minimize_scalar`` on an objective ``G`` batched over 1-D arrays,
-    from ``start`` (``best_coeffs`` warm-starts its blocks there); ``flat``
-    is ``_line_min``'s over the reals and never set over C."""
+def _minimize(G, field: str, *, initial_width: float, xatol: float, max_width: float,
+              max_sweeps: int = 60) -> ScalarMin:
+    """``minimize_scalar`` on an objective ``G`` batched over 1-D arrays, from
+    0; ``flat`` is ``_line_min``'s over the reals and never set over C."""
     if field == REAL:
-        return _line_min(G, float(start), initial_width, xatol, max_width)
+        return _line_min(G, initial_width, xatol, max_width)
     if field != COMPLEX:
         raise ContractViolation(f"unknown field {field!r}")
 
-    lam = complex(start)
+    lam = 0j
 
     def search(d: complex, reach: float, tol: float) -> ScalarMin:
         """A line search from lam along d over |t*d| <= reach, to tol in lam."""
         step = abs(d)
-        return _line_min(lambda t: G(lam + t * d), 0.0, reach / step, tol / step,
-                         max_width / step)
+        return _line_min(lambda t: G(lam + t * d), reach / step, tol / step, max_width / step)
 
+    # a loop of its own, not best_coeffs' sweep over the blocks (1, 1j): its
+    # coarse-to-fine tolerances fix bj_orthogonal's output bytes, while
+    # best_coeffs needs a fixed 1e-12 tolerance and complex blocks searched
+    # as field scalars
     width = initial_width
     value = math.inf
     nfev = probes = stalls = 0
@@ -283,14 +285,15 @@ def best_coeffs(space: Space, target, basis: Sequence) -> list[Scalar]:
 
     Block coordinate descent on the Euclidean-orthonormal basis Q of the
     span (basis = Q R, coefficients mapped back through R), so an
-    ill-conditioned basis cannot narrow the objective's valleys; each sweep
-    runs one scalar minimization per block, warm-started at its coefficient
-    and to 1e-12 on Q, then one along the sweep's displacement over the
-    field's scalars, as ``_minimize`` does after its Re/Im steps.  Jointly
-    convex, so sweeps are monotone.  Sweeping stops by ``_minimize``'s rule:
-    once a sweep moves the coefficients by at most 2e-12, or the value
-    stalls (improves by at most 1e-13 relative) twice in a row; 200 sweeps
-    are the cap.
+    ill-conditioned basis cannot narrow the objective's valleys.  Every
+    search is a line step from the coefficients c: it minimizes
+    ||r - s*(Q@d)|| over the field's scalars s from 0, with r = t - Q@c.
+    A sweep steps along each block (d = e_i, to 1e-12 on Q), then, with two
+    vectors, along the sweep's displacement, as ``_minimize`` does after
+    its Re/Im steps.  Jointly convex, so sweeps are monotone.  Sweeping
+    stops by ``_minimize``'s rule: once a sweep moves the coefficients by
+    at most 2e-12, or the value stalls (improves by at most 1e-13
+    relative) twice in a row; 200 sweeps are the cap.
     Raises ContractViolation when the basis vectors are linearly dependent.
     """
     t = as_vec(space, target)
@@ -301,42 +304,36 @@ def best_coeffs(space: Space, target, basis: Sequence) -> list[Scalar]:
     _require_independent(np.linalg.svd(A, compute_uv=False), len(vecs),
                          "basis vectors are linearly dependent")
     Q, R = np.linalg.qr(A)
-    vecs = list(Q.T)
-
     nrm = norm_fn(space)
-    nt = nrm(t)
-    reaches = [2.0 * nt / nrm(v) + 1.0 for v in vecs]
-    coeffs = [space.zero_scalar()] * len(vecs)
-    widths = list(reaches)
+    c = np.zeros(len(vecs), Q.dtype)
+
+    def step(d, width: float, xatol: float, max_width: float) -> ScalarMin:
+        """Move c to the minimizer of ||r - s*(Q@d)|| over scalars s, r = t - Q@c."""
+        nonlocal c
+        r, w = t - Q @ c, Q @ d
+        res = _minimize(lambda ss: nrm(r - ss[:, None] * w), space.field,
+                        initial_width=width, xatol=xatol, max_width=max_width)
+        c = c + res.argmin * d
+        return res
+
+    reach = 2.0 * nrm(t) / min(nrm(q) for q in Q.T) + 1.0
+    width = reach
     value = math.inf
     stalls = 0
     for _ in range(_MAX_SWEEPS):
-        begin = list(coeffs)
-        for i, v in enumerate(vecs):
-            rest = t - sum(c * u for k, (c, u) in enumerate(zip(coeffs, vecs)) if k != i)
-            res = _minimize(
-                lambda cs, r=rest, v=v: nrm(r - cs[:, None] * v),
-                space.field,
-                start=coeffs[i],
-                initial_width=widths[i],
-                max_width=64.0 * reaches[i],
-                xatol=_COEFF_TOL,
-            )
-            coeffs[i] = res.argmin
-        d = [c - b for c, b in zip(coeffs, begin)]
-        step = sum(abs(e) for e in d)
-        if step > 0:
-            rest = rest - coeffs[-1] * vecs[-1]  # the last block's rest less its term
-            w = sum(e * u for e, u in zip(d, vecs))
-            # coercive along w != 0 (the basis is independent): expansion ends
-            res = _minimize(lambda ss: nrm(rest - ss[:, None] * w), space.field,
-                            initial_width=1.0, xatol=_COEFF_TOL / step, max_width=math.inf)
-            coeffs = [c + res.argmin * e for c, e in zip(coeffs, d)]
-        moved = sum(abs(c - b) for c, b in zip(coeffs, begin))
+        begin = c
+        for e in np.eye(len(c)):
+            res = step(e, width, _COEFF_TOL, 64.0 * reach)
+        d = c - begin
+        size = float(np.abs(d).sum())
+        if len(c) == 2 and size > 0:
+            # coercive along Q@d != 0 (the basis is independent): expansion ends
+            res = step(d, 1.0, _COEFF_TOL / size, math.inf)
+        moved = float(np.abs(c - begin).sum())
         improvement = value - res.value
         value = res.value
         stalls = stalls + 1 if improvement <= _STALL * (1.0 + abs(value)) else 0
         if moved <= 2.0 * _COEFF_TOL or stalls >= 2:
             break
-        widths = [max(4.0 * moved, 100.0 * _COEFF_TOL)] * len(vecs)
-    return np.linalg.solve(R, coeffs).tolist()
+        width = max(4.0 * moved, 100.0 * _COEFF_TOL)
+    return np.linalg.solve(R, c).tolist()
