@@ -53,7 +53,7 @@ from .fixtures import (
 from .jsonio import dumps, int_from_json, vec_from_json
 from .orthogonality import bj_orthogonal
 from .reconstruct import reconstruct
-from .spaces import Space, gateaux_sip_oracle, sip
+from .spaces import Space, _require_tol, gateaux_sip_oracle, sip
 from .wigner import (
     MapOracle,
     check_exact_preservation,
@@ -114,8 +114,7 @@ class RunConfig:
         bad = [c for c in checks if c not in CHECKS]
         if bad:
             raise ContractViolation(f"unknown checks {bad}; known: {sorted(CHECKS)}")
-        if not tol > 0:
-            raise ContractViolation("tol must be positive")
+        _require_tol(tol)
         if samples < 2:
             raise ContractViolation("sample count must be at least 2")
         seed = d.get("seed")
@@ -184,6 +183,14 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(json.loads(raw))
 
 
+def _run_tol(args, cfg: RunConfig) -> float:
+    """--tol when given, else the config's; checked before any work is done."""
+    if args.tol is None:
+        return cfg.tol
+    _require_tol(args.tol)
+    return args.tol
+
+
 def _emit(obj, args) -> None:
     print(dumps(obj, pretty=not args.json))
 
@@ -221,7 +228,7 @@ def cmd_orth_check(args) -> int:
 def cmd_check(args) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seed(args.seed, cfg.seed)
-    tol = args.tol if args.tol is not None else cfg.tol
+    tol = _run_tol(args, cfg)
     m = _resolve_map(cfg)
     samples = default_samples(cfg.source, cfg.samples, seed)
     reports = [CHECKS[name](m, samples, tol=tol, seed=seed) for name in cfg.checks]
@@ -238,7 +245,7 @@ def cmd_check(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seed(args.seed, cfg.seed)
-    tol = args.tol if args.tol is not None else cfg.tol
+    tol = _run_tol(args, cfg)
     m = _resolve_map(cfg)
     rec = reconstruct(m, tol=tol, seed=seed)
     _emit({
@@ -321,8 +328,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first request, not at import, and reused by every later one:
+# parse_args keeps no state between calls, and building costs more than a
+# typical request's numerical work
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except NonSmoothPoint as exc:

@@ -5,6 +5,14 @@ and equal inputs yield byte-identical output.  Complex scalars serialize
 as {"re": ..., "im": ...}; numpy arrays as plain lists; fractions as
 "num/den" strings.  Key order is insertion order (fixed by construction),
 never locale- or hash-dependent.
+
+``dumps`` dispatches on the exact type of each value first (``float``,
+``dict``, ``list``/``tuple``, ``complex``, ``np.ndarray``, ``str``), the
+types that make up nearly all output, and only then falls back to an
+``isinstance`` chain for numpy scalars, bools, ints, fractions, ``None``
+and subclasses.  Strings and keys are quoted by
+``json.encoder.encode_basestring_ascii``, the function ``json.dumps`` uses
+for a ``str``, so they print exactly as ``json.dumps`` prints them.
 """
 
 from __future__ import annotations
@@ -17,6 +25,8 @@ import numpy as np
 
 from .errors import ContractViolation
 
+_quote = json.encoder.encode_basestring_ascii
+
 
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
@@ -24,10 +34,26 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _encode(obj, out: list[str], indent: int | None, level: int) -> None:
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    close_pad = "" if indent is None else "\n" + " " * (indent * level)
-    if obj is None:
+def _encode(obj, out: list[str], pad: str, step: str) -> None:
+    """Append the JSON text of ``obj`` to ``out``.
+
+    ``pad`` is the line break and indentation of the level ``obj`` sits at
+    and ``step`` one level of indentation; both are "" in compact mode.
+    """
+    t = type(obj)
+    if t is float:
+        out.append(_fmt_float(obj))
+    elif t is dict:
+        _encode_dict(obj, out, pad, step)
+    elif t is list or t is tuple:
+        _encode_list(obj, out, pad, step)
+    elif t is complex:
+        _encode_complex(obj, out, pad, step)
+    elif t is np.ndarray:
+        _encode(obj.tolist(), out, pad, step)
+    elif t is str:
+        out.append(_quote(obj))
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
@@ -36,42 +62,72 @@ def _encode(obj, out: list[str], indent: int | None, level: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, (complex, np.complexfloating)):
-        _encode({"re": float(obj.real), "im": float(obj.imag)}, out, indent, level)
+        _encode_complex(obj, out, pad, step)
     elif isinstance(obj, Fraction):
-        out.append(json.dumps(f"{obj.numerator}/{obj.denominator}"))
+        out.append(_quote(f"{obj.numerator}/{obj.denominator}"))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), out, indent, level)
+        _encode(obj.tolist(), out, pad, step)
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise ContractViolation(f"JSON object keys must be strings, got {k!r}")
-            out.append(("," if i else "") + pad)
-            out.append(json.dumps(k))
-            out.append(": " if indent is not None else ":")
-            _encode(v, out, indent, level + 1)
-        out.append(close_pad + "}")
+        _encode_dict(obj, out, pad, step)
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[")
-        for i, v in enumerate(obj):
-            out.append(("," if i else "") + pad)
-            _encode(v, out, indent, level + 1)
-        out.append(close_pad + "]")
+        _encode_list(obj, out, pad, step)
     else:
         raise ContractViolation(f"cannot serialize {type(obj).__name__} to JSON")
 
 
+def _encode_complex(z, out: list[str], pad: str, step: str) -> None:
+    inner = pad + step
+    re = _fmt_float(float(z.real))
+    im = _fmt_float(float(z.imag))
+    if step:
+        out.append(f'{{{inner}"re": {re},{inner}"im": {im}{pad}}}')
+    else:
+        out.append(f'{{"re":{re},"im":{im}}}')
+
+
+def _encode_dict(obj, out: list[str], pad: str, step: str) -> None:
+    if not obj:
+        out.append("{}")
+        return
+    inner = pad + step
+    sep = "," + inner
+    colon = ": " if step else ":"
+    out.append("{")
+    first = len(out)
+    for k, v in obj.items():
+        if not isinstance(k, str):
+            raise ContractViolation(f"JSON object keys must be strings, got {k!r}")
+        out.append(sep + _quote(k) + colon)
+        _encode(v, out, inner, step)
+    out[first] = out[first][1:]  # the first item takes no comma
+    out.append(pad + "}")
+
+
+def _encode_list(obj, out: list[str], pad: str, step: str) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    inner = pad + step
+    sep = "," + inner
+    out.append("[")
+    first = len(out)
+    for v in obj:
+        out.append(sep)
+        _encode(v, out, inner, step)
+    out[first] = inner  # the first item takes no comma
+    out.append(pad + "]")
+
+
 def dumps(obj, pretty: bool = True) -> str:
+    """``obj`` as JSON text: indented by two spaces per level, or on one
+    line without spaces when ``pretty`` is false."""
     out: list[str] = []
-    _encode(obj, out, 2 if pretty else None, 0)
+    if pretty:
+        _encode(obj, out, "\n", "  ")
+    else:
+        _encode(obj, out, "", "")
     return "".join(out)
 
 

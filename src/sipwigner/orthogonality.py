@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, SolverError
-from .spaces import COMPLEX, REAL, Scalar, Space, _require_independent, as_vec, norm_fn
+from .spaces import (COMPLEX, REAL, Scalar, Space, _require_independent, _require_tol, as_vec,
+                     norm_fn)
 
 _SPAN = np.linspace(-1.0, 1.0, 17)  # the first grid, width * _SPAN, holds 0 exactly
 _FRAC = np.linspace(0.0, 1.0, 17)  # a grid across a bracket: a + (b - a) * _FRAC
@@ -244,8 +245,7 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     coordinate tolerance (1e-6): around a smooth minimum the value error is
     quadratic in the coordinate error, ~1e-12, well inside tol.
     """
-    if not (tol > 0):
-        raise ContractViolation("tol must be positive")
+    _require_tol(tol)
     xv = as_vec(space, x)
     yv = as_vec(space, y)
     scale = float(max(np.max(np.abs(xv)), np.max(np.abs(yv))))

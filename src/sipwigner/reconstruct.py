@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedSpace,
 )
 from .spaces import (COMPLEX, Lp, REAL, Scalar, Space, Vector, _as_array, _require_independent,
-                     as_vec, norm, sip)
+                     _require_tol, as_vec, norm, sip)
 from .wigner import MapOracle
 
 KIND_LINEAR = "linear"
@@ -79,8 +79,7 @@ def _require_reconstructible(m: MapOracle, tol: float) -> None:
         raise ContractViolation("source and target must share the scalar field")
     if m.source.dim != m.target.dim:
         raise ContractViolation("reconstruction needs equal dimensions")
-    if not (tol > 0):
-        raise ContractViolation("tol must be positive")
+    _require_tol(tol)
 
 
 def _span_coeffs(target: Space, w: Vector, basis, bound: float, leaves: str,

@@ -45,7 +45,7 @@ stack of images) all call it; code holding validated arrays uses ``norm_fn``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Union
 
 import numpy as np
@@ -327,3 +327,10 @@ def support_functional(space: Space, y) -> np.ndarray:
 def functional_value(space: Space, coeffs, x) -> Scalar:
     """Apply a coefficient-represented functional: sum_i x_i * conj(g_i)."""
     return _scalar(_apply(as_vec(space, coeffs), as_vec(space, x)), space.field)
+
+
+def _require_tol(tol) -> None:
+    """Raise ContractViolation unless the tolerance ``tol`` is a positive,
+    finite number; NaN fails too, since it compares false."""
+    if not 0 < tol < inf:
+        raise ContractViolation("tol must be positive and finite")

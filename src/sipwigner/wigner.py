@@ -28,7 +28,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedField, UnsupportedSpace
-from .spaces import COMPLEX, Lp, REAL, Space, Vector, _as_array, norm, sip
+from .spaces import COMPLEX, Lp, REAL, Space, Vector, _as_array, _require_tol, norm, sip
 
 PASS = "pass"
 FAIL = "fail"
@@ -108,8 +108,7 @@ class Report:
 def _prepared(m: MapOracle, samples: Sequence, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The samples and their images, stacked as rows, after the shared
     argument checks."""
-    if not (tol > 0):
-        raise ContractViolation("tol must be positive")
+    _require_tol(tol)
     if m.source.field != m.target.field:
         raise ContractViolation("source and target must share the scalar field")
     if len(samples) == 0:

@@ -326,3 +326,84 @@ def test_module_invocation_matches_in_process_output(capsys):
                           capture_output=True, text=True)
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+def test_one_parser_serves_every_request_without_leaking_state(tmp_path, capsys):
+    from sipwigner import cli
+
+    def usage(call, argv):
+        with pytest.raises(SystemExit) as info:
+            call(argv)
+        captured = capsys.readouterr()
+        return info.value.code, captured.out, captured.err
+
+    missing_y = ["orth-check", "--space", LP3, "--x", "[1,0]"]
+    first_error = usage(main, missing_y)
+    parser = cli._parser
+    assert parser is not None
+    help_text = usage(main, ["--help"])
+    assert run(capsys, ["orth-check", "--space", LP3,
+                        "--x", "[1,1]", "--y", "[1,-1]", "--json"])[0] == 0
+    second_error = usage(main, missing_y)
+    assert cli._parser is parser
+    assert first_error[0] == second_error[0] == 2
+    assert first_error == second_error
+    assert "the following arguments are required: --y" in first_error[2]
+    assert help_text[0] == 0 and help_text[1].startswith("usage: sipwigner")
+    # a parser built afresh prints the same bytes
+    fresh = cli._build_parser()
+    assert usage(fresh.parse_args, missing_y) == first_error
+    assert usage(fresh.parse_args, ["--help"]) == help_text
+
+    # a flag given to one request does not carry over to the next
+    cfg = {"source": {"field": "real", "dim": 2, "norm": {"lp": 3.0}},
+           "map": {"builtin": "identity"}, "tol": 1e-6, "seed": 5}
+    path = write_config(tmp_path, cfg)
+    code, out, _ = run(capsys, ["check", "--config", path, "--json", "--tol", "1e-3"])
+    assert (code, json.loads(out)["tol"]) == (0, 1e-3)
+    code, out, _ = run(capsys, ["check", "--config", path, "--json"])
+    assert (code, json.loads(out)["tol"]) == (0, 1e-6)
+
+
+def test_complex_reconstruct_pretty_output_is_pinned(tmp_path, capsys):
+    # the default (pretty) bytes of the pinned --json request above, taken
+    # from the encoder that the type-dispatch one replaced
+    cfg = write_config(tmp_path, {
+        "source": {"field": "complex", "dim": 3, "norm": {"lp": 1.5}},
+        "map": {"isometry": {"perm": [3, 1, 2],
+                             "diag": [{"re": 0, "im": 1}, {"re": -1, "im": 0},
+                                      {"re": 1, "im": 0}],
+                             "conjugate_first": True},
+                "phase_seed": 11},
+        "checks": ["wigner", "linearity"], "tol": 1e-8, "samples": 20, "seed": 7,
+    })
+    code, out, err = run(capsys, ["reconstruct", "--config", cfg])
+    assert (code, err) == (0, "")
+    assert len(out) == 27735
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bd1213cac624214bcfad86dc67f8e00c73cc2c32dba99e25d64de8656e12b094")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_non_finite_tol_exits_2_before_any_work(tmp_path, capsys, monkeypatch, tol):
+    from sipwigner import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a map was built despite a non-finite tol")
+
+    monkeypatch.setattr(cli, "_resolve_map", no_work)
+    source = {"field": "real", "dim": 2, "norm": {"lp": 3.0}}
+    cfg = write_config(tmp_path, {"source": source, "map": {"builtin": "double"}})
+    bad_cfg = tmp_path / "bad.json"
+    # JSON has no literal for inf or nan: 1e400 overflows, NaN is Python's extension
+    bad_cfg.write_text('{"source": %s, "map": {"builtin": "identity"}, "tol": %s}'
+                       % (json.dumps(source), "1e400" if tol == "inf" else "NaN"))
+    for argv in (
+        ["orth-check", "--space", LP3, "--x", "[1,0]", "--y", "[1,1]", "--tol", tol],
+        ["check", "--config", cfg, "--tol", tol],
+        ["reconstruct", "--config", cfg, "--tol", tol],
+        ["check", "--config", str(bad_cfg)],
+        ["reconstruct", "--config", str(bad_cfg)],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out, err) == (2, "", "error: tol must be positive and finite\n"), argv

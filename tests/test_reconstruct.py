@@ -20,6 +20,11 @@ from sipwigner import (
     Reconstruction,
     UnsupportedSpace,
     basis_vec,
+    bj_orthogonal,
+    check_exact_preservation,
+    check_linearity,
+    check_phase_isometry_sets,
+    check_wigner,
     conjugation_oracle,
     detect_kind,
     identity_oracle,
@@ -181,6 +186,30 @@ def test_reconstruct_helpers_reject_a_non_positive_tol(tol):
         recover_pair_coeffs(shift, e1, e2, tol=tol)
     with pytest.raises(ContractViolation, match="tol must be positive"):
         detect_kind(shift, tol=tol)
+
+
+TOL_TAKERS = {
+    "bj_orthogonal": lambda m, xs, tol: bj_orthogonal(m.source, xs[0], xs[1], tol=tol),
+    "check_wigner": lambda m, xs, tol: check_wigner(m, xs, tol=tol),
+    "check_phase_isometry_sets": lambda m, xs, tol: check_phase_isometry_sets(m, xs, tol=tol),
+    "check_exact_preservation": lambda m, xs, tol: check_exact_preservation(m, xs, tol=tol),
+    "check_linearity": lambda m, xs, tol: check_linearity(m, xs, tol=tol),
+    "recover_scalar_action": lambda m, xs, tol: recover_scalar_action(m, xs[0], 2.0, tol=tol),
+    "recover_pair_coeffs": lambda m, xs, tol: recover_pair_coeffs(m, xs[0], xs[1], tol=tol),
+    "detect_kind": lambda m, xs, tol: detect_kind(m, tol=tol),
+    "reconstruct": lambda m, xs, tol: reconstruct(m, tol=tol, seed=11),
+}
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", sorted(TOL_TAKERS))
+def test_every_public_tol_must_be_finite(name, tol):
+    # an infinite tol passes every bound test, so orthogonality, the
+    # checkers and reconstruction would accept anything; nan compares false
+    m = identity_oracle(RC3)
+    xs = [basis_vec(RC3, i) for i in range(3)]
+    with pytest.raises(ContractViolation, match="^tol must be positive and finite$"):
+        TOL_TAKERS[name](m, xs, tol)
 
 
 def test_reconstruct_rejects_the_doubled_map():
