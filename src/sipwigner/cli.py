@@ -24,6 +24,7 @@ unsupported-input errors; 3 the evaluation point is not a smooth point.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -284,6 +285,7 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache  # built on the first request, then reused
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sipwigner",
@@ -328,17 +330,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built on the first request, not at import, and reused by every later one:
-# parse_args keeps no state between calls, and building costs more than a
-# typical request's numerical work
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = _build_parser()
-    args = _parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NonSmoothPoint as exc:

@@ -6,11 +6,9 @@ as {"re": ..., "im": ...}; numpy arrays as plain lists; fractions as
 "num/den" strings.  Key order is insertion order (fixed by construction),
 never locale- or hash-dependent.
 
-``dumps`` dispatches on the exact type of each value first (``float``,
-``dict``, ``list``/``tuple``, ``complex``, ``np.ndarray``, ``str``), the
-types that make up nearly all output, and only then falls back to an
-``isinstance`` chain for numpy scalars, bools, ints, fractions, ``None``
-and subclasses.  Strings and keys are quoted by
+``dumps`` tests the types that make up nearly all output first (floats,
+dicts, lists, complex scalars, arrays, strings) and ``bool`` before
+``int``.  Strings and keys are quoted by
 ``json.encoder.encode_basestring_ascii``, the function ``json.dumps`` uses
 for a ``str``, so they print exactly as ``json.dumps`` prints them.
 """
@@ -40,39 +38,26 @@ def _encode(obj, out: list[str], pad: str, step: str) -> None:
     ``pad`` is the line break and indentation of the level ``obj`` sits at
     and ``step`` one level of indentation; both are "" in compact mode.
     """
-    t = type(obj)
-    if t is float:
-        out.append(_fmt_float(obj))
-    elif t is dict:
-        _encode_dict(obj, out, pad, step)
-    elif t is list or t is tuple:
-        _encode_list(obj, out, pad, step)
-    elif t is complex:
-        _encode_complex(obj, out, pad, step)
-    elif t is np.ndarray:
-        _encode(obj.tolist(), out, pad, step)
-    elif t is str:
-        out.append(_quote(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    if isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _encode_complex(obj, out, pad, step)
-    elif isinstance(obj, Fraction):
-        out.append(_quote(f"{obj.numerator}/{obj.denominator}"))
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), out, pad, step)
     elif isinstance(obj, dict):
         _encode_dict(obj, out, pad, step)
     elif isinstance(obj, (list, tuple)):
         _encode_list(obj, out, pad, step)
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _encode_complex(obj, out, pad, step)
+    elif isinstance(obj, np.ndarray):
+        _encode(obj.tolist(), out, pad, step)
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, Fraction):
+        out.append(_quote(f"{obj.numerator}/{obj.denominator}"))
     else:
         raise ContractViolation(f"cannot serialize {type(obj).__name__} to JSON")
 

@@ -339,19 +339,18 @@ def test_one_parser_serves_every_request_without_leaking_state(tmp_path, capsys)
 
     missing_y = ["orth-check", "--space", LP3, "--x", "[1,0]"]
     first_error = usage(main, missing_y)
-    parser = cli._parser
-    assert parser is not None
+    parser = cli._build_parser()
     help_text = usage(main, ["--help"])
     assert run(capsys, ["orth-check", "--space", LP3,
                         "--x", "[1,1]", "--y", "[1,-1]", "--json"])[0] == 0
     second_error = usage(main, missing_y)
-    assert cli._parser is parser
+    assert cli._build_parser() is parser
     assert first_error[0] == second_error[0] == 2
     assert first_error == second_error
     assert "the following arguments are required: --y" in first_error[2]
     assert help_text[0] == 0 and help_text[1].startswith("usage: sipwigner")
     # a parser built afresh prints the same bytes
-    fresh = cli._build_parser()
+    fresh = cli._build_parser.__wrapped__()
     assert usage(fresh.parse_args, missing_y) == first_error
     assert usage(fresh.parse_args, ["--help"]) == help_text
 
@@ -367,7 +366,7 @@ def test_one_parser_serves_every_request_without_leaking_state(tmp_path, capsys)
 
 def test_complex_reconstruct_pretty_output_is_pinned(tmp_path, capsys):
     # the default (pretty) bytes of the pinned --json request above, taken
-    # from the encoder that the type-dispatch one replaced
+    # from the encoder this one replaced
     cfg = write_config(tmp_path, {
         "source": {"field": "complex", "dim": 3, "norm": {"lp": 1.5}},
         "map": {"isometry": {"perm": [3, 1, 2],
