@@ -6,8 +6,9 @@ pytest gate (tests/test_acceptance.py) prints one line per criterion and
 asserts each outcome; the ``sipwigner selftest`` subcommand runs the same
 functions and renders the same table.
 
-Pinned budgets and tolerances live in GateConfig below; they are part of
-the contract, so changing them is an interface change, not a tuning knob.
+Pinned sample counts and tolerances are the module constants below; the
+wall-clock budgets are GateConfig fields, so a benchmark can lift them.
+Both are part of the contract: changing one is an interface change.
 
 Known red: criterion "6b_minus_identity" asserts that f = -identity fails
 exact preservation.  It cannot pass: the semi-inner-product axioms force
@@ -51,33 +52,36 @@ from .wigner import (
 DEFAULT_SEED = 73120229
 
 
+# 2: closed form vs difference quotient
+FD_PAIRS = 1000
+FD_H = 1e-5
+FD_REL_TOL = 1e-7
+FD_RATIO_LO = 3.5
+FD_RATIO_HI = 4.5
+FD_X_SCALE = 3.0
+# 3: orthogonality routes
+ORTH_TRIPLES = 500
+ORTH_TOL = 1e-7
+# 4: checker verdicts on generated families
+CHECKER_SPECS = 200
+CHECKER_FAIL_FLOOR = 1.0
+# 5: reconstruction round trip
+ROUNDTRIP_TRIPLES = 100
+ROUNDTRIP_TOL = 1e-8
+ROUNDTRIP_HELDOUT = 100
+# 6/7: preservation-implies-linearity and linear isometries
+IMPLICATION_SEEDS = 200
+EXACT_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class GateConfig:
+    """The seed, and the wall-clock budgets that a benchmark may lift to inf."""
+
     seed: int = DEFAULT_SEED
-    # 1: fixture witness
-    fixture_budget_s: float = 1e-3
-    # 2: closed form vs difference quotient
-    fd_pairs: int = 1000
-    fd_h: float = 1e-5
-    fd_rel_tol: float = 1e-7
-    fd_ratio_lo: float = 3.5
-    fd_ratio_hi: float = 4.5
-    fd_budget_s: float = 5.0
-    fd_x_scale: float = 3.0
-    # 3: orthogonality routes
-    orth_triples: int = 500
-    orth_tol: float = 1e-7
-    # 4: checker verdicts on generated families
-    checker_specs: int = 200
-    checker_fail_floor: float = 1.0
-    # 5: reconstruction round trip
-    roundtrip_triples: int = 100
-    roundtrip_tol: float = 1e-8
-    roundtrip_heldout: int = 100
-    roundtrip_budget_s: float = 30.0
-    # 6/7: preservation-implies-linearity and linear isometries
-    implication_seeds: int = 200
-    exact_tol: float = 1e-10
+    fixture_budget_s: float = 1e-3  # criterion 1
+    fd_budget_s: float = 5.0  # criterion 2
+    roundtrip_budget_s: float = 30.0  # criterion 5
 
 
 @dataclass(frozen=True)
@@ -161,21 +165,21 @@ def criterion_2_closed_form_vs_oracle(cfg: GateConfig) -> CriterionResult:
                 rng = np.random.default_rng(
                     [cfg.seed, int(p * 2), n, 0 if field == REAL else 1]
                 )
-                x, y = _fd_draws(rng, cfg.fd_pairs, n, cfg.fd_x_scale, field)
+                x, y = _fd_draws(rng, FD_PAIRS, n, FD_X_SCALE, field)
                 closed = sip(s, x, y)
                 scale = norm(s, x) * norm(s, y)
-                err_h = np.max(np.abs(closed - gateaux_sip_oracle(s, x, y, cfg.fd_h)) / scale)
-                err_half = np.max(np.abs(closed - gateaux_sip_oracle(s, x, y, cfg.fd_h / 2)) / scale)
+                err_h = np.max(np.abs(closed - gateaux_sip_oracle(s, x, y, FD_H)) / scale)
+                err_half = np.max(np.abs(closed - gateaux_sip_oracle(s, x, y, FD_H / 2)) / scale)
                 worst = max(worst, err_h)
                 ratios.append(err_h / err_half)
     elapsed = time.perf_counter() - started
     ok = (
-        worst <= cfg.fd_rel_tol
-        and all(cfg.fd_ratio_lo <= r <= cfg.fd_ratio_hi for r in ratios)
+        worst <= FD_REL_TOL
+        and all(FD_RATIO_LO <= r <= FD_RATIO_HI for r in ratios)
         and elapsed < cfg.fd_budget_s
     )
     detail = (
-        f"max rel err {worst:.3e} (tol {cfg.fd_rel_tol:.0e}), halving ratios in "
+        f"max rel err {worst:.3e} (tol {FD_REL_TOL:.0e}), halving ratios in "
         f"[{min(ratios):.3f}, {max(ratios):.3f}], {elapsed:.2f}s"
     )
     return CriterionResult("2_closed_form_vs_oracle", ok, detail, elapsed)
@@ -205,7 +209,7 @@ def criterion_3_orthogonality_routes(cfg: GateConfig) -> CriterionResult:
     started = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, 3])
     disagreements = 0
-    for k in range(cfg.orth_triples):
+    for k in range(ORTH_TRIPLES):
         s = _orth_space(rng)
         x = _random_vec(rng, s)
         while norm(s, x) < 0.5:
@@ -219,25 +223,25 @@ def criterion_3_orthogonality_routes(cfg: GateConfig) -> CriterionResult:
             y = _random_vec(rng, s)
             while abs(sip(s, y, x)) < 5e-2 * norm(s, x) * norm(s, y):
                 y = _random_vec(rng, s)
-        by_min = bj_orthogonal(s, x, y, tol=cfg.orth_tol).orthogonal
-        by_sip = abs(sip(s, y, x)) <= cfg.orth_tol * norm(s, x) * norm(s, y)
+        by_min = bj_orthogonal(s, x, y, tol=ORTH_TOL).orthogonal
+        by_sip = abs(sip(s, y, x)) <= ORTH_TOL * norm(s, x) * norm(s, y)
         if by_min != by_sip:
             disagreements += 1
     additivity_failures = 0
-    for _ in range(cfg.orth_triples):
+    for _ in range(ORTH_TRIPLES):
         s = _orth_space(rng)
         x = _random_vec(rng, s)
         while norm(s, x) < 0.5:
             x = _random_vec(rng, s)
         y = _orthogonalize(s, _random_vec(rng, s), x)
         z = _orthogonalize(s, _random_vec(rng, s), x)
-        if not bj_orthogonal(s, x, y + z, tol=cfg.orth_tol).orthogonal:
+        if not bj_orthogonal(s, x, y + z, tol=ORTH_TOL).orthogonal:
             additivity_failures += 1
     elapsed = time.perf_counter() - started
     ok = disagreements == 0 and additivity_failures == 0
     detail = (
-        f"{cfg.orth_triples} triples, {disagreements} route disagreements; "
-        f"{cfg.orth_triples} smooth instances, {additivity_failures} right-additivity failures"
+        f"{ORTH_TRIPLES} triples, {disagreements} route disagreements; "
+        f"{ORTH_TRIPLES} smooth instances, {additivity_failures} right-additivity failures"
     )
     return CriterionResult("3_orthogonality_routes", ok, detail, elapsed)
 
@@ -253,7 +257,7 @@ def criterion_4_checker_verdicts(cfg: GateConfig) -> CriterionResult:
     started = time.perf_counter()
     rng = np.random.default_rng([cfg.seed, 4])
     bad = []
-    for k in range(cfg.checker_specs):
+    for k in range(CHECKER_SPECS):
         n = int(rng.choice([1, 2, 3, 5]))
         s = _checker_space(rng, n)
         spec = random_isometry_spec(s, rng)
@@ -264,16 +268,16 @@ def criterion_4_checker_verdicts(cfg: GateConfig) -> CriterionResult:
         if not check_wigner(f, samples, seed=sample_seed).passed:
             bad.append((k, "wigner pass"))
         doubled = check_wigner(scale_oracle(f, 2.0), samples, seed=sample_seed)
-        if doubled.passed or doubled.max_violation < cfg.checker_fail_floor:
+        if doubled.passed or doubled.max_violation < CHECKER_FAIL_FLOOR:
             bad.append((k, "wigner 2U fail floor"))
         if s.field == REAL:
             if not check_phase_isometry_sets(f, samples, seed=sample_seed).passed:
                 bad.append((k, "multiset pass"))
             doubled = check_phase_isometry_sets(scale_oracle(f, 2.0), samples, seed=sample_seed)
-            if doubled.passed or doubled.max_violation < cfg.checker_fail_floor:
+            if doubled.passed or doubled.max_violation < CHECKER_FAIL_FLOOR:
                 bad.append((k, "multiset 2U fail floor"))
     elapsed = time.perf_counter() - started
-    detail = f"{cfg.checker_specs} specs over n in (1,2,3,5); offenders: {bad[:4]}"
+    detail = f"{CHECKER_SPECS} specs over n in (1,2,3,5); offenders: {bad[:4]}"
     return CriterionResult("4_checker_verdicts", not bad, detail, elapsed)
 
 
@@ -283,7 +287,7 @@ def criterion_5_roundtrip(cfg: GateConfig) -> CriterionResult:
     rng = np.random.default_rng([cfg.seed, 5])
     kind_hits = 0
     bad = []
-    for k in range(cfg.roundtrip_triples):
+    for k in range(ROUNDTRIP_TRIPLES):
         n = int(rng.choice([1, 2, 3, 5]))
         field = REAL if rng.integers(2) == 0 else COMPLEX
         p = float(rng.choice([1.5, 2.0, 3.0]))
@@ -297,7 +301,7 @@ def criterion_5_roundtrip(cfg: GateConfig) -> CriterionResult:
         f = make_phase_equivalent(base, seeded_phase(s, int(rng.integers(2 ** 63))))
         expected = KIND_CONJUGATE if (conjugate and n > 1) else KIND_LINEAR
         try:
-            rec = reconstruct(f, tol=cfg.roundtrip_tol, seed=int(rng.integers(2 ** 63)))
+            rec = reconstruct(f, tol=ROUNDTRIP_TOL, seed=int(rng.integers(2 ** 63)))
         except Exception as exc:  # any escape is a criterion failure
             bad.append((k, type(exc).__name__))
             continue
@@ -305,19 +309,19 @@ def criterion_5_roundtrip(cfg: GateConfig) -> CriterionResult:
             kind_hits += 1
         else:
             bad.append((k, f"kind {rec.kind} != {expected}"))
-        if rec.residual > cfg.roundtrip_tol:
+        if rec.residual > ROUNDTRIP_TOL:
             bad.append((k, f"residual {rec.residual:.2e}"))
-        if any(abs(abs(sig) - 1.0) > cfg.roundtrip_tol for _, sig in rec.phase_samples):
+        if any(abs(abs(sig) - 1.0) > ROUNDTRIP_TOL for _, sig in rec.phase_samples):
             bad.append((k, "phase drift"))
-        held_out = unit_sphere_samples(s, cfg.roundtrip_heldout,
+        held_out = unit_sphere_samples(s, ROUNDTRIP_HELDOUT,
                                        np.random.default_rng(int(rng.integers(2 ** 63))))
         res = reproduction_residual(f, rec, held_out)
-        if res > cfg.roundtrip_tol:
+        if res > ROUNDTRIP_TOL:
             bad.append((k, f"held-out residual {res:.2e}"))
     elapsed = time.perf_counter() - started
-    ok = not bad and kind_hits == cfg.roundtrip_triples and elapsed < cfg.roundtrip_budget_s
+    ok = not bad and kind_hits == ROUNDTRIP_TRIPLES and elapsed < cfg.roundtrip_budget_s
     detail = (
-        f"kind {kind_hits}/{cfg.roundtrip_triples}, offenders {bad[:4]}, "
+        f"kind {kind_hits}/{ROUNDTRIP_TRIPLES}, offenders {bad[:4]}, "
         f"{elapsed:.2f}s (budget {cfg.roundtrip_budget_s:.0f}s)"
     )
     return CriterionResult("5_reconstruction_roundtrip", ok, detail, elapsed)
@@ -351,7 +355,7 @@ def criterion_6a_preservation_implies_linearity(cfg: GateConfig) -> CriterionRes
     rng = np.random.default_rng([cfg.seed, 6])
     exceptions = []
     passed_exact = 0
-    for k in range(cfg.implication_seeds):
+    for k in range(IMPLICATION_SEEDS):
         s, f = _implication_family(rng)
         sample_seed = int(rng.integers(2 ** 63))
         # the structured prefix of default_samples is all-real (basis sums
@@ -364,7 +368,7 @@ def criterion_6a_preservation_implies_linearity(cfg: GateConfig) -> CriterionRes
                 exceptions.append(k)
     elapsed = time.perf_counter() - started
     detail = (
-        f"{passed_exact}/{cfg.implication_seeds} maps passed exact preservation, "
+        f"{passed_exact}/{IMPLICATION_SEEDS} maps passed exact preservation, "
         f"{len(exceptions)} of those failed linearity {exceptions[:4]}"
     )
     return CriterionResult("6a_preservation_implies_linearity",
@@ -399,19 +403,19 @@ def criterion_7_linear_isometries_pass_exact(cfg: GateConfig) -> CriterionResult
     rng = np.random.default_rng([cfg.seed, 7])
     worst = 0.0
     failures = 0
-    for _ in range(cfg.implication_seeds):
+    for _ in range(IMPLICATION_SEEDS):
         n = int(rng.choice([1, 2, 3, 5]))
         s = _checker_space(rng, n)
         f = make_isometry(s, random_isometry_spec(s, rng, conjugate=False))
         sample_seed = int(rng.integers(2 ** 63))
         samples = default_samples(s, max(8, 2 * n), sample_seed, unit=True)
-        report = check_exact_preservation(f, samples, tol=cfg.exact_tol, seed=sample_seed)
+        report = check_exact_preservation(f, samples, tol=EXACT_TOL, seed=sample_seed)
         worst = max(worst, report.max_violation)
-        if not report.passed or report.max_violation > cfg.exact_tol:
+        if not report.passed or report.max_violation > EXACT_TOL:
             failures += 1
     elapsed = time.perf_counter() - started
-    ok = failures == 0 and worst <= cfg.exact_tol
-    detail = f"{cfg.implication_seeds} linear isometries, worst violation {worst:.3e}"
+    ok = failures == 0 and worst <= EXACT_TOL
+    detail = f"{IMPLICATION_SEEDS} linear isometries, worst violation {worst:.3e}"
     return CriterionResult("7_linear_isometries_exact", ok, detail, elapsed)
 
 

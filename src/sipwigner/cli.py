@@ -51,7 +51,7 @@ from .fixtures import (
     seeded_phase,
     swap_counterexample,
 )
-from .jsonio import dumps, int_from_json, vec_from_json
+from .jsonio import dumps, float_from_json, int_from_json, object_from_json, vec_from_json
 from .orthogonality import bj_orthogonal
 from .reconstruct import reconstruct
 from .spaces import Space, _require_tol, gateaux_sip_oracle, sip
@@ -89,12 +89,9 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
-        if not isinstance(d, dict):
-            raise ContractViolation("config must be a JSON object")
-        unknown = set(d) - {"source", "target", "map", "checks", "tol", "samples", "seed"}
-        if unknown:
-            raise ContractViolation(f"unknown config keys: {sorted(unknown)}")
-        map_spec = d.get("map")
+        d = object_from_json(d, "config", ("map",),
+                             ("source", "target", "checks", "tol", "samples", "seed"))
+        map_spec = d["map"]
         if not isinstance(map_spec, dict):
             raise ContractViolation('config needs a "map" object')
         if "source" in d:
@@ -106,12 +103,12 @@ class RunConfig:
         if "target" in d and Space.from_dict(d["target"]) != source:
             raise ContractViolation("all bundled maps act on a single space; "
                                     "target must match source")
-        try:
-            checks = tuple(d.get("checks", ("wigner",)))
-            tol = float(d.get("tol", 1e-8))
-            samples = int_from_json(d.get("samples", 16))
-        except (TypeError, ValueError) as exc:
-            raise ContractViolation(f"malformed config value: {exc}") from exc
+        checks = d.get("checks", ["wigner"])
+        if not (isinstance(checks, list) and checks and all(isinstance(c, str) for c in checks)):
+            raise ContractViolation("checks must be a non-empty JSON array of check names, "
+                                    f"got {checks!r}")
+        tol = float_from_json(d.get("tol", 1e-8))
+        samples = int_from_json(d.get("samples", 16))
         bad = [c for c in checks if c not in CHECKS]
         if bad:
             raise ContractViolation(f"unknown checks {bad}; known: {sorted(CHECKS)}")
@@ -121,7 +118,7 @@ class RunConfig:
         seed = d.get("seed")
         if seed is not None:
             seed = _u64(int_from_json(seed))
-        return RunConfig(source, map_spec, checks, tol, samples, seed)
+        return RunConfig(source, map_spec, tuple(checks), tol, samples, seed)
 
 
 def _u64(v) -> int:
@@ -149,7 +146,7 @@ def _resolve_seed(cli_seed, config_seed) -> int:
 def _resolve_map(cfg: RunConfig) -> MapOracle:
     spec = cfg.map_spec
     if "builtin" in spec:
-        name = spec["builtin"]
+        name = object_from_json(spec, "map", ("builtin",), ())["builtin"]
         if name not in BUILTINS:
             raise ContractViolation(f"unknown builtin {name!r}; known: {sorted(BUILTINS)}")
         if name in SWAP_BUILTINS:
@@ -164,9 +161,7 @@ def _resolve_map(cfg: RunConfig) -> MapOracle:
             return scale_oracle(identity_oracle(cfg.source), 2.0)
         return conjugation_oracle(cfg.source)
     if "isometry" in spec:
-        unknown = set(spec) - {"isometry", "phase_seed"}
-        if unknown:
-            raise ContractViolation(f"unknown map keys: {sorted(unknown)}")
+        object_from_json(spec, "map", ("isometry",), ("phase_seed",))
         m = make_isometry(cfg.source, IsometrySpec.from_dict(spec["isometry"]))
         phase_seed = spec.get("phase_seed")
         if phase_seed is not None:

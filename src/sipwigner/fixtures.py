@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractViolation
-from .jsonio import int_from_json, scalar_from_json
+from .jsonio import int_from_json, object_from_json, scalar_from_json
 from .spaces import (
     COMPLEX,
     Lp,
@@ -77,15 +77,15 @@ class IsometrySpec:
 
     @staticmethod
     def from_dict(d: dict) -> "IsometrySpec":
-        try:
-            perm = tuple(int_from_json(i) for i in d["perm"])
-            conj = d.get("conjugate_first", False)
-            if not isinstance(conj, bool):
-                raise TypeError("conjugate_first must be a JSON bool")
-            diag = [complex(scalar_from_json(entry)) for entry in d["diag"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolation(f"malformed isometry spec: {d!r}") from exc
-        return IsometrySpec(perm, tuple(z if z.imag != 0 else z.real for z in diag), conj)
+        d = object_from_json(d, "isometry", ("perm", "diag"), ("conjugate_first",))
+        if not (isinstance(d["perm"], list) and isinstance(d["diag"], list)):
+            raise ContractViolation(f"perm and diag must be JSON arrays: {d!r}")
+        conj = d.get("conjugate_first", False)
+        if not isinstance(conj, bool):
+            raise ContractViolation(f"conjugate_first must be a JSON bool, got {conj!r}")
+        diag = [complex(scalar_from_json(z)) for z in d["diag"]]
+        return IsometrySpec(tuple(int_from_json(i) for i in d["perm"]),
+                            tuple(z if z.imag != 0 else z.real for z in diag), conj)
 
 
 def matrix_oracle(space: Space, matrix, conjugate_first: bool = False) -> MapOracle:

@@ -116,15 +116,37 @@ def dumps(obj, pretty: bool = True) -> str:
     return "".join(out)
 
 
-def scalar_from_json(v) -> float | complex:
-    """Accept a number or an {"re", "im"} object."""
-    if isinstance(v, bool):
-        raise ContractViolation(f"expected a scalar, got {v!r}")
-    if isinstance(v, (int, float)):
+def object_from_json(v, what: str, required: tuple[str, ...],
+                     optional: tuple[str, ...]) -> dict:
+    """``v`` when it is a JSON object with every ``required`` key and no key
+    outside ``required`` and ``optional``; ``what`` names it in errors."""
+    if not isinstance(v, dict):
+        raise ContractViolation(f"{what} must be a JSON object, got {v!r}")
+    unknown = [k for k in v if k not in required and k not in optional]
+    if unknown:
+        raise ContractViolation(f"unknown {what} keys: {sorted(unknown)}")
+    missing = [k for k in required if k not in v]
+    if missing:
+        raise ContractViolation(f"missing {what} keys: {missing}")
+    return v
+
+
+def float_from_json(v) -> float:
+    """Accept a JSON number only; bools, strings and other values are refused."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ContractViolation(f"expected a number, got {v!r}")
+    try:
         return float(v)
-    if isinstance(v, dict) and set(v) <= {"re", "im"}:
-        return complex(float(v.get("re", 0.0)), float(v.get("im", 0.0)))
-    raise ContractViolation(f"expected a scalar, got {v!r}")
+    except OverflowError:  # an integer past the float range
+        raise ContractViolation(f"number out of the float range: {v!r}") from None
+
+
+def scalar_from_json(v) -> float | complex:
+    """Accept a number or an {"re", "im"} object of numbers."""
+    if isinstance(v, dict):
+        v = object_from_json(v, "scalar", (), ("re", "im"))
+        return complex(float_from_json(v.get("re", 0.0)), float_from_json(v.get("im", 0.0)))
+    return float_from_json(v)
 
 
 def int_from_json(v) -> int:

@@ -15,7 +15,7 @@ cross-check through ``spaces.sip``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ _MAX_PROBES = 2000  # far past any expansion to max_width; guards a stuck loop
 _STALL = 1e-13  # a sweep lowering the value by at most this, relatively, has stalled
 _COEFF_TOL = 1e-12  # best_coeffs' coordinate tolerance on the orthonormal basis
 _MAX_SWEEPS = 200  # best_coeffs' sweep cap
+_MAX_COMPLEX_SWEEPS = 60  # _minimize's sweep cap over C
 
 
 @dataclass(frozen=True)
@@ -115,8 +116,8 @@ def _line_min(G, width: float, xatol: float, max_width: float) -> ScalarMin:
     return ScalarMin(0.5 * (ts[i] + ts[j]), vmin, ts[j] - ts[i] > _FLAT, nfev, probes)
 
 
-def _minimize(G, field: str, *, initial_width: float, xatol: float, max_width: float,
-              max_sweeps: int = 60) -> ScalarMin:
+def _minimize(G, field: str, *, initial_width: float, xatol: float,
+              max_width: float) -> ScalarMin:
     """``minimize_scalar`` on an objective ``G`` batched over 1-D arrays, from
     0; ``flat`` is ``_line_min``'s over the reals and never set over C."""
     if field == REAL:
@@ -138,7 +139,7 @@ def _minimize(G, field: str, *, initial_width: float, xatol: float, max_width: f
     width = initial_width
     value = math.inf
     nfev = probes = stalls = 0
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_COMPLEX_SWEEPS):
         begin = lam
         # a wide sweep only has to place the next, narrower one, so only a
         # sweep run to xatol may end the descent
@@ -171,8 +172,6 @@ def minimize_scalar(
     initial_width: float = 1.0,
     xatol: float = 1e-12,
     max_width: float = 1e12,
-    max_sweeps: int = 60,
-    detect_flat: bool = False,
 ) -> ScalarMin:
     """Minimize a convex scalar -> real objective over the given field.
 
@@ -184,26 +183,21 @@ def minimize_scalar(
     objective along every line makes the sweeps monotone.  Sweeping stops
     once a sweep run to ``xatol`` moves the point by at most 2*xatol, or
     the value stalls (improves by at most 1e-13 relative, a constant) twice
-    in a row.
+    in a row, or after 60 sweeps.  ``flat`` is reported as the real line
+    search measures it (see ``ScalarMin``); over C it is never set.
     Raises SolverError when the bracket widens past ``max_width`` with the
     objective still descending (non-coercive input) or the objective has no
     finite minimum on the grid.
     """
-    if not (all(v > 0 and math.isfinite(v) for v in (initial_width, xatol, max_width))
-            and max_sweeps >= 1):
-        raise ContractViolation(
-            "initial_width, xatol and max_width must be positive and finite, "
-            "and max_sweeps at least 1"
-        )
-    res = _minimize(
+    if not all(v > 0 and math.isfinite(v) for v in (initial_width, xatol, max_width)):
+        raise ContractViolation("initial_width, xatol and max_width must be positive and finite")
+    return _minimize(
         lambda lams: np.array([g(lam) for lam in lams.tolist()], dtype=float),
         field,
         initial_width=initial_width,
         xatol=xatol,
         max_width=max_width,
-        max_sweeps=max_sweeps,
     )
-    return replace(res, flat=res.flat and detect_flat)
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ContractViolation, NonSmoothPoint
-from .jsonio import int_from_json
+from .jsonio import float_from_json, int_from_json, object_from_json
 
 REAL = "real"
 COMPLEX = "complex"
@@ -114,18 +114,12 @@ class Space:
 
     @staticmethod
     def from_dict(d: dict) -> "Space":
-        try:
-            field = d["field"]
-            dim = int_from_json(d["dim"])
-            norm = d["norm"]
-            p = float(norm["lp"]) if isinstance(norm, dict) and "lp" in norm else None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ContractViolation(f"malformed space descriptor: {d!r}") from exc
-        if not isinstance(norm, dict):
-            raise ContractViolation(f"malformed norm descriptor: {norm!r}")
-        if p is not None:
-            return Space(field, dim, Lp(p))
-        if norm.get("linf2_fixture"):
+        d = object_from_json(d, "space", ("field", "dim", "norm"), ())
+        field, dim, norm = d["field"], int_from_json(d["dim"]), d["norm"]
+        if isinstance(norm, dict) and "lp" in norm:
+            p = object_from_json(norm, "norm", ("lp",), ())["lp"]
+            return Space(field, dim, Lp(float_from_json(p)))
+        if object_from_json(norm, "norm", ("linf2_fixture",), ())["linf2_fixture"] is True:
             return Space(field, dim, Linf2())
         raise ContractViolation(f"malformed norm descriptor: {norm!r}")
 

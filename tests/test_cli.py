@@ -406,3 +406,36 @@ def test_non_finite_tol_exits_2_before_any_work(tmp_path, capsys, monkeypatch, t
     ):
         code, out, err = run(capsys, argv)
         assert (code, out, err) == (2, "", "error: tol must be positive and finite\n"), argv
+
+
+
+_SRC = {"field": "real", "dim": 2, "norm": {"lp": 3.0}}
+_ISO = {"perm": [2, 1], "diag": [1.0, -1.0]}
+MALFORMED = {
+    # wire numbers are JSON numbers: no bools, no numeric strings, none past the float range
+    "tol-bool": {"source": _SRC, "map": {"builtin": "identity"}, "tol": True},
+    "tol-string": {"source": _SRC, "map": {"builtin": "identity"}, "tol": "1e-3"},
+    "tol-huge-int": {"source": _SRC, "map": {"builtin": "identity"}, "tol": 10 ** 400},
+    "lp-string": {"source": {**_SRC, "norm": {"lp": "3"}}, "map": {"builtin": "identity"}},
+    "re-string": {"source": {"field": "complex", "dim": 1, "norm": {"lp": 2.0}},
+                  "map": {"isometry": {"perm": [1], "diag": [{"re": "1"}]}}},
+    # checks are a non-empty JSON array of check names
+    "checks-nested": {"source": _SRC, "map": {"builtin": "identity"}, "checks": [["wigner"]]},
+    "checks-empty": {"source": _SRC, "map": {"builtin": "identity"}, "checks": []},
+    "checks-string": {"source": _SRC, "map": {"builtin": "identity"}, "checks": "wigner"},
+    # no wire object takes a key it does not know
+    "isometry-typo": {"source": _SRC, "map": {"isometry": {**_ISO, "conjugate": True}}},
+    "builtin-with-isometry": {"source": _SRC, "map": {"builtin": "identity", "phase_seed": 5,
+                                                      "isometry": _ISO}},
+    "space-extra-key": {"source": {**_SRC, "shape": "round"}, "map": {"builtin": "identity"}},
+    "norm-two-kinds": {"source": {**_SRC, "norm": {"lp": 2, "linf2_fixture": True}},
+                       "map": {"builtin": "identity"}},
+}
+
+
+@pytest.mark.parametrize("obj", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_exits_2_with_an_error_line(tmp_path, capsys, obj):
+    for command in ("check", "reconstruct"):
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, obj)])
+        assert (code, out) == (2, ""), command
+        assert err.startswith("error: ") and err.count("\n") == 1, err

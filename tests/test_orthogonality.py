@@ -84,24 +84,32 @@ def test_quadratic_argmin_is_sharp():
 
 def test_flat_plateau_reports_midpoint_and_flag():
     g = lambda c: max(abs(c - 1.0) - 1.0, 0.0) + 5.0  # flat on [0, 2]
-    res = minimize_scalar(g, REAL, initial_width=8.0, detect_flat=True)
+    res = minimize_scalar(g, REAL, initial_width=8.0)
     assert res.flat is True
     assert res.argmin == pytest.approx(1.0, abs=1e-6)
     assert res.value == 5.0
 
 
 def test_quadratic_minimum_is_not_flagged_flat():
-    res = minimize_scalar(lambda c: (c - 0.3) ** 2 + 1.0, REAL, detect_flat=True)
+    res = minimize_scalar(lambda c: (c - 0.3) ** 2 + 1.0, REAL)
     assert res.flat is False
 
 
 def test_quartic_contact_reports_a_float_plateau():
     # (c-0.3)^4 + 1 evaluates to exactly 1.0 over a ~2e-4 wide interval, so
     # the argmin is genuinely unresolvable from values and gets flagged
-    res = minimize_scalar(lambda c: (c - 0.3) ** 4 + 1.0, REAL, detect_flat=True)
+    res = minimize_scalar(lambda c: (c - 0.3) ** 4 + 1.0, REAL)
     assert res.flat is True
     assert res.argmin == pytest.approx(0.3, abs=1e-3)
     assert res.value == 1.0
+
+
+def test_flat_is_reported_without_being_asked():
+    # the real line search measures flatness on every call and the result
+    # carries it as measured; the complex sweeps never set it
+    g = lambda c: max(abs(c - 1.0) - 1.0, 0.0) + 5.0  # flat on [0, 2]
+    assert minimize_scalar(g, REAL, initial_width=8.0).flat is True
+    assert minimize_scalar(g, COMPLEX, initial_width=8.0).flat is False
 
 
 def test_non_coercive_objective_raises():
@@ -123,7 +131,7 @@ def test_line_search_probe_cap_raises(monkeypatch):
 def test_scalar_only_objective_works_through_minimize_scalar():
     # Python's max refuses arrays: g is called with one scalar at a time
     g = lambda c: max(abs(c - 2.0), 0.5)  # flat on [1.5, 2.5]
-    res = minimize_scalar(g, REAL, initial_width=8.0, detect_flat=True)
+    res = minimize_scalar(g, REAL, initial_width=8.0)
     assert res.flat is True
     assert res.argmin == pytest.approx(2.0, abs=1e-9)
     assert res.value == 0.5
@@ -139,8 +147,6 @@ def test_minimize_rejects_bad_arguments():
         minimize_scalar(lambda c: c * c, "quaternion")
     with pytest.raises(ContractViolation):
         minimize_scalar(lambda c: c * c, REAL, xatol=0.0)
-    with pytest.raises(ContractViolation):
-        minimize_scalar(lambda c: c * c, COMPLEX, max_sweeps=0)
 
 
 # ---------------------------------------------------------------- bj_orthogonal
