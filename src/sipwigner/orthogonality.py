@@ -4,7 +4,9 @@ x is orthogonal to y when ||x + lam*y|| >= ||x|| for every scalar lam,
 i.e. when lam = 0 already minimizes lam -> ||x + lam*y||.  The objective
 is convex, so a grid line search decides it from norm queries alone: each
 probe evaluates the objective on a 17-point grid in one batched call, and
-the grid minima of a convex function bracket all of its minimizers.  Over
+the grid minima of a convex function bracket all of its minimizers.  The
+searches are generators driven by ``_run``, so the independent decisions
+of a stack share each call: one per probe round for every open pair.  Over
 the complex field each sweep searches along Re lam, along Im lam and then
 along the sweep's displacement; a 2-D grid argmin is not a sound bracket
 for elongated convex level sets.  In smooth spaces the decision agrees
@@ -21,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, SolverError
-from .spaces import (COMPLEX, REAL, Scalar, Space, _require_independent, _require_tol, as_vec,
-                     norm_fn)
+from .spaces import (COMPLEX, REAL, Scalar, Space, _as_array, _require_independent,
+                     _require_tol, as_vec, norm_fn)
 
 _SPAN = np.linspace(-1.0, 1.0, 17)  # the first grid, width * _SPAN, holds 0 exactly
 _FRAC = np.linspace(0.0, 1.0, 17)  # a grid across a bracket: a + (b - a) * _FRAC
@@ -57,29 +59,30 @@ class ScalarMin:
     probes: int = 0
 
 
-def _line_min(G, width: float, xatol: float, max_width: float) -> ScalarMin:
+def _line_min(width: float, xatol: float, max_width: float, at=None):
     """Minimize a convex function of one real variable by grid probes.
 
-    ``G`` maps a 1-D array of points to their values.  The grid minima of a
-    convex function form one run t[i..j], and every minimizer lies in
-    [t[i-1], t[j+1]], which becomes the next grid (~8x narrower).  While
-    the run touches a free end of the grid, one that no probe has yet shown
-    to lie past every minimizer, the bracket widens outwards on that side
-    instead, up to ``max_width``; a single minimum at a free end past that
-    bound means the objective still descends there (SolverError).  A run of
-    three or more points is a plateau: the objective is constant between
-    its ends, so the next probe refines only the two cells holding its
-    edges.  The search stops once the bracket exceeds the run by at most
-    2*xatol, or stops shrinking (a few ulp at the scale of the points); the
-    argmin is the run's midpoint and ``flat`` says the run is wider than
-    1e-6.
+    A generator: it yields each grid of points, ``at(t)`` when ``at`` is
+    given, is sent their values and returns the ``ScalarMin``; ``_run``
+    drives it.  The grid minima of a convex function form one run t[i..j],
+    and every minimizer lies in [t[i-1], t[j+1]], which becomes the next
+    grid (~8x narrower).  While the run touches a free end of the grid, one
+    that no probe has yet shown to lie past every minimizer, the bracket
+    widens outwards on that side instead, up to ``max_width``; a single
+    minimum at a free end past that bound means the objective still
+    descends there (SolverError).  A run of three or more points is a
+    plateau: the objective is constant between its ends, so the next probe
+    refines only the two cells holding its edges.  The search stops once
+    the bracket exceeds the run by at most 2*xatol, or stops shrinking (a
+    few ulp at the scale of the points); the argmin is the run's midpoint
+    and ``flat`` says the run is wider than 1e-6.
     """
     t = width * _SPAN
     free_lo = free_hi = True
     gap = math.inf
     nfev = 0
     for probes in range(1, _MAX_PROBES + 1):
-        v = G(t)
+        v = yield (t if at is None else at(t))
         last = len(t) - 1
         nfev += last + 1
         i = int(v.argmin())
@@ -116,21 +119,20 @@ def _line_min(G, width: float, xatol: float, max_width: float) -> ScalarMin:
     return ScalarMin(0.5 * (ts[i] + ts[j]), vmin, ts[j] - ts[i] > _FLAT, nfev, probes)
 
 
-def _minimize(G, field: str, *, initial_width: float, xatol: float,
-              max_width: float) -> ScalarMin:
-    """``minimize_scalar`` on an objective ``G`` batched over 1-D arrays, from
-    0; ``flat`` is ``_line_min``'s over the reals and never set over C."""
+def _minimize(field: str, *, initial_width: float, xatol: float, max_width: float):
+    """``minimize_scalar``'s search from 0 as a generator of grids, driven by
+    ``_run``; ``flat`` is ``_line_min``'s over the reals and never set over C."""
     if field == REAL:
-        return _line_min(G, initial_width, xatol, max_width)
+        return (yield from _line_min(initial_width, xatol, max_width))
     if field != COMPLEX:
         raise ContractViolation(f"unknown field {field!r}")
 
     lam = 0j
 
-    def search(d: complex, reach: float, tol: float) -> ScalarMin:
+    def search(d: complex, reach: float, tol: float):
         """A line search from lam along d over |t*d| <= reach, to tol in lam."""
         step = abs(d)
-        return _line_min(lambda t: G(lam + t * d), reach / step, tol / step, max_width / step)
+        return _line_min(reach / step, tol / step, max_width / step, at=lambda t: lam + t * d)
 
     # a loop of its own, not best_coeffs' sweep over the blocks (1, 1j): its
     # coarse-to-fine tolerances fix bj_orthogonal's output bytes, while
@@ -145,14 +147,14 @@ def _minimize(G, field: str, *, initial_width: float, xatol: float,
         # sweep run to xatol may end the descent
         tol = max(xatol, 1e-2 * width)
         for d in (1.0, 1j):
-            res = search(d, width, tol)
+            res = yield from search(d, width, tol)
             lam += res.argmin * d
             nfev, probes = nfev + res.nfev, probes + res.probes
         # then along the sweep's displacement: on the curved valleys of l_p at
         # large p the coordinate steps alone shrink geometrically and stall
         d = lam - begin
         if d != 0:
-            res = search(d, abs(d), tol)
+            res = yield from search(d, abs(d), tol)
             lam += res.argmin * d
             nfev, probes = nfev + res.nfev, probes + res.probes
         moved = abs(lam.real - begin.real) + abs(lam.imag - begin.imag)
@@ -163,6 +165,55 @@ def _minimize(G, field: str, *, initial_width: float, xatol: float,
             break
         width = max(4.0 * moved, 100.0 * xatol)
     return ScalarMin(lam, value, False, nfev, probes)
+
+
+def _run(searches: list, G) -> list[ScalarMin]:
+    """Drive independent searches in lockstep, one objective call per round.
+
+    Each search is a ``_minimize`` or ``_line_min`` generator.  ``G(rows)``
+    returns the objective of the searches listed in ``rows``: for several,
+    it maps a ``(len(rows), m)`` array whose row r holds the points of
+    search ``rows[r]`` to their values; for one, that search's 1-D grid.
+    While two or more searches run, every round stacks their grids (17
+    points, or 18 on a plateau edge; a shorter grid is padded with its own
+    last point), makes one call and sends each search its own values; ``G``
+    is asked again only when a search finishes.  The last search left runs
+    on its own grids.  Returns each search's ``ScalarMin``, in order.
+    """
+    results: list = [None] * len(searches)
+    live = list(range(len(searches)))
+    grids = [next(search) for search in searches]
+    evaluate = None
+    while len(live) > 1:
+        evaluate = evaluate or G(live)
+        if min(map(len, grids)) == max(map(len, grids)):
+            values = evaluate(np.array(grids))
+        else:
+            points = np.empty((len(grids), max(map(len, grids))), grids[0].dtype)
+            for r, g in enumerate(grids):
+                points[r, :len(g)] = g
+                points[r, len(g):] = g[-1]
+            values = evaluate(points)
+        finished = []
+        for r, (k, g, v) in enumerate(zip(live, grids, values)):
+            try:
+                grids[r] = searches[k].send(v if len(v) == len(g) else v[:len(g)])
+            except StopIteration as stop:
+                results[k] = stop.value
+                finished.append(r)
+        if finished:
+            live = [k for r, k in enumerate(live) if r not in finished]
+            grids = [g for r, g in enumerate(grids) if r not in finished]
+            evaluate = None
+    if live:
+        (k,), (grid,) = live, grids
+        evaluate = G(live)
+        try:
+            while True:
+                grid = searches[k].send(evaluate(grid))
+        except StopIteration as stop:
+            results[k] = stop.value
+    return results
 
 
 def minimize_scalar(
@@ -191,13 +242,9 @@ def minimize_scalar(
     """
     if not all(v > 0 and math.isfinite(v) for v in (initial_width, xatol, max_width)):
         raise ContractViolation("initial_width, xatol and max_width must be positive and finite")
-    return _minimize(
-        lambda lams: np.array([g(lam) for lam in lams.tolist()], dtype=float),
-        field,
-        initial_width=initial_width,
-        xatol=xatol,
-        max_width=max_width,
-    )
+    search = _minimize(field, initial_width=initial_width, xatol=xatol, max_width=max_width)
+    return _run([search], lambda rows: lambda lams: np.array(
+        [g(lam) for lam in lams.tolist()], dtype=float))[0]
 
 
 @dataclass(frozen=True)
@@ -231,47 +278,83 @@ class OrthVerdict:
 def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     """Decide x perp y (Birkhoff-James) by minimizing ||x + lam*y||.
 
-    The problem is solved at unit scale: x and y are divided once by
+    ``x`` and ``y`` hold one vector along the last axis and broadcast over
+    their leading axes like ``sip``: stacked input decides every pair, and
+    the ``OrthVerdict`` fields are then arrays of the broadcast shape (per
+    pair ``nfev`` included); one vector each gives Python scalars.  The
+    searches of all pairs share each norm call.
+
+    Each pair is solved at unit scale: x and y are divided once by
     s = max(|x_i|, |y_i|), which leaves every minimizer in place and keeps
     the norm finite at any float scale, and the margin is multiplied back
-    by s, so ``tol`` stays an absolute margin in norm units.  The margin
+    by s, so ``tol`` stays an absolute margin in norm units.  Where that
+    common scale leaves ||x|| or ||y|| at 0 for a nonzero vector, the two
+    are divided by their own maxima sx and sy instead: the minimizer mu for
+    x/sx and y/sy maps back to lam = mu*sx/sy, the margin is
+    (value - ||x/sx||)*sx, and mu stays within |lam| <= 1e300.  The margin
     only needs norm-value accuracy, so the line searches run at a loose
     coordinate tolerance (1e-6): around a smooth minimum the value error is
     quadratic in the coordinate error, ~1e-12, well inside tol.
     """
     _require_tol(tol)
-    xv = as_vec(space, x)
-    yv = as_vec(space, y)
-    scale = float(max(np.max(np.abs(xv)), np.max(np.abs(yv))))
-    if scale > 0.0:
-        xv, yv = xv / scale, yv / scale
-    nrm = norm_fn(space)
-    nx = nrm(xv)
-    if nx == 0.0:
+    xv, yv = _as_array(space, x), _as_array(space, y)
+    if xv.shape != yv.shape:
+        try:
+            xv, yv = np.broadcast_arrays(xv, yv)
+        except ValueError:
+            raise ContractViolation(
+                f"x and y do not broadcast: shapes {xv.shape} and {yv.shape}") from None
+    shape = xv.shape[:-1]
+    xv, yv = xv.reshape(-1, space.dim), yv.reshape(-1, space.dim)
+    ax, ay = np.maximum.reduce(np.abs(xv), axis=1), np.maximum.reduce(np.abs(yv), axis=1)
+    if 0.0 in ax.tolist():
         raise ContractViolation("orthogonality is decided at nonzero x only")
-    ny = nrm(yv)
-    if ny == 0.0:
-        # ||x + lam*0|| is constant: trivially orthogonal, every lam minimizes.
-        return OrthVerdict(True, 0.0, space.zero_scalar(), flat_minimizer=True, nfev=2)
+    scale = np.maximum(ax, ay)[:, None]
+    X, Y = xv / scale, yv / scale
+    nrm = norm_fn(space)
+    nx, ny = nrm(X).tolist(), nrm(Y).tolist()
+    # ||x + lam*0|| is constant: trivially orthogonal, every lam minimizes
+    zero = space.zero_scalar()
+    verdicts = [(True, 0.0, zero, True, 2)] * len(nx)
+    rows, searches = [], []
+    for k, (common, a) in enumerate(zip(scale[:, 0].tolist(), ay.tolist())):
+        if a == 0.0:
+            continue
+        sx = sy = common
+        own = nx[k] == 0.0 or ny[k] == 0.0
+        if own:  # a nonzero vector's norm underflows: scale each by its own max
+            sx, sy = float(ax[k]), a
+            X[k], Y[k] = xv[k] / sx, yv[k] / sy
+            nx[k], ny[k] = nrm(X[k]), nrm(Y[k])
+        # any minimizer satisfies |lam| <= 2||x||/||y||, so seed the bracket
+        # there; where the bound leaves the float range, searching the
+        # representable lam is all that value queries can decide anyway
+        cap = max(1e300 * sy / sx, math.ulp(0.0)) if own else 1e300
+        reach = 2.0 * nx[k] / ny[k] + 1.0
+        if not math.isfinite(reach) or reach > cap:
+            reach = cap
+        rows.append((k, sx, sy, own))
+        searches.append(_minimize(space.field, initial_width=reach, max_width=64.0 * reach,
+                                  xatol=1e-6))
 
-    # any minimizer satisfies |lam| <= 2||x||/||y||, so seed the bracket there;
-    # for ||y|| so small that the bound leaves the float range, searching the
-    # representable lam is all that value queries can decide anyway
-    reach = 2.0 * nx / ny + 1.0
-    if not math.isfinite(reach) or reach > 1e300:
-        reach = 1e300
-    res = _minimize(
-        lambda lams: nrm(xv + lams[:, None] * yv),
-        space.field,
-        initial_width=reach,
-        max_width=64.0 * reach,
-        xatol=1e-6,
-    )
-    value, minimizer = res.value, res.argmin
-    if nx <= value:
-        value, minimizer = nx, space.zero_scalar()
-    margin = (value - nx) * scale
-    return OrthVerdict(margin >= -tol, margin, minimizer, res.flat, res.nfev + 2)
+    def G(live):
+        pick = [rows[r][0] for r in live]
+        xs, ys = (X[pick[0]], Y[pick[0]]) if len(pick) == 1 else (X[pick, None], Y[pick, None])
+        return lambda lams: nrm(xs + lams[..., None] * ys)
+
+    for (k, sx, sy, own), res in zip(rows, _run(searches, G)):
+        value, minimizer = res.value, res.argmin
+        if nx[k] <= value:
+            value, minimizer = nx[k], zero
+        elif own:
+            minimizer = minimizer * sx / sy
+        margin = (value - nx[k]) * sx
+        verdicts[k] = (margin >= -tol, margin, minimizer, res.flat, res.nfev + 2 + 2 * own)
+    if not shape:
+        return OrthVerdict(*verdicts[0])
+    columns = zip(*verdicts) if verdicts else [()] * 5
+    return OrthVerdict(*(np.array(column, dtype).reshape(shape) for column, dtype in
+                         zip(columns, (bool, float, space.dtype, bool, int))))
 
 
 def best_coeffs(space: Space, target, basis: Sequence) -> list[Scalar]:
@@ -305,8 +388,8 @@ def best_coeffs(space: Space, target, basis: Sequence) -> list[Scalar]:
         """Move c to the minimizer of ||r - s*(Q@d)|| over scalars s, r = t - Q@c."""
         nonlocal c
         r, w = t - Q @ c, Q @ d
-        res = _minimize(lambda ss: nrm(r - ss[:, None] * w), space.field,
-                        initial_width=width, xatol=xatol, max_width=max_width)
+        search = _minimize(space.field, initial_width=width, xatol=xatol, max_width=max_width)
+        res = _run([search], lambda rows: lambda ss: nrm(r - ss[:, None] * w))[0]
         c = c + res.argmin * d
         return res
 

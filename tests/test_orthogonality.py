@@ -24,6 +24,7 @@ from sipwigner import (
     sip,
 )
 from sipwigner.acceptance import GateConfig, criterion_3_orthogonality_routes
+from sipwigner.jsonio import dumps
 
 
 def lp_norms(p, pts):
@@ -299,21 +300,136 @@ def test_bj_agrees_with_sip_route_and_grid_oracles():
         assert bj_orthogonal(s, x, y) == verdict  # counters included
 
 
-def test_bj_orthogonal_bits_are_pinned_on_criterion_3(monkeypatch):
-    # every field of all 1,000 criterion-3 decisions at the default seed, bit
-    # for bit: a rewrite of the minimizer must not move bj_orthogonal's output
-    rows = []
+def criterion_3_stacks(monkeypatch):
+    """Criterion 3's per-space stacks at the default seed, each with the
+    verdict the criterion itself got for it."""
+    decided = []
 
     def recording(*args, **kwargs):
         v = bj_orthogonal(*args, **kwargs)
-        rows.append((v.orthogonal, v.margin, v.minimizer, v.flat_minimizer, v.nfev))
+        decided.append((args, kwargs, v))
         return v
 
     monkeypatch.setattr(acceptance, "bj_orthogonal", recording)
     criterion_3_orthogonality_routes(GateConfig())
-    assert len(rows) == 1000
-    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+    stacks = acceptance._orth_draws(np.random.default_rng([GateConfig().seed, 3]))
+    assert len(decided) == len(stacks) <= 24
+    for (s, draws, x, y), ((space, xs, ys), kwargs, _) in zip(stacks, decided):
+        assert space == s and kwargs == {"tol": acceptance.ORTH_TOL}
+        assert np.array_equal(xs, x) and np.array_equal(ys, y)
+    return [(s, draws, x, y, v) for (s, draws, x, y), (_, _, v) in zip(stacks, decided)]
+
+
+def verdict_row(v, r):
+    """Row r of a stacked verdict as the tuple of Python scalars a one-pair
+    call gives."""
+    return (bool(v.orthogonal[r]), float(v.margin[r]), v.minimizer[r].item(),
+            bool(v.flat_minimizer[r]), int(v.nfev[r]))
+
+
+def test_bj_orthogonal_bits_are_pinned_on_criterion_3(monkeypatch):
+    # every field of all 1,000 criterion-3 decisions at the default seed, bit
+    # for bit: a rewrite of the minimizer must not move bj_orthogonal's output.
+    # The criterion decides one stack per space; its rows go back in draw
+    # order, which is the order of the one-pair calls the digest was taken on.
+    rows = {}
+    for _, draws, _, _, v in criterion_3_stacks(monkeypatch):
+        for r, k in enumerate(draws.tolist()):
+            rows[k] = verdict_row(v, r)
+    assert sorted(rows) == list(range(1000))
+    assert hashlib.sha256(repr([rows[k] for k in range(1000)]).encode()).hexdigest() == (
         "e62498ec792a0278e2c621e2c2f49c2556f87637025fc3fa7d82bbb40f8123df")
+
+
+def test_stacked_rows_equal_one_pair_calls_on_criterion_3(monkeypatch):
+    # row k of each stacked verdict is the one-pair verdict, counters included
+    for s, _, x, y, v in criterion_3_stacks(monkeypatch):
+        for r in range(len(x)):
+            one = bj_orthogonal(s, x[r], y[r], tol=acceptance.ORTH_TOL)
+            assert (one.orthogonal, one.margin, one.minimizer, one.flat_minimizer,
+                    one.nfev) == verdict_row(v, r), (s, r)
+
+
+def test_bj_stacked_edge_rows():
+    s = lp_space(REAL, 2, 3.0)
+    x = np.array([[1.0, 1.0], [2.0, -1.0], [1.0, 0.5]])
+    y = np.array([[1.0, -1.0], [0.0, 0.0], [1.0, 1.0]])
+    v = bj_orthogonal(s, x, y)
+    assert v.margin.shape == v.nfev.shape == (3,)
+    assert v.orthogonal.dtype == bool and v.nfev.dtype.kind == "i"
+    # a y = 0 row keeps its trivial verdict and leaves the other rows alone
+    assert verdict_row(v, 1) == (True, 0.0, 0.0, True, 2)
+    for r in range(3):
+        one = bj_orthogonal(s, x[r], y[r])
+        assert verdict_row(v, r) == (one.orthogonal, one.margin, one.minimizer,
+                                     one.flat_minimizer, one.nfev)
+    # an x = 0 row anywhere in the stack refuses the call
+    with pytest.raises(ContractViolation, match="nonzero x"):
+        bj_orthogonal(s, np.vstack([x, [0.0, 0.0]]), np.vstack([y, [1.0, 0.0]]))
+    # leading axes broadcast like sip's; stacks that do not are refused
+    grid = bj_orthogonal(s, x[:, None], y[None, [0, 2]])
+    assert grid.margin.shape == (3, 2)
+    assert grid.margin[2, 1] == bj_orthogonal(s, x[2], y[2]).margin
+    assert bj_orthogonal(s, x[0], y).margin.shape == (3,)
+    for xs, ys in ((x, y[:2]), (x[:, None], np.ones((2, 4, 2)))):
+        with pytest.raises(ContractViolation, match="do not broadcast"):
+            bj_orthogonal(s, xs, ys)
+    # an empty stack decides nothing
+    assert bj_orthogonal(s, x[:0], y[:0]).margin.shape == (0,)
+    # a plateau row probes 18-point grids beside 17-point ones
+    s, x, y = linf2_space(), x[[0, 2]], np.array([[0.0, 1.0], [0.5, 2.0]])
+    v = bj_orthogonal(s, x, y)
+    assert v.flat_minimizer.tolist() == [True, False]
+    for r in range(2):
+        one = bj_orthogonal(s, x[r], y[r])
+        assert verdict_row(v, r) == (one.orthogonal, one.margin, one.minimizer,
+                                     one.flat_minimizer, one.nfev)
+
+
+@pytest.mark.parametrize("field, x, y", [
+    (REAL, [1.0, 1.0], [1.0, -1.0]),
+    (REAL, [2.0, 1.0], [1.0, 1.0]),
+    (REAL, [1.0, 0.0], [0.0, 0.0]),
+    (COMPLEX, [1.0, 0.0], [1j, 0.5]),
+])
+def test_bj_one_pair_gives_python_scalars(field, x, y):
+    s = lp_space(field, 2, 3.0)
+    one = bj_orthogonal(s, x, y)
+    scalar = complex if field == COMPLEX else float
+    assert [type(f) for f in (one.orthogonal, one.margin, one.minimizer,
+                              one.flat_minimizer, one.nfev)] == [bool, float, scalar, bool, int]
+    stacked = bj_orthogonal(s, [x], [y])
+    assert verdict_row(stacked, 0) == (one.orthogonal, one.margin, one.minimizer,
+                                       one.flat_minimizer, one.nfev)
+    row = {k: np.asarray(f)[0].item() for k, f in stacked.to_dict().items()}
+    assert dumps(one.to_dict()) == dumps(row)
+    assert dumps(stacked.to_dict()) == dumps({k: [f] for k, f in one.to_dict().items()})
+
+
+def test_bj_decides_vectors_whose_norm_underflows_at_the_common_scale():
+    # BJ orthogonality is homogeneous in y: [1e-200, 0] must get the verdict
+    # of [1e-100, 0], not the margin 0 of a y that rescales to norm 0; and an
+    # x whose norm underflows next to y is still a nonzero x
+    s = lp_space(REAL, 2, 3.0)
+    dip = 1.0 - 2.0 ** (1.0 / 3.0)  # min_t ||(1 + t, 1)|| - ||(1, 1)||
+    for y in ([1e-100, 0.0], [1e-200, 0.0]):
+        v = bj_orthogonal(s, [1.0, 1.0], y)
+        assert not v.orthogonal
+        assert v.margin == pytest.approx(dip, rel=1e-12)
+        assert v.minimizer == pytest.approx(-1.0 / y[0], rel=1e-6)
+    v = bj_orthogonal(s, [1e-120, 1e-120], [1.0, 0.0])
+    assert v.margin == pytest.approx(dip * 1e-120, rel=1e-12)
+    assert v.minimizer == pytest.approx(-1e-120, rel=1e-6)
+    assert v.orthogonal  # tol is absolute: a dip of 2.6e-121 is inside 1e-7
+    assert not bj_orthogonal(s, [1e-120, 1e-120], [1.0, 0.0], tol=1e-130).orthogonal
+    # stacked with ordinary rows, each row is its one-pair verdict
+    x = np.array([[1.0, 1.0], [1e-120, 1e-120], [2.0, -1.0]])
+    y = np.array([[1e-200, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    v = bj_orthogonal(s, x, y)
+    for r in range(3):
+        one = bj_orthogonal(s, x[r], y[r])
+        assert verdict_row(v, r) == (one.orthogonal, one.margin, one.minimizer,
+                                     one.flat_minimizer, one.nfev)
 
 
 # ---------------------------------------------------------------- best_coeffs

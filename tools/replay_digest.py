@@ -7,8 +7,11 @@ Usage (from the repository root):
 The requests are the ``check`` and ``solve`` workloads of ``perfbench/`` at
 seeds 401 and 9 (490 requests), then ``selftest --json``.  Each goes through
 ``cli.main`` in this one process, and a sha256 runs over each request's exit
-code, stdout and stderr in order.  A change meant to keep every output the
-same keeps the digest: run this once with ``--src`` pointing at the parent
+code, stdout and stderr in order.  ``selftest --json`` prints only names and
+verdicts, so the digest then also takes ``(name, passed, detail)`` of the
+criteria of ``acceptance.run_all()`` at the default seed whose detail holds
+no timing: 3, 4, 6a, 6b and 7.  A change meant to keep every output the same
+keeps the digest: run this once with ``--src`` pointing at the parent
 commit's ``src`` and once without, and compare the two lines.
 
 ``DIR`` defaults to the ``src`` next to this file.  numpy's RuntimeWarnings
@@ -32,10 +35,12 @@ import run  # noqa: E402  (perfbench/run.py: pins BLAS threads before numpy load
 import workloads as wl  # noqa: E402
 
 SEEDS = (401, 9)
+TIMELESS = ("3_", "4_", "6a_", "6b_", "7_")  # criteria whose detail holds no timing
 
 
-def replay(main) -> tuple[int, str]:
-    """(request count, sha256 hex) over the replayed requests."""
+def replay(main, run_all) -> tuple[int, int, str]:
+    """(request count, criterion count, sha256 hex) over the replayed
+    requests and the criteria of ``run_all()`` named in TIMELESS."""
     digest = hashlib.sha256()
     requests = [(op.argv, op.stdin) for seed in SEEDS
                 for op in wl.check_ops(seed) + wl.solve_ops(seed)]
@@ -45,7 +50,10 @@ def replay(main) -> tuple[int, str]:
         for argv, stdin in requests:
             code, out, err = run.call_cli(main, argv, stdin)
             digest.update(f"{code}\0{out}\0{err}\0".encode())
-    return len(requests), digest.hexdigest()
+        criteria = [r for r in run_all() if r.name.startswith(TIMELESS)]
+    for r in criteria:
+        digest.update(f"{r.name}\0{r.passed}\0{r.detail}\0".encode())
+    return len(requests), len(criteria), digest.hexdigest()
 
 
 def main(argv=None) -> int:
@@ -60,8 +68,9 @@ def main(argv=None) -> int:
     cli = importlib.import_module("sipwigner.cli")
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"replay_digest: sipwigner imported from {cli.__file__}, not {src}")
-    count, hexdigest = replay(cli.main)
-    print(f"{count} requests sha256 {hexdigest}")
+    acceptance = importlib.import_module("sipwigner.acceptance")
+    count, criteria, hexdigest = replay(cli.main, acceptance.run_all)
+    print(f"{count} requests, {criteria} criteria sha256 {hexdigest}")
     return 0
 
 
