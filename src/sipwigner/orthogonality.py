@@ -266,13 +266,13 @@ class OrthVerdict:
     flat_minimizer: bool = False
     nfev: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "orthogonal": self.orthogonal,
-            "margin": self.margin,
-            "minimizer": self.minimizer,
-            "flat_minimizer": self.flat_minimizer,
-        }
+    def __eq__(self, other):  # field by field, so stacked (array) fields compare too
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+    def to_dict(self) -> dict:  # every field but nfev, in field order
+        return {k: v for k, v in vars(self).items() if k != "nfev"}
 
 
 def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:

@@ -29,14 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ContractViolation,
-    HypothesisViolation,
-    KindAmbiguous,
-    UnsupportedSpace,
-)
-from .spaces import (COMPLEX, Lp, REAL, Scalar, Space, Vector, _as_array, _require_independent,
-                     _require_tol, as_vec, norm, sip)
+from .errors import ContractViolation, HypothesisViolation, KindAmbiguous, UnsupportedSpace
+from .spaces import (COMPLEX, Lp, Scalar, Space, Vector, _as_array, _require_independent,
+                     _require_tol, as_vec, norm, norm_fn, sip)
 from .wigner import MapOracle
 
 KIND_LINEAR = "linear"
@@ -83,12 +78,12 @@ def _require_reconstructible(m: MapOracle, tol: float) -> None:
 
 
 def _span_coeffs(target: Space, w: Vector, basis, bound: float, leaves: str,
-                 witness: dict) -> list[Scalar]:
+                 witness) -> list[Scalar]:
     """Least-squares coefficients c of w on the basis vectors.
 
     A target-norm residual ||w - sum_i c_i * basis_i|| above ``bound``
     raises HypothesisViolation "<leaves>: residual ...", whose witness is
-    ``witness`` followed by the residual.
+    the dict ``witness()`` followed by the residual.
     """
     A = np.stack(basis, axis=1)
     c, _, _, svals = np.linalg.lstsq(A, w, rcond=None)
@@ -96,8 +91,39 @@ def _span_coeffs(target: Space, w: Vector, basis, bound: float, leaves: str,
     residual = norm(target, w - A @ c)
     if residual > bound:
         raise HypothesisViolation(f"{leaves}: residual {residual:.3e}",
-                                  {**witness, "residual": residual})
+                                  {**witness(), "residual": residual})
     return c.tolist()
+
+
+def _pair_coeffs(m: MapOracle, x, y, fx, fy, fxy, tol: float) -> tuple[Scalar, Scalar]:
+    """Unimodular (alpha, beta) with f(x+y) = alpha*f(x) + beta*f(y), from
+    the images fx, fy, fxy of x, y and x + y."""
+    def witness():
+        return {"x": x.tolist(), "y": y.tolist()}
+    alpha, beta = _span_coeffs(m.target, fxy, [fx, fy],
+                               tol * (1.0 + norm_fn(m.source)(x + y)),
+                               "f(x+y) leaves span(f(x), f(y))", witness)
+    for name, c in (("alpha", alpha), ("beta", beta)):
+        if abs(abs(c) - 1.0) > tol:
+            raise HypothesisViolation(f"{name} is not unimodular: |{name}| = {abs(c):.17g}",
+                                      {**witness(), name: c})
+    return alpha, beta
+
+
+def _kind(m: MapOracle, z: Vector, f1, col2, fz, tol: float) -> str:
+    """The kind from f(e1), the gauge-aligned second column
+    col2 = (beta/alpha)*f(e2) and the image fz of the probe z = e1 + i*e2."""
+    a, b = _span_coeffs(m.target, fz, [f1, col2], tol * (1.0 + norm_fn(m.source)(z)),
+                        "f(e1 + i*e2) leaves span(f(e1), f(e2))", dict)
+    if abs(a) < 1e-6:
+        raise KindAmbiguous(f"degenerate leading coefficient {a!r}")
+    ratio = b / a  # carries h(i)
+    d_lin, d_conj = abs(ratio - 1j), abs(ratio + 1j)
+    near, far = sorted((d_lin, d_conj))
+    if far < 10.0 * near:
+        raise KindAmbiguous(f"h(i) estimate {ratio!r} sits between the classes "
+                            f"(|.-i| = {d_lin:.3e}, |.+i| = {d_conj:.3e})")
+    return KIND_LINEAR if d_lin < d_conj else KIND_CONJUGATE
 
 
 def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Scalar:
@@ -108,16 +134,14 @@ def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Sc
         raise ContractViolation("scalar action is probed at nonzero x")
     fx, flx = m(np.stack([xv, lam * xv]))
     if norm(m.target, fx) == 0.0:
-        raise HypothesisViolation("f vanished at a nonzero point",
-                                  {"x": xv.tolist()})
+        raise HypothesisViolation("f vanished at a nonzero point", {"x": xv.tolist()})
     (gamma,) = _span_coeffs(m.target, flx, [fx], tol * (1.0 + abs(lam) * norm(m.source, xv)),
                             "f(lam*x) leaves the line through f(x)",
-                            {"x": xv.tolist(), "lam": lam})
+                            lambda: {"x": xv.tolist(), "lam": lam})
     if abs(abs(gamma) - abs(lam)) > tol * (1.0 + abs(lam)):
         raise HypothesisViolation(
             f"|gamma| = {abs(gamma):.17g} drifted from |lam| = {abs(lam):.17g}",
-            {"x": xv.tolist(), "lam": lam, "gamma": gamma},
-        )
+            {"x": xv.tolist(), "lam": lam, "gamma": gamma})
     return gamma
 
 
@@ -128,17 +152,7 @@ def recover_pair_coeffs(m: MapOracle, x, y, tol: float = 1e-8) -> tuple[Scalar, 
     yv = as_vec(m.source, y)
     svals = np.linalg.svd(np.stack([xv, yv], axis=1), compute_uv=False)
     _require_independent(svals, 2, "x and y must be linearly independent")
-    fx, fy, fxy = m(np.stack([xv, yv, xv + yv]))
-    alpha, beta = _span_coeffs(m.target, fxy, [fx, fy], tol * (1.0 + norm(m.source, xv + yv)),
-                               "f(x+y) leaves span(f(x), f(y))",
-                               {"x": xv.tolist(), "y": yv.tolist()})
-    for name, c in (("alpha", alpha), ("beta", beta)):
-        if abs(abs(c) - 1.0) > tol:
-            raise HypothesisViolation(
-                f"{name} is not unimodular: |{name}| = {abs(c):.17g}",
-                {"x": xv.tolist(), "y": yv.tolist(), name: c},
-            )
-    return alpha, beta
+    return _pair_coeffs(m, xv, yv, *m(np.stack([xv, yv, xv + yv])), tol)
 
 
 def detect_kind(m: MapOracle, tol: float = 1e-8) -> str:
@@ -155,41 +169,22 @@ def detect_kind(m: MapOracle, tol: float = 1e-8) -> str:
     if m.source.dim < 2:
         raise ContractViolation("kind detection needs dim >= 2")
     e1, e2 = np.eye(m.source.dim, dtype=m.source.dtype)[:2]
-    alpha, beta = recover_pair_coeffs(m, e1, e2, tol)
-    f1, f2, f12 = m(np.stack([e1, e2, e1 + 1j * e2]))
-    col2 = (beta / alpha) * f2  # = sigma(e1) * U e2, same gauge as f(e1)
-    a, b = _span_coeffs(m.target, f12, [f1, col2], tol * (1.0 + norm(m.source, e1 + 1j * e2)),
-                        "f(e1 + i*e2) leaves span(f(e1), f(e2))", {})
-    if abs(a) < 1e-6:
-        raise KindAmbiguous(f"degenerate leading coefficient {a!r}")
-    ratio = b / a  # carries h(i)
-    d_lin = abs(ratio - 1j)
-    d_conj = abs(ratio + 1j)
-    near, far = sorted((d_lin, d_conj))
-    if far < 10.0 * near:
-        raise KindAmbiguous(
-            f"h(i) estimate {ratio!r} sits between the classes "
-            f"(|.-i| = {d_lin:.3e}, |.+i| = {d_conj:.3e})"
-        )
-    return KIND_LINEAR if d_lin < d_conj else KIND_CONJUGATE
+    z = e1 + 1j * e2
+    f1, f2, f12, fz = m(np.stack([e1, e2, e1 + e2, z]))
+    alpha, beta = _pair_coeffs(m, e1, e2, f1, f2, f12, tol)
+    return _kind(m, z, f1, (beta / alpha) * f2, fz, tol)
 
 
-def _phase_and_residual(m: MapOracle, U: np.ndarray, kind: str, X: np.ndarray):
-    """For each row x of X: ||x||, sigma(x) via the semi-inner product, the
-    residual ||f(x) - sigma(x) * U x*|| and the image U x*."""
-    F = m(X)
+def _phase_and_residual(m: MapOracle, U: np.ndarray, kind: str, X: np.ndarray, F: np.ndarray):
+    """Per row x of X, with f(x) the same row of F: ||x||, sigma(x) via the
+    semi-inner product, the residual ||f(x) - sigma(x) * U x*|| and U x*."""
     images = (np.conj(X) if kind == KIND_CONJUGATE else X) @ U.T
     nx = norm(m.source, X)
     sigma = sip(m.target, F, images) / nx ** 2
     return nx, sigma, norm(m.target, F - sigma[:, None] * images), images
 
 
-def reconstruct(
-    m: MapOracle,
-    *,
-    tol: float = 1e-8,
-    seed: int = 7,
-) -> Reconstruction:
+def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruction:
     """Rebuild (sigma, U) from the map oracle and verify the factorization.
 
     Columns: U e1 = f(e1); U ej = (beta_j/alpha_j) * f(ej), which aligns
@@ -197,22 +192,18 @@ def reconstruct(
     then stress-tested on 64 seeded draws: an isometry defect beyond
     1e-7*(1 + ||x||), a phase with ||sigma| - 1| > tol, or a reproduction
     residual beyond tol*(1 + ||x||) raises HypothesisViolation.
+
+    The map is evaluated once, on one stack: the basis e1..en, the sums
+    e1 + ej (j >= 2), the kind probe e1 + i*e2 (complex field, n >= 2) and
+    the verification draws, which depend on ``seed`` alone.  Every image is
+    therefore validated before any is examined: an exception from ``fn``, or
+    a ContractViolation for a malformed image, at any of these points comes
+    before any HypothesisViolation or KindAmbiguous, even one a column would
+    raise.
     """
     _require_reconstructible(m, tol)
-    source = m.source
-    n = source.dim
-
-    E = np.eye(n, dtype=source.dtype)
-    F = m(E)
-    cols = [F[0]]
-    for j in range(1, n):
-        alpha, beta = recover_pair_coeffs(m, E[0], E[j], tol)
-        cols.append((beta / alpha) * F[j])
-    U = np.stack(cols, axis=1)
-
-    # dim-1 maps are always phase-equivalent to a linear isometry:
-    # sigma absorbs any conjugation of the lone coordinate.
-    kind = KIND_LINEAR if source.field == REAL or n == 1 else detect_kind(m, tol)
+    source, n = m.source, m.source.dim
+    size = norm_fn(source)
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -220,13 +211,26 @@ def reconstruct(
         v = rng.standard_normal(n)
         if source.field == COMPLEX:
             v = v + 1j * rng.standard_normal(n)
-        nv = norm(source, v)
-        if nv < 1e-6:
-            continue
-        rows.append(v * (float(rng.uniform(0.5, 2.0)) / nv))
+        nv = size(v)
+        if nv >= 1e-6:  # a rejected draw takes no scale
+            rows.append(v * (float(rng.uniform(0.5, 2.0)) / nv))
     X = np.array(rows, dtype=source.dtype).reshape(-1, n)
 
-    nx, sigma, residual, images = _phase_and_residual(m, U, kind, X)
+    # dim-1 maps are always phase-equivalent to a linear isometry:
+    # sigma absorbs any conjugation of the lone coordinate.
+    probe_kind = source.field == COMPLEX and n > 1
+    E = np.eye(n, dtype=source.dtype)
+    probes = np.concatenate([E, E[0] + E[1:]] + ([E[0] + 1j * E[1:2]] if probe_kind else []))
+    F = m(np.concatenate([probes, X]))
+
+    cols = [F[0]]
+    for j in range(1, n):
+        alpha, beta = _pair_coeffs(m, E[0], E[j], F[0], F[j], F[n + j - 1], tol)
+        cols.append((beta / alpha) * F[j])
+    U = np.stack(cols, axis=1)
+    kind = _kind(m, probes[-1], F[0], cols[1], F[2 * n - 1], tol) if probe_kind else KIND_LINEAR
+
+    nx, sigma, residual, images = _phase_and_residual(m, U, kind, X, F[len(probes):])
     iso_dev = np.abs(norm(m.target, images) - nx)
     # report the first failing sample in draw order
     for v, nv, dev, sig, res in zip(X, nx.tolist(), iso_dev.tolist(),
@@ -234,18 +238,14 @@ def reconstruct(
         if dev > _ISO_TOL * (1.0 + nv):
             raise HypothesisViolation(
                 f"recovered columns are not isometric: norm deviation {dev:.3e}",
-                {"x": v.tolist(), "deviation": dev},
-            )
+                {"x": v.tolist(), "deviation": dev})
         if abs(abs(sig) - 1.0) > tol:
             raise HypothesisViolation(
                 f"recovered phase is not unimodular: |sigma| = {abs(sig):.17g}",
-                {"x": v.tolist(), "sigma": sig},
-            )
+                {"x": v.tolist(), "sigma": sig})
         if res > tol * (1.0 + nv):
-            raise HypothesisViolation(
-                f"factorization fails to reproduce f: residual {res:.3e}",
-                {"x": v.tolist(), "residual": res},
-            )
+            raise HypothesisViolation(f"factorization fails to reproduce f: residual {res:.3e}",
+                                      {"x": v.tolist(), "residual": res})
 
     return Reconstruction(U, kind, list(zip(X, sigma.tolist())), float(residual.max(initial=0.0)))
 
@@ -255,5 +255,5 @@ def reproduction_residual(m: MapOracle, rec: Reconstruction, vectors) -> float:
     X = _as_array(m.source, vectors, ndim=2)
     if np.any(norm(m.source, X) == 0.0):
         raise ContractViolation("held-out vectors must be nonzero")
-    _, _, residual, _ = _phase_and_residual(m, rec.U, rec.kind, X)
+    _, _, residual, _ = _phase_and_residual(m, rec.U, rec.kind, X, m(X))
     return float(residual.max(initial=0.0))

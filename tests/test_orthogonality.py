@@ -406,6 +406,31 @@ def test_bj_one_pair_gives_python_scalars(field, x, y):
     assert dumps(stacked.to_dict()) == dumps({k: [f] for k, f in one.to_dict().items()})
 
 
+def test_stacked_verdicts_compare_field_by_field():
+    s = lp_space(REAL, 2, 3.0)
+    x = np.array([[1.0, 1.0], [2.0, -1.0]])
+    y = np.array([1.0, -1.0])
+    v = bj_orthogonal(s, x, y)
+    assert v == bj_orthogonal(s, x, y)
+    assert not v != bj_orthogonal(s, x, y)
+    assert v != bj_orthogonal(s, x[::-1], y)
+    assert v != bj_orthogonal(s, x[:1], y)  # a different stack shape
+    assert v != bj_orthogonal(s, x[0], y)  # a stack is not its first pair
+
+
+def test_one_pair_verdicts_compare_as_plain_dataclasses():
+    s = lp_space(COMPLEX, 2, 3.0)
+    one = bj_orthogonal(s, [1.0, 0.0], [1j, 0.5])
+    again = bj_orthogonal(s, [1.0, 0.0], [1j, 0.5])
+    assert one == again and hash(one) == hash(again)
+    assert one != bj_orthogonal(s, [1.0, 0.0], [0.0, 1.0])
+    assert one == type(one)(one.orthogonal, one.margin, one.minimizer,
+                            one.flat_minimizer, one.nfev)
+    assert one != type(one)(one.orthogonal, one.margin, one.minimizer,
+                            one.flat_minimizer, one.nfev + 1)
+    assert one != (one.orthogonal, one.margin, one.minimizer, one.flat_minimizer, one.nfev)
+
+
 def test_bj_decides_vectors_whose_norm_underflows_at_the_common_scale():
     # BJ orthogonality is homogeneous in y: [1e-200, 0] must get the verdict
     # of [1e-100, 0], not the margin 0 of a y that rescales to norm 0; and an

@@ -33,6 +33,7 @@ from sipwigner import (
     make_phase_equivalent,
     matrix_oracle,
     norm,
+    random_isometry_spec,
     random_unitary,
     reconstruct,
     recover_pair_coeffs,
@@ -225,6 +226,58 @@ def test_reconstruct_rejects_norm_preserving_nonadditive_map():
     with pytest.raises(HypothesisViolation) as info:
         reconstruct(m, seed=11)
     assert info.value.witness is not None
+
+
+@pytest.fixture
+def map_calls(monkeypatch):
+    """The number of points of every MapOracle call made, in order."""
+    calls, call = [], MapOracle.__call__
+    monkeypatch.setattr(MapOracle, "__call__",
+                        lambda self, x: calls.append(len(np.reshape(x, (-1, self.source.dim))))
+                        or call(self, x))
+    return calls
+
+
+@pytest.mark.parametrize("field, n", [(REAL, 5), (COMPLEX, 16), (COMPLEX, 1)])
+def test_reconstruct_evaluates_each_probe_point_once(field, n, map_calls):
+    # e1..en, e1 + ej for j >= 2, e1 + i*e2 (complex field, n >= 2 only) and
+    # the verification draws, in one map call
+    s = lp_space(field, n, 3.0)
+    spec = random_isometry_spec(s, np.random.default_rng(n), conjugate=field == COMPLEX)
+    twisted = make_phase_equivalent(make_isometry(s, spec), seeded_phase(s, 5))
+    points = []
+    m = MapOracle(s, s, lambda v: points.append(v.tobytes()) or twisted.fn(v))
+    rec = reconstruct(m, seed=11)
+    assert rec.kind == (KIND_CONJUGATE if field == COMPLEX and n > 1 else KIND_LINEAR)
+    draws = len(rec.phase_samples)
+    assert draws == 64
+    expected = 2 * n - 1 + (field == COMPLEX and n > 1) + draws
+    assert map_calls == [expected] and len(points) == len(set(points)) == expected
+    if n == 16:
+        assert expected == 96
+
+
+def test_pair_and_kind_helpers_evaluate_their_points_in_one_call(map_calls):
+    m = make_isometry(CC3, SPEC3C)
+    recover_pair_coeffs(m, basis_vec(CC3, 0), basis_vec(CC3, 2))
+    assert detect_kind(m) == KIND_CONJUGATE
+    assert map_calls == [3, 4]  # x, y, x + y; then e1, e2, e1 + e2, e1 + i*e2
+
+
+def test_reconstruct_validates_every_image_before_any_column_is_solved():
+    # f(e1 + ej) = 3*(e1 + ej) makes the pair coefficients 3, and every
+    # verification draw (no zero coordinate) gets an image of the wrong shape:
+    # reconstruct evaluates all its points in one call, so the malformed
+    # image is reported, not the column
+    def fn(v):
+        nonzero = np.count_nonzero(v)
+        return v if nonzero == 1 else 3.0 * v if nonzero == 2 else v[:-1]
+
+    m = MapOracle(RC3, RC3, fn)
+    with pytest.raises(HypothesisViolation, match="alpha is not unimodular"):
+        recover_pair_coeffs(m, basis_vec(RC3, 0), basis_vec(RC3, 1))
+    with pytest.raises(ContractViolation):
+        reconstruct(m, seed=11)
 
 
 # --------------------------------------------- per-sample reference pipeline
