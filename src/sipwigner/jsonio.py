@@ -11,6 +11,13 @@ dicts, lists, complex scalars, arrays, strings) and ``bool`` before
 ``int``.  Strings and keys are quoted by
 ``json.encoder.encode_basestring_ascii``, the function ``json.dumps`` uses
 for a ``str``, so they print exactly as ``json.dumps`` prints them.
+
+A non-empty float64 or complex128 array with an axis is written one
+last-axis row per ``%`` call of a ``%.17g`` template, the C formatter of
+``format(x, ".17g")``, so the bytes are the per-value path's.  A finite
+``%.17g`` never holds the letter ``n``, and ``inf`` and ``nan`` do: an array
+whose text holds one is encoded again value by value, which raises at its
+first non-finite value.  Other arrays go through ``tolist()``.
 """
 
 from __future__ import annotations
@@ -47,7 +54,11 @@ def _encode(obj, out: list[str], pad: str, step: str) -> None:
     elif isinstance(obj, (complex, np.complexfloating)):
         _encode_complex(obj, out, pad, step)
     elif isinstance(obj, np.ndarray):
-        _encode(obj.tolist(), out, pad, step)
+        # not for subclasses: a masked array's tolist() holds None
+        if obj.ndim and obj.size and obj.dtype.char in "dD" and type(obj) is np.ndarray:
+            _encode_rows(obj, out, pad, step)
+        else:
+            _encode(obj.tolist(), out, pad, step)
     elif isinstance(obj, str):
         out.append(_quote(obj))
     elif obj is None:
@@ -70,6 +81,34 @@ def _encode_complex(z, out: list[str], pad: str, step: str) -> None:
         out.append(f'{{{inner}"re": {re},{inner}"im": {im}{pad}}}')
     else:
         out.append(f'{{"re":{re},"im":{im}}}')
+
+
+def _encode_rows(a: np.ndarray, out: list[str], pad: str, step: str) -> None:
+    """A float64 or complex128 array with an axis and at least one value."""
+    row_pad = pad + step * (a.ndim - 1)
+    inner = row_pad + step
+    if a.dtype.char == "d":
+        item, vals = "%.17g", a.tolist()
+    else:
+        deeper = inner + step
+        item = (f'{{{deeper}"re": %.17g,{deeper}"im": %.17g{inner}}}' if step
+                else '{"re":%.17g,"im":%.17g}')
+        vals = np.ascontiguousarray(a).view(np.float64).tolist()
+    row = "[" + inner + ("," + inner).join([item] * a.shape[-1]) + row_pad + "]"
+    text = _join_rows(vals, a.ndim - 1, row, pad, step)
+    if "n" in text:  # an inf or a nan: the per-value path raises at the first
+        _encode_list(a.tolist(), out, pad, step)
+    else:
+        out.append(text)
+
+
+def _join_rows(vals: list, depth: int, row: str, pad: str, step: str) -> str:
+    """The nested lists ``vals``, ``depth`` levels above their rows."""
+    if not depth:
+        return row % tuple(vals)
+    inner = pad + step
+    return ("[" + inner + ("," + inner).join([_join_rows(v, depth - 1, row, inner, step)
+                                               for v in vals]) + pad + "]")
 
 
 def _encode_dict(obj, out: list[str], pad: str, step: str) -> None:

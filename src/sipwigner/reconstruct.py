@@ -200,21 +200,39 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
     a ContractViolation for a malformed image, at any of these points comes
     before any HypothesisViolation or KindAmbiguous, even one a column would
     raise.
+
+    The draws keep the stream of a per-draw loop: n normals (2n over C), then
+    u for the scale 0.5 + 1.5*u, numpy's ``uniform(0.5, 2.0)``.  A loop of
+    bare generator calls makes them; norms and scales are taken on the stack.
+    A draw of norm below 1e-6 takes no scale: at the first one the generator
+    is reset to the round's start, replays the draws before it and its
+    normals, and a new round draws the rest.  The first failing draw is
+    reported, tested for isometry, then phase, then residual.
     """
     _require_reconstructible(m, tol)
     source, n = m.source, m.source.dim
     size = norm_fn(source)
 
     rng = np.random.default_rng(seed)
-    rows = []
-    for _ in range(_N_TEST):
-        v = rng.standard_normal(n)
+    shape = (2, n) if source.field == COMPLEX else (n,)
+    rows, left = [], _N_TEST
+    while left:
+        state = rng.bit_generator.state
+        V, u = zip(*[(rng.standard_normal(shape), rng.random()) for _ in range(left)])
+        V = np.array(V)
         if source.field == COMPLEX:
-            v = v + 1j * rng.standard_normal(n)
-        nv = size(v)
-        if nv >= 1e-6:  # a rejected draw takes no scale
-            rows.append(v * (float(rng.uniform(0.5, 2.0)) / nv))
-    X = np.array(rows, dtype=source.dtype).reshape(-1, n)
+            V = V[:, 0] + 1j * V[:, 1]
+        nv = size(V)
+        r = int(np.argmax(np.append(nv < 1e-6, True)))  # the first rejected draw, or left
+        rows.append(V[:r] * ((0.5 + 1.5 * np.array(u[:r])) / nv[:r])[:, None])
+        if r < left:  # draw r takes no scale: replay the stream up to its normals
+            rng.bit_generator.state = state
+            for _ in range(r):
+                rng.standard_normal(shape)
+                rng.random()
+            rng.standard_normal(shape)
+        left -= min(r + 1, left)
+    X = np.concatenate(rows)
 
     # dim-1 maps are always phase-equivalent to a linear isometry:
     # sigma absorbs any conjugation of the lone coordinate.
@@ -232,20 +250,22 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
 
     nx, sigma, residual, images = _phase_and_residual(m, U, kind, X, F[len(probes):])
     iso_dev = np.abs(norm(m.target, images) - nx)
-    # report the first failing sample in draw order
-    for v, nv, dev, sig, res in zip(X, nx.tolist(), iso_dev.tolist(),
-                                    sigma.tolist(), residual.tolist()):
-        if dev > _ISO_TOL * (1.0 + nv):
+    iso_bad = iso_dev > _ISO_TOL * (1.0 + nx)
+    phase_bad = np.abs(np.abs(sigma) - 1.0) > tol
+    failed = iso_bad | phase_bad | (residual > tol * (1.0 + nx))
+    if failed.any():  # the first failing sample in draw order, first failing test
+        k = int(np.argmax(failed))
+        x, dev, sig, res = X[k].tolist(), float(iso_dev[k]), sigma[k].item(), float(residual[k])
+        if iso_bad[k]:
             raise HypothesisViolation(
                 f"recovered columns are not isometric: norm deviation {dev:.3e}",
-                {"x": v.tolist(), "deviation": dev})
-        if abs(abs(sig) - 1.0) > tol:
+                {"x": x, "deviation": dev})
+        if phase_bad[k]:
             raise HypothesisViolation(
                 f"recovered phase is not unimodular: |sigma| = {abs(sig):.17g}",
-                {"x": v.tolist(), "sigma": sig})
-        if res > tol * (1.0 + nv):
-            raise HypothesisViolation(f"factorization fails to reproduce f: residual {res:.3e}",
-                                      {"x": v.tolist(), "residual": res})
+                {"x": x, "sigma": sig})
+        raise HypothesisViolation(f"factorization fails to reproduce f: residual {res:.3e}",
+                                  {"x": x, "residual": res})
 
     return Reconstruction(U, kind, list(zip(X, sigma.tolist())), float(residual.max(initial=0.0)))
 

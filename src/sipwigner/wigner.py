@@ -200,13 +200,13 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
 
     rng = np.random.default_rng(seed)
     pairs, coeffs = [], []
-    for _ in range(n_draws):
+    for _ in range(n_draws):  # one normal call per draw reads the scalar calls' stream
         pairs.append((int(rng.integers(len(xs))), int(rng.integers(len(xs)))))
         if m.source.field == COMPLEX:
-            coeffs.append((complex(rng.standard_normal(), rng.standard_normal()),
-                           complex(rng.standard_normal(), rng.standard_normal())))
+            ar, ai, br, bi = rng.standard_normal(4).tolist()
+            coeffs.append((complex(ar, ai), complex(br, bi)))
         else:
-            coeffs.append((float(rng.standard_normal()), float(rng.standard_normal())))
+            coeffs.append(tuple(rng.standard_normal(2).tolist()))
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     a, b = np.array(coeffs, dtype=m.source.dtype).reshape(-1, 2).T[:, :, None]
     images = m(a * xs[i] + b * xs[j])

@@ -150,3 +150,68 @@ def test_encoder_errors_match_the_reference(obj, message):
         with pytest.raises(ContractViolation) as got:
             dumps(obj, pretty)
         assert str(got.value) == str(want.value) == message
+
+
+# ------------------------------------------- arrays written row by row
+
+rows = array_shapes(min_dims=1, max_dims=3, max_side=17)
+
+
+def views(a):
+    """``a`` and non-contiguous views of it: strided, transposed, reversed,
+    and the real and imaginary parts of a complex array."""
+    if not a.ndim:
+        return [a]
+    out = [a, a[::2], a.T, a[..., ::-1]]
+    if a.dtype.kind == "c":
+        out += [a.real, a.imag]
+    return out
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.one_of(arrays(np.float64, rows, elements=finite),
+                 arrays(np.complex128, rows, elements=finite_complex)))
+def test_row_path_matches_the_reference_on_arrays_and_their_views(a):
+    for pretty in (True, False):
+        for v in views(a):
+            assert dumps(v, pretty) == reference_dumps(v, pretty)
+        nested = {"a": [1, a]}  # rows written two levels down
+        assert dumps(nested, pretty) == reference_dumps(nested, pretty)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([np.float32, np.complex64, np.float16, np.int64, np.bool_]).flatmap(
+    lambda dtype: arrays(dtype, array_shapes(min_dims=0, max_dims=3, max_side=5))))
+def test_arrays_of_other_dtypes_match_the_reference(a):
+    for v in views(a):
+        for pretty in (True, False):
+            assert outcome(dumps, v, pretty) == outcome(reference_dumps, v, pretty)
+
+
+EDGES = np.array([1.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1, 1e-7, 123456789.0])
+
+
+@pytest.mark.parametrize("a", [
+    EDGES, EDGES.reshape(3, 3), EDGES.reshape(3, 1, 3), EDGES + 1j * EDGES[::-1],
+    np.stack([EDGES - 1j * EDGES, EDGES[::-1] + 0j]), np.zeros((2, 0)), np.array(-0.0),
+    np.array(5e-324 + 1.7e308j), np.ones((1, 1, 1)),
+    np.ma.masked_array([[1.0, 2.0]], mask=[[False, True]]),  # a subclass: masked is null
+], ids=lambda a: f"{type(a).__name__}-{a.dtype}{a.shape}")
+def test_extreme_finite_values_inside_rows(a):
+    for pretty in (True, False):
+        assert dumps(a, pretty) == reference_dumps(a, pretty)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["real", "real part", "imaginary part"])
+def test_a_non_finite_value_late_in_a_row_raises_the_reference_error(bad, part):
+    # the first non-finite value in output order is the one reported
+    a = np.linspace(-1.0, 1.0, 34).reshape(2, 17)
+    if part != "real":
+        a = a + 1j * a[::-1]
+    for k, value in ((12, bad), (15, math.nan if bad != bad else math.inf)):
+        a[1, k] = complex(a[1, k].real, value) if part == "imaginary part" else value
+    for pretty in (True, False):
+        got = outcome(dumps, a, pretty)
+        assert got == outcome(reference_dumps, a, pretty)
+        assert got == ("ContractViolation", f"non-finite float in JSON output: {bad!r}")

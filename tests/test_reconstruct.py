@@ -370,6 +370,48 @@ def test_batched_verification_matches_the_per_sample_loop(name):
         assert abs(sigma - sigma_ref) <= 1e-12
 
 
+# seeds 8 and 136 reject one and two draws on real l_100^1, whose raw norm
+# underflows to 0 below |v| ~ 5.9e-4: a rejected draw takes no scale
+DRAW_SEEDS = [0, 1, 2, 8, 136]
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0, 50.0, 100.0])
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_stacked_draws_match_the_sequential_draws_bit_for_bit(field, p):
+    short = 0
+    for n in (1, 2, 5, 16):
+        m = identity_oracle(lp_space(field, n, p))
+        U = np.eye(n, dtype=m.source.dtype)
+        for seed in DRAW_SEEDS:
+            samples, _ = reference_verify(m, U, KIND_LINEAR, seed=seed)
+            rec = reconstruct(m, seed=seed)
+            assert len(rec.phase_samples) == len(samples)
+            for (x, _), (x_ref, _) in zip(rec.phase_samples, samples):
+                assert x.tobytes() == x_ref.tobytes()
+            short += len(samples) < 64
+    if (field, p) == (REAL, 100.0):
+        assert short == 2  # seeds 8 and 136 at n = 1
+    else:
+        assert short == 0
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_a_phase_failure_at_a_later_draw_gives_the_reference_witness(field):
+    # sigma = 1.5 where Re x_1 < -0.5: no probe point lies there, so the
+    # columns are those of the identity, and only the phase test can fail
+    s = lp_space(field, 3, 3.0)
+    m = MapOracle(s, s, lambda v: 1.5 * v if v[0].real < -0.5 else v)
+    with pytest.raises(HypothesisViolation, match="^phase$") as ref:
+        reference_verify(m, np.eye(3, dtype=s.dtype), KIND_LINEAR, seed=11)
+    with pytest.raises(HypothesisViolation,
+                       match=r"^recovered phase is not unimodular: \|sigma\| = 1\.5") as info:
+        reconstruct(m, seed=11)
+    assert info.value.witness["x"] == ref.value.witness["x"]
+    assert info.value.witness["sigma"] == pytest.approx(ref.value.witness["sigma"], abs=1e-12)
+    draws = [x.tolist() for x, _ in reconstruct(identity_oracle(s), seed=11).phase_samples]
+    assert draws.index(info.value.witness["x"]) > 0
+
+
 def test_reproduction_residual_validates_the_held_out_set():
     m = identity_oracle(RC3)
     rec = reconstruct(m, seed=11)

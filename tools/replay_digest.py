@@ -5,7 +5,9 @@ Usage (from the repository root):
     python3 tools/replay_digest.py [--src DIR]
 
 The requests are the ``check`` and ``solve`` workloads of ``perfbench/`` at
-seeds 401 and 9 (490 requests), then ``selftest --json``.  Each goes through
+seeds 401 and 9 (490 requests), then each of their ``check`` and
+``reconstruct`` requests again without ``--json``, so in the CLI's default
+pretty layout, then ``selftest --json``.  Each goes through
 ``cli.main`` in this one process, and a sha256 runs over each request's exit
 code, stdout and stderr in order.  ``selftest --json`` prints only names and
 verdicts, so the digest then also takes ``(name, passed, detail)`` of the
@@ -39,6 +41,7 @@ import workloads as wl  # noqa: E402
 
 SEEDS = (401, 9)
 TIMELESS = ("3_", "4_", "6a_", "6b_", "7_")  # criteria whose detail holds no timing
+PRETTY = ("check", "reconstruct")  # commands replayed in the pretty layout too
 TIMED = ("2_", "5_")  # criteria whose detail ends in ", <elapsed>s ..."
 
 
@@ -46,8 +49,10 @@ def replay(main, run_all) -> tuple[int, int, str]:
     """(request count, criterion count, sha256 hex) over the replayed
     requests and the criteria of ``run_all()`` named in TIMELESS and TIMED."""
     digest = hashlib.sha256()
-    requests = [(op.argv, op.stdin) for seed in SEEDS
-                for op in wl.check_ops(seed) + wl.solve_ops(seed)]
+    ops = [op for seed in SEEDS for op in wl.check_ops(seed) + wl.solve_ops(seed)]
+    requests = [(op.argv, op.stdin) for op in ops]
+    requests += [([a for a in op.argv if a != "--json"], op.stdin)
+                 for op in ops if op.argv[0] in PRETTY]
     requests.append((["selftest", "--json"], None))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
