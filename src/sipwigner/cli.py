@@ -54,7 +54,7 @@ from .fixtures import (
 from .jsonio import dumps, float_from_json, int_from_json, object_from_json, vec_from_json
 from .orthogonality import bj_orthogonal
 from .reconstruct import reconstruct
-from .spaces import Space, _require_tol, gateaux_sip_oracle, sip
+from .spaces import Space, Vector, _require_tol, gateaux_sip_oracle, sip
 from .wigner import (
     MapOracle,
     check_exact_preservation,
@@ -179,26 +179,28 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(json.loads(raw))
 
 
-def _run_tol(args, cfg: RunConfig) -> float:
-    """--tol when given, else the config's; checked before any work is done."""
-    if args.tol is None:
-        return cfg.tol
-    _require_tol(args.tol)
-    return args.tol
+def _map_request(args) -> tuple[RunConfig, int, float, MapOracle]:
+    """The config, seed, tol and map of a check or reconstruct request; --tol
+    (else the config's tol) is checked before the map is built."""
+    cfg = _load_config(args.config)
+    seed = _resolve_seed(args.seed, cfg.seed)
+    tol = cfg.tol if args.tol is None else args.tol
+    _require_tol(tol)
+    return cfg, seed, tol, _resolve_map(cfg)
 
 
 def _emit(obj, args) -> None:
     print(dumps(obj, pretty=not args.json))
 
 
-def _space_arg(text: str) -> Space:
-    return Space.from_dict(json.loads(text))
+def _pair_request(args) -> tuple[Space, Vector, Vector]:
+    """The space and the vectors x, y of a sip-eval or orth-check request."""
+    return (Space.from_dict(json.loads(args.space)), vec_from_json(json.loads(args.x)),
+            vec_from_json(json.loads(args.y)))
 
 
 def cmd_sip_eval(args) -> int:
-    space = _space_arg(args.space)
-    x = vec_from_json(json.loads(args.x))
-    y = vec_from_json(json.loads(args.y))
+    space, x, y = _pair_request(args)
     value = sip(space, x, y)
     oracle = gateaux_sip_oracle(space, x, y)
     _emit({
@@ -213,19 +215,14 @@ def cmd_sip_eval(args) -> int:
 
 
 def cmd_orth_check(args) -> int:
-    space = _space_arg(args.space)
-    x = vec_from_json(json.loads(args.x))
-    y = vec_from_json(json.loads(args.y))
+    space, x, y = _pair_request(args)
     verdict = bj_orthogonal(space, x, y, tol=args.tol)
     _emit({"space": space.to_dict(), "x": x, "y": y, **verdict.to_dict()}, args)
     return 0 if verdict.orthogonal else 1
 
 
 def cmd_check(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg.seed)
-    tol = _run_tol(args, cfg)
-    m = _resolve_map(cfg)
+    cfg, seed, tol, m = _map_request(args)
     samples = default_samples(cfg.source, cfg.samples, seed)
     reports = [CHECKS[name](m, samples, tol=tol, seed=seed) for name in cfg.checks]
     _emit({
@@ -239,10 +236,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args.seed, cfg.seed)
-    tol = _run_tol(args, cfg)
-    m = _resolve_map(cfg)
+    cfg, seed, tol, m = _map_request(args)
     rec = reconstruct(m, tol=tol, seed=seed)
     _emit({
         "space": cfg.source.to_dict(),

@@ -192,23 +192,24 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     The samples must span the source space, otherwise additivity off their
     span would go untested.
     """
+    if isinstance(n_draws, bool) or not isinstance(n_draws, int) or n_draws < 0:
+        raise ContractViolation(f"n_draws must be a non-negative integer, got {n_draws!r}")
     xs, fxs = _prepared(m, samples, tol)
     svals = np.linalg.svd(xs, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     if rank < m.source.dim:
         raise ContractViolation("samples must span the source space")
 
+    # per draw, in stream order: two indices, then the coefficients' normals
     rng = np.random.default_rng(seed)
-    pairs, coeffs = [], []
-    for _ in range(n_draws):  # one normal call per draw reads the scalar calls' stream
-        pairs.append((int(rng.integers(len(xs))), int(rng.integers(len(xs)))))
-        if m.source.field == COMPLEX:
-            ar, ai, br, bi = rng.standard_normal(4).tolist()
-            coeffs.append((complex(ar, ai), complex(br, bi)))
-        else:
-            coeffs.append(tuple(rng.standard_normal(2).tolist()))
-    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    a, b = np.array(coeffs, dtype=m.source.dtype).reshape(-1, 2).T[:, :, None]
+    n, width = len(xs), 4 if m.source.field == COMPLEX else 2
+    draws = [v for _ in range(n_draws)
+             for v in (rng.integers(n), rng.integers(n), rng.standard_normal(width))]
+    i, j = np.array(draws[0::3], dtype=int), np.array(draws[1::3], dtype=int)
+    c = np.array(draws[2::3]).reshape(n_draws, width)
+    if width == 4:  # (ar, ai, br, bi) -> (a, b)
+        c = c[:, 0::2] + 1j * c[:, 1::2]
+    a, b = c.T[:, :, None]
     images = m(a * xs[i] + b * xs[j])
 
     # the scan runs over the sample norms first, then the seeded combinations
@@ -223,6 +224,6 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
         witness = Witness(xs[k], xs[k], float(nfx[k]), float(nx[k]))
     elif failed:
         k -= len(xs)
-        witness = Witness(xs[i[k]], xs[j[k]], coeffs[k], float(combo_dev[k]))
+        witness = Witness(xs[i[k]], xs[j[k]], tuple(c[k].tolist()), float(combo_dev[k]))
     return Report("linearity", FAIL if failed else PASS, worst, witness, seed,
                   pairs=len(xs) + n_draws, map_calls=2)

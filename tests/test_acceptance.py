@@ -20,11 +20,12 @@ criterion's detail string for the measured (zero) violation.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sipwigner import COMPLEX, REAL, acceptance
+from sipwigner import COMPLEX, REAL, SolverError, acceptance
 from sipwigner.acceptance import (
     CRITERIA,
     DEFAULT_SEED,
@@ -33,6 +34,7 @@ from sipwigner.acceptance import (
     _fd_draws,
     criterion_2_closed_form_vs_oracle,
 )
+from sipwigner.wigner import Report
 
 CFG = GateConfig(seed=DEFAULT_SEED)
 
@@ -100,3 +102,48 @@ PINNED = {
 
 def test_gate_constants_hold_their_pinned_values():
     assert {name: getattr(acceptance, name) for name in PINNED} == PINNED
+
+
+def _report(verdict):
+    return lambda *args, **kwargs: Report("patched", verdict, 0.0, None)
+
+
+def _solver_error(*args, **kwargs):
+    raise SolverError("patched")
+
+
+def _bad_reconstruction(*args, **kwargs):
+    return SimpleNamespace(kind="neither", residual=1.0, phase_samples=[(None, 2.0)])
+
+
+OFFENDERS = {
+    "4-wigner": (acceptance.criterion_4_checker_verdicts, {"check_wigner": _report("fail")},
+                 "offenders: [(0, 'wigner pass'), (0, 'wigner 2U fail floor'), "
+                 "(1, 'wigner pass'), (1, 'wigner 2U fail floor')]"),
+    "4-multiset": (acceptance.criterion_4_checker_verdicts,
+                   {"check_phase_isometry_sets": _report("fail")},
+                   "offenders: [(1, 'multiset pass'), (1, 'multiset 2U fail floor'), "
+                   "(3, 'multiset pass'), (3, 'multiset 2U fail floor')]"),
+    "5-raises": (acceptance.criterion_5_roundtrip, {"reconstruct": _solver_error},
+                 "kind 0/100, offenders [(0, 'SolverError'), (1, 'SolverError'), "
+                 "(2, 'SolverError'), (3, 'SolverError')]"),
+    "5-wrong": (acceptance.criterion_5_roundtrip,
+                {"reconstruct": _bad_reconstruction, "reproduction_residual": lambda *a: 1.0},
+                "kind 0/100, offenders [(0, 'kind neither != linear'), (0, 'residual 1.00e+00'), "
+                "(0, 'phase drift'), (0, 'held-out residual 1.00e+00')]"),
+    "6a": (acceptance.criterion_6a_preservation_implies_linearity,
+           {"check_exact_preservation": _report("pass"), "check_linearity": _report("fail")},
+           "200/200 maps passed exact preservation, 200 of those failed linearity [0, 1, 2, 3]"),
+    "7": (acceptance.criterion_7_linear_isometries_pass_exact,
+          {"check_exact_preservation": _report("fail")},
+          "200 linear isometries, worst violation 0.000e+00"),
+}
+
+
+@pytest.mark.parametrize("criterion, patches, detail", OFFENDERS.values(), ids=OFFENDERS.keys())
+def test_a_criterion_fails_and_names_its_offenders(monkeypatch, criterion, patches, detail):
+    for name, fake in patches.items():
+        monkeypatch.setattr(acceptance, name, fake)
+    result = criterion(CFG)
+    assert not result.passed
+    assert detail in result.detail

@@ -1,6 +1,7 @@
 """Exit codes, JSON payloads, and rerun determinism of the command line."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -439,3 +440,59 @@ def test_malformed_config_exits_2_with_an_error_line(tmp_path, capsys, obj):
         code, out, err = run(capsys, [command, "--config", write_config(tmp_path, obj)])
         assert (code, out) == (2, ""), command
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+REFUSED = {
+    "target-differs": ({"source": _SRC, "target": {**_SRC, "dim": 3}, "map": {"builtin": "identity"}},
+                       "error: all bundled maps act on a single space; target must match source\n"),
+    "seed-2**64": ({"source": _SRC, "map": {"builtin": "identity"}, "seed": 2 ** 64},
+                   "error: seed must fit in an unsigned 64-bit integer\n"),
+    "map-number": ({"source": _SRC, "map": 3}, 'error: config needs a "map" object\n'),
+    "map-neither-key": ({"source": _SRC, "map": {}},
+                        'error: map spec needs "builtin" or "isometry"\n'),
+    "swap-on-lp": ({"source": _SRC, "map": {"builtin": "swap_linf2"}},
+                   "error: builtin 'swap_linf2' lives on the two-dimensional max-norm "
+                   "fixture plane\n"),
+}
+
+
+@pytest.mark.parametrize("obj, message", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_config_exits_2_with_its_reason(tmp_path, capsys, obj, message):
+    for command in ("check", "reconstruct"):
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, obj)])
+        assert (code, out, err) == (2, "", message), command
+
+
+def test_config_from_stdin_matches_the_config_file(tmp_path, capsys, monkeypatch):
+    obj = {"source": {"field": "complex", "dim": 2, "norm": {"lp": 3.0}},
+           "map": {"builtin": "conjugation"}, "checks": ["wigner", "exact_preservation"],
+           "seed": 5}
+    from_file = run(capsys, ["check", "--config", write_config(tmp_path, obj), "--json"])
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+    assert run(capsys, ["check", "--config", "-", "--json"]) == from_file
+    code, out, _ = from_file
+    # conjugation keeps |[x, y]| but not [x, y] itself
+    assert code == 1
+    assert [r["verdict"] for r in json.loads(out)["reports"]] == ["pass", "fail"]
+
+
+def test_selftest_table_has_one_aligned_row_per_criterion(capsys, monkeypatch):
+    from sipwigner import cli
+    from sipwigner.acceptance import CriterionResult
+
+    names = ["1_a", "2_bb", "3_ccc", "4_dddd", "5_e", "6a_f", "6b_gg", "7_hhhhhhh"]
+    monkeypatch.setattr(cli, "run_all", lambda seed: [
+        CriterionResult(name, name != "6b_gg", f"detail {k}", 0.0) for k, name in enumerate(names)])
+    code, out, _ = run(capsys, ["selftest"])
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS  1_a        detail 0",
+        "PASS  2_bb       detail 1",
+        "PASS  3_ccc      detail 2",
+        "PASS  4_dddd     detail 3",
+        "PASS  5_e        detail 4",
+        "PASS  6a_f       detail 5",
+        "FAIL  6b_gg      detail 6",
+        "PASS  7_hhhhhhh  detail 7",
+        "7/8 criteria passed",
+    ]

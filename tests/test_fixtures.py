@@ -11,6 +11,7 @@ from sipwigner import (
     ContractViolation,
     IsometrySpec,
     basis_vec,
+    conjugation_oracle,
     default_samples,
     linf2_space,
     lp_space,
@@ -237,3 +238,21 @@ def test_random_isometry_spec_obeys_field():
     spec = random_isometry_spec(s, np.random.default_rng(0))
     assert spec.conjugate_first is False
     assert all(d in (-1.0, 1.0) for d in spec.diag)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IsometrySpec((1,), (1j,)).matrix(REAL), "complex weights in a real-field spec"),
+    (lambda: IsometrySpec.from_dict({"perm": 1, "diag": [1.0]}), "must be JSON arrays"),
+    (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), np.eye(3)), r"matrix shape \(3, 3\)"),
+    (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), np.eye(2), conjugate_first=True),
+     "conjugation needs the complex field"),
+    (lambda: make_isometry(linf2_space(), IsometrySpec((2, 1), (1.0, 1.0))),
+     "realized on Lp spaces"),
+    (lambda: make_isometry(lp_space(REAL, 3, 3.0), IsometrySpec((2, 1), (1.0, 1.0))),
+     "spec dim 2 != space dim 3"),
+    (lambda: conjugation_oracle(lp_space(REAL, 2, 3.0)), "conjugation needs the complex field"),
+], ids=["complex-weight-real-field", "perm-not-array", "matrix-shape", "conjugate-real-matrix",
+        "isometry-on-fixture", "isometry-dim", "conjugation-real"])
+def test_fixture_builders_refuse_bad_input(build, message):
+    with pytest.raises(ContractViolation, match=message):
+        build()

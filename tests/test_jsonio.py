@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from sipwigner import ContractViolation
-from sipwigner.jsonio import dumps
+from sipwigner.jsonio import dumps, object_from_json, vec_from_json
 
 
 def _fmt_float(x: float) -> str:
@@ -215,3 +215,14 @@ def test_a_non_finite_value_late_in_a_row_raises_the_reference_error(bad, part):
         got = outcome(dumps, a, pretty)
         assert got == outcome(reference_dumps, a, pretty)
         assert got == ("ContractViolation", f"non-finite float in JSON output: {bad!r}")
+
+
+@pytest.mark.parametrize("read, message", [
+    (lambda: object_from_json([1], "space", ("field",), ()), r"space must be a JSON object, got \[1\]"),
+    (lambda: object_from_json({"field": "real"}, "space", ("field", "dim"), ()),
+     r"missing space keys: \['dim'\]"),
+    (lambda: vec_from_json("[1, 2]"), "expected a vector"),
+], ids=["not-an-object", "missing-key", "vector-not-array"])
+def test_wire_readers_refuse_the_wrong_json_shape(read, message):
+    with pytest.raises(ContractViolation, match=message):
+        read()

@@ -16,6 +16,7 @@ from sipwigner import (
     ContractViolation,
     HypothesisViolation,
     IsometrySpec,
+    KindAmbiguous,
     MapOracle,
     Reconstruction,
     UnsupportedSpace,
@@ -436,3 +437,51 @@ def test_reconstruction_report_serializes():
     assert len(d["matrix"]) == 3
     assert isinstance(d["phase_samples"], list) and d["phase_samples"]
     dumps(d)
+
+
+def _identity_except(space, images):
+    """The identity, except at the points ``images`` maps (as coordinate
+    tuples) to the images given there."""
+    def fn(x):
+        key = tuple(x.tolist())
+        return np.asarray(images[key], dtype=space.dtype) if key in images else x
+    return MapOracle(space, space, fn)
+
+
+def _off_the_probes(x):
+    """The identity on {e1, e2, e1 + e2}, a 1e-6 rotation anywhere else."""
+    if tuple(x.tolist()) in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+        return x
+    return x + 1e-6 * np.array([-x[1], x[0]])
+
+
+R22 = lp_space(REAL, 2, 2.0)
+C32 = lp_space(COMPLEX, 2, 3.0)
+PROBE_Z = (1 + 0j, 1j)  # e1 + i*e2, the kind probe
+
+
+@pytest.mark.parametrize("m, error, message", [
+    (MapOracle(R22, R22, _off_the_probes), HypothesisViolation,
+     "factorization fails to reproduce f: residual 1.664e-06"),
+    (_identity_except(C32, {PROBE_Z: [1, 1]}), KindAmbiguous, "sits between the classes"),
+    (_identity_except(C32, {PROBE_Z: [0, 1]}), KindAmbiguous, "degenerate leading coefficient"),
+    (MapOracle(R22, lp_space(COMPLEX, 2, 2.0), lambda x: x + 0j), ContractViolation,
+     "source and target must share the scalar field"),
+    (MapOracle(R22, lp_space(REAL, 3, 2.0), lambda x: np.r_[x, 0.0]), ContractViolation,
+     "reconstruction needs equal dimensions"),
+], ids=["residual_only", "kind_between_classes", "kind_degenerate", "mixed_field",
+        "unequal_dims"])
+def test_reconstruct_refuses_each_broken_hypothesis(m, error, message):
+    with pytest.raises(error, match=message):
+        reconstruct(m)
+
+
+@pytest.mark.parametrize("fn, x, error, message", [
+    (lambda v: v, [0.0, 0.0, 0.0], ContractViolation, "probed at nonzero x"),
+    (lambda v: 0.0 * v, [1.0, 0.0, 0.0], HypothesisViolation, "f vanished"),
+    (lambda v: v * (1.0 + 0.1 * (abs(v[0]) > 1.5)), [1.0, 0.0, 0.0], HypothesisViolation,
+     r"\|gamma\| = 2.2000000000000002 drifted from \|lam\| = 2"),
+], ids=["zero_x", "f_vanishes", "gamma_drifts"])
+def test_recover_scalar_action_refuses_each_broken_hypothesis(fn, x, error, message):
+    with pytest.raises(error, match=message):
+        recover_scalar_action(MapOracle(RC3, RC3, fn), x, 2.0)

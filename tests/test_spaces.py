@@ -222,3 +222,22 @@ def test_space_validation():
         Space.from_dict({"field": "complex", "dim": 2, "norm": {"linf2_fixture": True}})
     with pytest.raises(ContractViolation):
         Space.from_dict({"field": "real", "dim": 2, "norm": {"sup": True}})
+
+
+def test_complex_coordinates_with_zero_imaginary_part_are_real_coordinates():
+    s = lp_space(REAL, 2, 3.0)
+    v = as_vec(s, np.array([3.0 + 0j, -4.0 + 0j]))
+    assert v.dtype == np.float64 and np.array_equal(v, [3.0, -4.0])
+    assert norm(s, [3.0 + 0j, -4.0 + 0j]) == norm(s, [3.0, -4.0])
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: basis_vec(LP3, 2), "basis index 2 out of range for dim 2"),
+    (lambda: basis_vec(LP3, -1), "basis index -1 out of range for dim 2"),
+    (lambda: Space(REAL, 2, "l2"), "unknown norm descriptor 'l2'"),
+    (lambda: Space.from_dict({"field": "real", "dim": 2, "norm": {"linf2_fixture": False}}),
+     "malformed norm descriptor"),
+], ids=["basis-past-dim", "basis-negative", "norm-string", "linf2-false"])
+def test_space_builders_refuse_bad_input(build, message):
+    with pytest.raises(ContractViolation, match=message):
+        build()

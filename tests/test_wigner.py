@@ -7,6 +7,7 @@ import pytest
 
 from sipwigner import (
     COMPLEX,
+    KIND_LINEAR,
     REAL,
     ContractViolation,
     MapOracle,
@@ -369,3 +370,78 @@ def test_checkers_match_the_pairwise_reference(name, space, build):
         else:
             assert np.array_equal(report.witness.x, pair[0]), check.__name__
             assert np.array_equal(report.witness.y, pair[1]), check.__name__
+
+
+@pytest.mark.parametrize("space", [RC3, CC2], ids=["real", "complex"])
+def test_check_linearity_refuses_a_bad_n_draws_and_keeps_the_empty_report(space):
+    m, xs = identity_oracle(space), default_samples(space, 8, 5)
+    for bad in (-1, 2.5):
+        with pytest.raises(ContractViolation, match="n_draws"):
+            check_linearity(m, xs, n_draws=bad)
+    # no draws: the sample norms alone decide, in the usual two map calls
+    report = check_linearity(m, xs, n_draws=0)
+    assert (report.verdict, report.witness, report.pairs, report.map_calls) == ("pass", None, 8, 2)
+    doubled = check_linearity(scale_oracle(m, 2.0), xs, n_draws=0)
+    assert doubled.verdict == "fail"
+    assert np.array_equal(doubled.witness.x, doubled.witness.y)  # a sample norm
+
+
+def test_check_linearity_refuses_samples_that_do_not_span():
+    with pytest.raises(ContractViolation, match="span the source space"):
+        check_linearity(identity_oracle(RC3), [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0, 50.0, 100.0])
+def test_the_real_field_theorem_ties_the_two_checks_together(p):
+    """On a smooth, strictly convex real space, |[f(x), f(y)]| = |[x, y]|
+    holds exactly when {||f(x) + f(y)||, ||f(x) - f(y)||} = {||x + y||,
+    ||x - y||}, and a map with both is phase-equivalent to a linear isometry.
+
+    Isometries, their hashed-sign twists and their sign flips pass both
+    checks and reconstruct as linear; the doubled map and a 1e-3 radial
+    distortion fail both.
+    """
+    rng = np.random.default_rng([int(p * 10), 17])
+    for n in (1, 2, 3, 5):
+        s = lp_space(REAL, n, p)
+        for _ in range(2):
+            base = make_isometry(s, random_isometry_spec(s, rng))
+            w, phase_seed, seed = rng.standard_normal(n), *rng.integers(2 ** 63, size=2).tolist()
+            samples = default_samples(s, max(8, 2 * n), seed, unit=True)
+            maps = {
+                "isometry": (base, True),
+                "sign_twist": (make_phase_equivalent(base, seeded_phase(s, phase_seed)), True),
+                "sign_flip": (scale_oracle(base, -1.0), True),
+                "doubled": (scale_oracle(base, 2.0), False),
+                "radial": (MapOracle(s, s, lambda x, U=base.fn, w=w, s=s: U(x) * (
+                    1.0 + 1e-3 * np.tanh(w @ x / norm(s, x) + 0.3))), False),
+            }
+            for name, (f, expected) in maps.items():
+                verdicts = (check_wigner(f, samples, seed=seed).passed,
+                            check_phase_isometry_sets(f, samples, seed=seed).passed)
+                assert verdicts == (expected, expected), (n, name)
+                if expected:
+                    rec = reconstruct(f, seed=seed)
+                    assert rec.kind == KIND_LINEAR and rec.residual <= 1e-8, (n, name)
+
+
+@pytest.mark.parametrize("space", [RC3, CC2], ids=["real", "complex"])
+def test_linearity_witness_carries_the_per_draw_coefficients(space):
+    # a norm-preserving, non-additive map: the worst violation is a combination
+    m = make_phase_equivalent(identity_oracle(space), seeded_phase(space, 5))
+    xs = samples_for(space)
+    rng = np.random.default_rng(101)
+    draws = []
+    for _ in range(50):  # the reference stream, one scalar call at a time
+        i, j = int(rng.integers(len(xs))), int(rng.integers(len(xs)))
+        c = rng.standard_normal(4 if space.field == COMPLEX else 2).tolist()
+        a, b = (complex(*c[:2]), complex(*c[2:])) if space.field == COMPLEX else tuple(c)
+        draws.append((norm(space, m(a * xs[i] + b * xs[j]) - a * m(xs[i]) - b * m(xs[j])),
+                      i, j, (a, b)))
+    worst = max(draws, key=lambda d: d[0])  # the first draw attaining it
+    report = check_linearity(m, xs, seed=101)
+    assert report.verdict == "fail" and report.witness.rhs == worst[0]
+    assert np.array_equal(report.witness.x, xs[worst[1]])
+    assert np.array_equal(report.witness.y, xs[worst[2]])
+    assert report.witness.lhs == worst[3]
+    assert [type(c) for c in report.witness.lhs] == [type(c) for c in worst[3]]
