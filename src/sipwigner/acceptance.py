@@ -317,11 +317,9 @@ def criterion_5_roundtrip(cfg: GateConfig) -> CriterionResult:
     bad = []
     for k in range(ROUNDTRIP_TRIPLES):
         n = _pick(rng, [1, 2, 3, 5])
-        field = REAL if rng.integers(2) == 0 else COMPLEX
-        p = _pick(rng, [1.5, 2.0, 3.0])
-        s = lp_space(field, n, p)
-        use_dense = p == 2.0 and rng.integers(2) == 1
-        conjugate = field == COMPLEX and rng.integers(2) == 1
+        s = _checker_space(rng, n)
+        use_dense = s.norm.p == 2.0 and rng.integers(2) == 1
+        conjugate = s.field == COMPLEX and rng.integers(2) == 1
         if use_dense:
             base = matrix_oracle(s, random_unitary(s, rng), conjugate)
         else:

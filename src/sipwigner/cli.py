@@ -82,10 +82,10 @@ class RunConfig:
 
     source: Space
     map_spec: dict
-    checks: tuple[str, ...] = ("wigner",)
-    tol: float = 1e-8
-    samples: int = 16
-    seed: int | None = None
+    checks: tuple[str, ...]
+    tol: float
+    samples: int
+    seed: int | None
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -179,71 +179,56 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(json.loads(raw))
 
 
-def _map_request(args) -> tuple[RunConfig, int, float, MapOracle]:
-    """The config, seed, tol and map of a check or reconstruct request; --tol
-    (else the config's tol) is checked before the map is built."""
+def _map_request(args) -> tuple[RunConfig, int, float, MapOracle, dict]:
+    """The config, seed, tol and map of a check or reconstruct request, and
+    the head of its answer; --tol (else the config's tol) is checked before
+    the map is built."""
     cfg = _load_config(args.config)
     seed = _resolve_seed(args.seed, cfg.seed)
     tol = cfg.tol if args.tol is None else args.tol
     _require_tol(tol)
-    return cfg, seed, tol, _resolve_map(cfg)
+    head = {"space": cfg.source.to_dict(), "map": cfg.map_spec, "seed": seed}
+    return cfg, seed, tol, _resolve_map(cfg), head
 
 
 def _emit(obj, args) -> None:
     print(dumps(obj, pretty=not args.json))
 
 
-def _pair_request(args) -> tuple[Space, Vector, Vector]:
-    """The space and the vectors x, y of a sip-eval or orth-check request."""
-    return (Space.from_dict(json.loads(args.space)), vec_from_json(json.loads(args.x)),
-            vec_from_json(json.loads(args.y)))
+def _pair_request(args) -> tuple[Space, Vector, Vector, dict]:
+    """The space and the vectors x, y of a sip-eval or orth-check request,
+    and the head of its answer."""
+    space = Space.from_dict(json.loads(args.space))
+    x, y = vec_from_json(json.loads(args.x)), vec_from_json(json.loads(args.y))
+    return space, x, y, {"space": space.to_dict(), "x": x, "y": y}
 
 
 def cmd_sip_eval(args) -> int:
-    space, x, y = _pair_request(args)
+    space, x, y, head = _pair_request(args)
     value = sip(space, x, y)
     oracle = gateaux_sip_oracle(space, x, y)
-    _emit({
-        "space": space.to_dict(),
-        "x": x,
-        "y": y,
-        "sip": value,
-        "oracle": oracle,
-        "abs_difference": abs(value - oracle),
-    }, args)
+    _emit({**head, "sip": value, "oracle": oracle, "abs_difference": abs(value - oracle)}, args)
     return 0
 
 
 def cmd_orth_check(args) -> int:
-    space, x, y = _pair_request(args)
+    space, x, y, head = _pair_request(args)
     verdict = bj_orthogonal(space, x, y, tol=args.tol)
-    _emit({"space": space.to_dict(), "x": x, "y": y, **verdict.to_dict()}, args)
+    _emit({**head, **verdict.to_dict()}, args)
     return 0 if verdict.orthogonal else 1
 
 
 def cmd_check(args) -> int:
-    cfg, seed, tol, m = _map_request(args)
+    cfg, seed, tol, m, head = _map_request(args)
     samples = default_samples(cfg.source, cfg.samples, seed)
     reports = [CHECKS[name](m, samples, tol=tol, seed=seed) for name in cfg.checks]
-    _emit({
-        "space": cfg.source.to_dict(),
-        "map": cfg.map_spec,
-        "seed": seed,
-        "tol": tol,
-        "reports": [r.to_dict() for r in reports],
-    }, args)
+    _emit({**head, "tol": tol, "reports": [r.to_dict() for r in reports]}, args)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_reconstruct(args) -> int:
-    cfg, seed, tol, m = _map_request(args)
-    rec = reconstruct(m, tol=tol, seed=seed)
-    _emit({
-        "space": cfg.source.to_dict(),
-        "map": cfg.map_spec,
-        "seed": seed,
-        **rec.to_dict(),
-    }, args)
+    _, seed, tol, m, head = _map_request(args)
+    _emit({**head, **reconstruct(m, tol=tol, seed=seed).to_dict()}, args)
     return 0
 
 
@@ -290,16 +275,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("sip-eval", cmd_sip_eval, "evaluate [x, y] and its derivative oracle")
-    p.add_argument("--space", required=True, help="space as JSON")
-    p.add_argument("--x", required=True, help="vector as a JSON array")
-    p.add_argument("--y", required=True, help="vector as a JSON array")
-
-    p = add("orth-check", cmd_orth_check, "decide Birkhoff-James orthogonality")
-    p.add_argument("--space", required=True, help="space as JSON")
-    p.add_argument("--x", required=True, help="vector as a JSON array")
-    p.add_argument("--y", required=True, help="vector as a JSON array")
-    p.add_argument("--tol", type=float, default=1e-7, help="margin tolerance")
+    for name, func, help_ in (
+        ("sip-eval", cmd_sip_eval, "evaluate [x, y] and its derivative oracle"),
+        ("orth-check", cmd_orth_check, "decide Birkhoff-James orthogonality"),
+    ):
+        p = add(name, func, help_)
+        p.add_argument("--space", required=True, help="space as JSON")
+        p.add_argument("--x", required=True, help="vector as a JSON array")
+        p.add_argument("--y", required=True, help="vector as a JSON array")
+    p.add_argument("--tol", type=float, default=1e-7, help="margin tolerance")  # orth-check
 
     for name, func, help_ in (
         ("check", cmd_check, "run checkers from a RunConfig JSON file"),

@@ -20,6 +20,7 @@ from .spaces import (
     REAL,
     Space,
     Vector,
+    _rng,
     as_vec,
     linf2_space,
     norm,
@@ -56,14 +57,11 @@ class IsometrySpec:
         return len(self.perm)
 
     def matrix(self, field: str) -> np.ndarray:
-        dtype = np.complex128 if field == COMPLEX else np.float64
-        if field == REAL:
-            for d in self.diag:
-                if complex(d).imag != 0:
-                    raise ContractViolation("complex weights in a real-field spec")
-        m = np.zeros((self.dim, self.dim), dtype=dtype)
+        m = np.zeros((self.dim, self.dim), dtype=np.complex128 if field == COMPLEX else np.float64)
         for i, (src, d) in enumerate(zip(self.perm, self.diag)):
             d = complex(d)
+            if field == REAL and d.imag != 0:
+                raise ContractViolation("complex weights in a real-field spec")
             d /= abs(d)  # re-normalize so the matrix is an exact isometry
             m[i, src - 1] = d if field == COMPLEX else d.real
         return m
@@ -251,9 +249,9 @@ def structured_samples(space: Space, unit: bool = False) -> list[Vector]:
 
 def default_samples(space: Space, count: int, seed: int, unit: bool = False) -> list[Vector]:
     """Structured points first, then sphere draws, truncated to ``count``."""
-    if count < 2:
-        raise ContractViolation("need at least two samples")
-    rng = np.random.default_rng(seed)
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 2:
+        raise ContractViolation(f"need an integer count of at least two samples, got {count!r}")
+    rng = _rng(seed)
     vecs = structured_samples(space, unit=unit)[:count]
     if len(vecs) < count:
         vecs.extend(unit_sphere_samples(space, count - len(vecs), rng))

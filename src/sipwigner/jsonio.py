@@ -12,12 +12,14 @@ dicts, lists, complex scalars, arrays, strings) and ``bool`` before
 ``json.encoder.encode_basestring_ascii``, the function ``json.dumps`` uses
 for a ``str``, so they print exactly as ``json.dumps`` prints them.
 
-A non-empty float64 or complex128 array with an axis is written one
-last-axis row per ``%`` call of a ``%.17g`` template, the C formatter of
-``format(x, ".17g")``, so the bytes are the per-value path's.  A finite
-``%.17g`` never holds the letter ``n``, and ``inf`` and ``nan`` do: an array
-whose text holds one is encoded again value by value, which raises at its
-first non-finite value.  Other arrays go through ``tolist()``.
+Every float, alone, in a complex scalar or in an array, is written by one
+text rule: the ``%.17g`` template, the C formatter of ``format(x, ".17g")``.
+A complex value fills ``_complex_item``'s ``{"re", "im"}`` template.  A
+non-empty float64 or complex128 array with an axis is written one last-axis
+row per ``%`` call; other arrays go through ``tolist()``.  A finite ``%.17g``
+never holds the letter ``n``, and ``inf`` and ``nan`` do, so ``_finite``
+tests the text, not the values, and raises at the first non-finite value in
+output order.
 """
 
 from __future__ import annotations
@@ -33,10 +35,22 @@ from .errors import ContractViolation
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
+def _finite(text: str, values) -> str:
+    """``text``, the ``%.17g`` text of the floats ``values`` (in output
+    order), unless it holds an inf or a nan; then raise at the first one."""
+    if "n" in text:
+        x = next(float(v) for v in values if not math.isfinite(v))
         raise ContractViolation(f"non-finite float in JSON output: {x!r}")
-    return format(float(x), ".17g")
+    return text
+
+
+def _complex_item(pad: str, step: str) -> str:
+    """The ``{"re", "im"}`` template, two ``%.17g`` slots, of a complex value
+    at the level whose line break and indentation is ``pad``."""
+    if step:
+        inner = pad + step
+        return f'{{{inner}"re": %.17g,{inner}"im": %.17g{pad}}}'
+    return '{"re":%.17g,"im":%.17g}'
 
 
 def _encode(obj, out: list[str], pad: str, step: str) -> None:
@@ -46,13 +60,14 @@ def _encode(obj, out: list[str], pad: str, step: str) -> None:
     and ``step`` one level of indentation; both are "" in compact mode.
     """
     if isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
+        out.append(_finite("%.17g" % obj, (obj,)))
     elif isinstance(obj, dict):
         _encode_dict(obj, out, pad, step)
     elif isinstance(obj, (list, tuple)):
         _encode_list(obj, out, pad, step)
     elif isinstance(obj, (complex, np.complexfloating)):
-        _encode_complex(obj, out, pad, step)
+        re, im = obj.real, obj.imag
+        out.append(_finite(_complex_item(pad, step) % (re, im), (re, im)))
     elif isinstance(obj, np.ndarray):
         # not for subclasses: a masked array's tolist() holds None
         if obj.ndim and obj.size and obj.dtype.char in "dD" and type(obj) is np.ndarray:
@@ -73,33 +88,16 @@ def _encode(obj, out: list[str], pad: str, step: str) -> None:
         raise ContractViolation(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def _encode_complex(z, out: list[str], pad: str, step: str) -> None:
-    inner = pad + step
-    re = _fmt_float(float(z.real))
-    im = _fmt_float(float(z.imag))
-    if step:
-        out.append(f'{{{inner}"re": {re},{inner}"im": {im}{pad}}}')
-    else:
-        out.append(f'{{"re":{re},"im":{im}}}')
-
-
 def _encode_rows(a: np.ndarray, out: list[str], pad: str, step: str) -> None:
     """A float64 or complex128 array with an axis and at least one value."""
     row_pad = pad + step * (a.ndim - 1)
     inner = row_pad + step
     if a.dtype.char == "d":
-        item, vals = "%.17g", a.tolist()
-    else:
-        deeper = inner + step
-        item = (f'{{{deeper}"re": %.17g,{deeper}"im": %.17g{inner}}}' if step
-                else '{"re":%.17g,"im":%.17g}')
-        vals = np.ascontiguousarray(a).view(np.float64).tolist()
+        item, floats = "%.17g", a
+    else:  # (re, im) pairs, in output order
+        item, floats = _complex_item(inner, step), np.ascontiguousarray(a).view(np.float64)
     row = "[" + inner + ("," + inner).join([item] * a.shape[-1]) + row_pad + "]"
-    text = _join_rows(vals, a.ndim - 1, row, pad, step)
-    if "n" in text:  # an inf or a nan: the per-value path raises at the first
-        _encode_list(a.tolist(), out, pad, step)
-    else:
-        out.append(text)
+    out.append(_finite(_join_rows(floats.tolist(), a.ndim - 1, row, pad, step), floats.flat))
 
 
 def _join_rows(vals: list, depth: int, row: str, pad: str, step: str) -> str:

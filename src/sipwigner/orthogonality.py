@@ -54,9 +54,9 @@ class ScalarMin:
 
     argmin: Scalar
     value: float
-    flat: bool = False
-    nfev: int = 0
-    probes: int = 0
+    flat: bool
+    nfev: int
+    probes: int
 
 
 def _line_min(width: float, xatol: float, max_width: float, at=None):
@@ -263,8 +263,8 @@ class OrthVerdict:
     orthogonal: bool
     margin: float
     minimizer: Scalar
-    flat_minimizer: bool = False
-    nfev: int = 0
+    flat_minimizer: bool
+    nfev: int
 
     def __eq__(self, other):  # field by field, so stacked (array) fields compare too
         if other.__class__ is not self.__class__:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractViolation, HypothesisViolation, KindAmbiguous, UnsupportedSpace
 from .spaces import (COMPLEX, Lp, Scalar, Space, Vector, _as_array, _require_independent,
-                     _require_tol, as_vec, norm, norm_fn, sip)
+                     _require_tol, _rng, as_vec, norm, norm_fn, sip)
 from .wigner import MapOracle
 
 KIND_LINEAR = "linear"
@@ -78,12 +78,12 @@ def _require_reconstructible(m: MapOracle, tol: float) -> None:
 
 
 def _span_coeffs(target: Space, w: Vector, basis, bound: float, leaves: str,
-                 witness) -> list[Scalar]:
+                 witness: dict) -> list[Scalar]:
     """Least-squares coefficients c of w on the basis vectors.
 
     A target-norm residual ||w - sum_i c_i * basis_i|| above ``bound``
     raises HypothesisViolation "<leaves>: residual ...", whose witness is
-    the dict ``witness()`` followed by the residual.
+    ``witness`` followed by the residual.
     """
     A = np.stack(basis, axis=1)
     c, _, _, svals = np.linalg.lstsq(A, w, rcond=None)
@@ -91,22 +91,21 @@ def _span_coeffs(target: Space, w: Vector, basis, bound: float, leaves: str,
     residual = norm(target, w - A @ c)
     if residual > bound:
         raise HypothesisViolation(f"{leaves}: residual {residual:.3e}",
-                                  {**witness(), "residual": residual})
+                                  {**witness, "residual": residual})
     return c.tolist()
 
 
 def _pair_coeffs(m: MapOracle, x, y, fx, fy, fxy, tol: float) -> tuple[Scalar, Scalar]:
     """Unimodular (alpha, beta) with f(x+y) = alpha*f(x) + beta*f(y), from
     the images fx, fy, fxy of x, y and x + y."""
-    def witness():
-        return {"x": x.tolist(), "y": y.tolist()}
+    witness = {"x": x.tolist(), "y": y.tolist()}
     alpha, beta = _span_coeffs(m.target, fxy, [fx, fy],
                                tol * (1.0 + norm_fn(m.source)(x + y)),
                                "f(x+y) leaves span(f(x), f(y))", witness)
     for name, c in (("alpha", alpha), ("beta", beta)):
         if abs(abs(c) - 1.0) > tol:
             raise HypothesisViolation(f"{name} is not unimodular: |{name}| = {abs(c):.17g}",
-                                      {**witness(), name: c})
+                                      {**witness, name: c})
     return alpha, beta
 
 
@@ -114,7 +113,7 @@ def _kind(m: MapOracle, z: Vector, f1, col2, fz, tol: float) -> str:
     """The kind from f(e1), the gauge-aligned second column
     col2 = (beta/alpha)*f(e2) and the image fz of the probe z = e1 + i*e2."""
     a, b = _span_coeffs(m.target, fz, [f1, col2], tol * (1.0 + norm_fn(m.source)(z)),
-                        "f(e1 + i*e2) leaves span(f(e1), f(e2))", dict)
+                        "f(e1 + i*e2) leaves span(f(e1), f(e2))", {})
     if abs(a) < 1e-6:
         raise KindAmbiguous(f"degenerate leading coefficient {a!r}")
     ratio = b / a  # carries h(i)
@@ -135,13 +134,13 @@ def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Sc
     fx, flx = m(np.stack([xv, lam * xv]))
     if norm(m.target, fx) == 0.0:
         raise HypothesisViolation("f vanished at a nonzero point", {"x": xv.tolist()})
+    witness = {"x": xv.tolist(), "lam": lam}
     (gamma,) = _span_coeffs(m.target, flx, [fx], tol * (1.0 + abs(lam) * norm(m.source, xv)),
-                            "f(lam*x) leaves the line through f(x)",
-                            lambda: {"x": xv.tolist(), "lam": lam})
+                            "f(lam*x) leaves the line through f(x)", witness)
     if abs(abs(gamma) - abs(lam)) > tol * (1.0 + abs(lam)):
         raise HypothesisViolation(
             f"|gamma| = {abs(gamma):.17g} drifted from |lam| = {abs(lam):.17g}",
-            {"x": xv.tolist(), "lam": lam, "gamma": gamma})
+            {**witness, "gamma": gamma})
     return gamma
 
 
@@ -213,7 +212,7 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
     source, n = m.source, m.source.dim
     size = norm_fn(source)
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     shape = (2, n) if source.field == COMPLEX else (n,)
     rows, left = [], _N_TEST
     while left:

@@ -90,7 +90,7 @@ class Space:
     def __post_init__(self):
         if self.field not in (REAL, COMPLEX):
             raise ContractViolation(f"unknown field {self.field!r}")
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
             raise ContractViolation(f"dim must be a positive integer, got {self.dim!r}")
         if isinstance(self.norm, Linf2):
             if self.field != REAL or self.dim != 2:
@@ -169,7 +169,7 @@ def _require_independent(svals, count: int, message: str) -> None:
     """Raise ContractViolation(message) unless the descending singular values
     ``svals`` of a ``count``-column matrix show independent columns: all
     ``count`` of them present, the smallest above 1e-12 of the largest."""
-    if len(svals) < count or svals[0] == 0.0 or svals[-1] <= 1e-12 * svals[0]:
+    if len(svals) < count or svals[-1] <= 1e-12 * svals[0]:
         raise ContractViolation(message)
 
 
@@ -328,3 +328,11 @@ def _require_tol(tol) -> None:
     finite number; NaN fails too, since it compares false."""
     if not 0 < tol < inf:
         raise ContractViolation("tol must be positive and finite")
+
+
+def _rng(seed) -> np.random.Generator:
+    """numpy's default generator at ``seed``; ContractViolation unless
+    ``seed`` is a non-negative integer (a numpy one will do, a bool will not)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ContractViolation(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.default_rng(seed)

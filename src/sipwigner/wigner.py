@@ -18,6 +18,13 @@ products require smooth (Lp) spaces and refuse the max-norm fixture.
 Each check evaluates all sample pairs at once as arrays (the pair checks
 compare Gram-type matrices), and a failing Report's witness is the first
 pair, in row-major order, attaining the largest violation.
+
+A check's ``tol`` is relative to the magnitudes it compares: a violation
+passes within tol*||x_i||*||x_j|| for the Gram entries, tol*(||x_i|| +
+||x_j||) for the multisets, and tol*||x|| or tol*(|a|*||x_i|| +
+|b|*||x_j||) for a norm or a combination under ``check_linearity``.  A
+verdict on samples times 10^k is thus the verdict at unit scale, while the
+norms stay inside the float range.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedField, UnsupportedSpace
-from .spaces import COMPLEX, Lp, REAL, Space, Vector, _as_array, _require_tol, norm, sip
+from .spaces import COMPLEX, Lp, REAL, Space, Vector, _as_array, _require_tol, _rng, norm, sip
 
 PASS = "pass"
 FAIL = "fail"
@@ -135,7 +142,7 @@ def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
     if modulus:
         lhs, rhs = np.abs(lhs), np.abs(rhs)
     nx = norm(m.source, xs)
-    failed, worst, (i, j) = _worst(np.abs(lhs - rhs), tol * (1.0 + nx[:, None] * nx[None]))
+    failed, worst, (i, j) = _worst(np.abs(lhs - rhs), tol * nx[:, None] * nx[None])
     witness = Witness(xs[i], xs[j], lhs[i, j].item(), rhs[i, j].item()) if failed else None
     return Report(check, FAIL if failed else PASS, worst, witness, seed,
                   pairs=len(xs) ** 2, map_calls=1)
@@ -169,7 +176,7 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
     lo, hi = sorted_pair(m.source, xs)
     nx = norm(m.source, xs)
     violation = np.maximum(np.abs(lo_f - lo), np.abs(hi_f - hi))
-    failed, worst, (k,) = _worst(violation, tol * (1.0 + nx[i] + nx[j]))
+    failed, worst, (k,) = _worst(violation, tol * (nx[i] + nx[j]))
     witness = None
     if failed:
         witness = Witness(xs[i[k]], xs[j[k]], [lo_f[k].item(), hi_f[k].item()],
@@ -194,6 +201,7 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     """
     if isinstance(n_draws, bool) or not isinstance(n_draws, int) or n_draws < 0:
         raise ContractViolation(f"n_draws must be a non-negative integer, got {n_draws!r}")
+    rng = _rng(seed)
     xs, fxs = _prepared(m, samples, tol)
     svals = np.linalg.svd(xs, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
@@ -201,7 +209,6 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
         raise ContractViolation("samples must span the source space")
 
     # per draw, in stream order: two indices, then the coefficients' normals
-    rng = np.random.default_rng(seed)
     n, width = len(xs), 4 if m.source.field == COMPLEX else 2
     draws = [v for _ in range(n_draws)
              for v in (rng.integers(n), rng.integers(n), rng.standard_normal(width))]
@@ -217,7 +224,7 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     combo_dev = norm(m.target, images - a * fxs[i] - b * fxs[j])
     failed, worst, (k,) = _worst(
         np.concatenate([np.abs(nfx - nx), combo_dev]),
-        tol * np.concatenate([1.0 + nx, 1.0 + np.abs(a[:, 0]) * nx[i] + np.abs(b[:, 0]) * nx[j]]),
+        tol * np.concatenate([nx, np.abs(a[:, 0]) * nx[i] + np.abs(b[:, 0]) * nx[j]]),
     )
     witness = None
     if failed and k < len(xs):

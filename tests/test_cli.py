@@ -496,3 +496,45 @@ def test_selftest_table_has_one_aligned_row_per_criterion(capsys, monkeypatch):
         "PASS  7_hhhhhhh  detail 7",
         "7/8 criteria passed",
     ]
+
+
+HELP_AND_USAGE_SHA256 = {
+    # --help of the top level and of each subcommand
+    ("--help",): (0, "f167de31c9d48e479bce027b31f660abb9883e42d21c1d2fb3b0b4fc952db990"),
+    ("sip-eval", "--help"):
+        (0, "d7d596bc3793a58e495634d6771af3a598c1deb8034ab4e49a6ae7f0452c85c4"),
+    ("orth-check", "--help"):
+        (0, "a49aa0b9be890558e5ca6a25d207b5f93e965163fc3566c29f5d6143a785ff76"),
+    ("check", "--help"): (0, "045469bf2ec7187584f2c6d26fd41e5e1a2b82b746df2b466ad64d7969f1fae6"),
+    ("reconstruct", "--help"):
+        (0, "b330642d0cad49b767d00b939185f86dcc968cb9364db14060f24954232fa499"),
+    ("counterexample", "--help"):
+        (0, "2a1ed03ccbfc592585025af6425403e130c2e671116e6facad7532413da96d8d"),
+    ("selftest", "--help"):
+        (0, "af5edeaf4c095a2297cb784b6826ec946cd05149fdd3ae6c3c481220240f2d12"),
+    # one usage error per subcommand
+    ("sip-eval", "--space", LP3, "--x", "[1]"):
+        (2, "0ed308c38700212704a34e0399528e6fde13863a25297ca569c491baa8ab0949"),
+    ("orth-check", "--space", LP3, "--x", "[1]", "--y", "[1]", "--tol", "x"):
+        (2, "e633287032196a1563c26e063cbc5efde690fada52728224c7a2ec31fda19b03"),
+    ("check",): (2, "a349a3de8e93d1555fff00b0957da3d3e76d6580fe09ea79e7105e9cf517da12"),
+    ("reconstruct", "--config", "-", "--seed", "-1"):
+        (2, "01bfd849fc067c187faa31114eb0fa043355d4c5254bf2d45b1b0cf6a9be33c9"),
+    ("counterexample", "--seed", "1"):
+        (2, "9d8bf4e0e2028c14b2a105bee6c770bbaa9c5d6cc90fc655396e904da6cf81d4"),
+    ("selftest", "--seed", "abc"):
+        (2, "b101f76773aa9e82a3587128e0fdf0fd72fd2f1f5b25d8166772a9e8c771fc1d"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the pinned bytes are those of Python 3.11's argparse")
+@pytest.mark.parametrize("argv", list(HELP_AND_USAGE_SHA256), ids=" ".join)
+def test_help_and_usage_bytes_are_pinned(capsys, monkeypatch, argv):
+    # sha256 of stdout, a NUL, then stderr, at an 80-column terminal
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    digest = hashlib.sha256((captured.out + "\0" + captured.err).encode()).hexdigest()
+    assert (info.value.code, digest) == HELP_AND_USAGE_SHA256[argv]

@@ -10,9 +10,13 @@ from sipwigner import (
     REAL,
     ContractViolation,
     IsometrySpec,
+    Lp,
+    Space,
     basis_vec,
+    check_linearity,
     conjugation_oracle,
     default_samples,
+    identity_oracle,
     linf2_space,
     lp_space,
     make_isometry,
@@ -21,6 +25,7 @@ from sipwigner import (
     norm,
     random_isometry_spec,
     random_unitary,
+    reconstruct,
     scale_oracle,
     seeded_phase,
     sip,
@@ -256,3 +261,31 @@ def test_random_isometry_spec_obeys_field():
 def test_fixture_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reconstruct(identity_oracle(lp_space(REAL, 2, 3.0)), seed=-1),
+    lambda: reconstruct(identity_oracle(lp_space(REAL, 2, 3.0)), seed=2.5),
+    lambda: reconstruct(identity_oracle(lp_space(REAL, 2, 3.0)), seed=True),
+    lambda: check_linearity(identity_oracle(lp_space(REAL, 2, 3.0)), np.eye(2), seed=-1),
+    lambda: check_linearity(identity_oracle(lp_space(REAL, 2, 3.0)), np.eye(2), seed="1"),
+    lambda: default_samples(lp_space(REAL, 2, 3.0), 8, -1),
+    lambda: default_samples(lp_space(REAL, 2, 3.0), 8, 2.5),
+    lambda: default_samples(lp_space(REAL, 2, 3.0), 2.5, 1),
+    lambda: default_samples(lp_space(REAL, 2, 3.0), True, 1),
+    lambda: Space(REAL, True, Lp(3.0)),
+    lambda: Space(REAL, 2.0, Lp(3.0)),
+], ids=["reconstruct-negative-seed", "reconstruct-float-seed", "reconstruct-bool-seed",
+        "linearity-negative-seed", "linearity-str-seed", "samples-negative-seed",
+        "samples-float-seed", "samples-float-count", "samples-bool-count", "space-bool-dim",
+        "space-float-dim"])
+def test_bad_seeds_counts_and_dims_raise_contract_violations(call):
+    with pytest.raises(ContractViolation):
+        call()
+
+
+def test_numpy_integer_seeds_and_counts_are_accepted():
+    s = lp_space(REAL, 2, 3.0)
+    assert np.array_equal(default_samples(s, np.int64(8), np.uint64(5)), default_samples(s, 8, 5))
+    assert reconstruct(identity_oracle(s), seed=np.int64(3)) is not None
+    assert check_linearity(identity_oracle(s), np.eye(2), seed=np.uint32(4)).passed

@@ -445,3 +445,40 @@ def test_linearity_witness_carries_the_per_draw_coefficients(space):
     assert np.array_equal(report.witness.y, xs[worst[2]])
     assert report.witness.lhs == worst[3]
     assert [type(c) for c in report.witness.lhs] == [type(c) for c in worst[3]]
+
+
+def test_checker_verdicts_do_not_depend_on_the_sample_scale():
+    """Each checker's verdict on samples times 10^k is its verdict at k = 0.
+
+    Real and complex l_p^n, p in {1.5, 2, 3, 7}, n in {2, 3}; the identity,
+    the doubled map, a phase-twisted isometry and, over C, conjugation;
+    k in {+-1, +-10, +-40} with |k|*p <= 280.  The limit keeps every
+    |x_i|^p inside the float range: past it the raw p-norm underflows or
+    overflows, a defect of the evaluators themselves, probed at 1e+-150
+    under ROADMAP item 1.  A tolerance relative to the magnitudes compared
+    makes the verdicts scale-free; an additive one let the doubled map pass
+    at small scale.
+    """
+    checks = (check_wigner, check_exact_preservation, check_linearity)
+    rng = np.random.default_rng(29)
+    for field in (REAL, COMPLEX):
+        for p in (1.5, 2.0, 3.0, 7.0):
+            for n in (2, 3):
+                s = lp_space(field, n, p)
+                iso = make_isometry(s, random_isometry_spec(s, rng))
+                maps = {"identity": identity_oracle(s),
+                        "doubled": scale_oracle(identity_oracle(s), 2.0),
+                        "phase_twisted": make_phase_equivalent(
+                            iso, seeded_phase(s, int(rng.integers(2 ** 63))))}
+                if field == COMPLEX:
+                    maps["conjugation"] = conjugation_oracle(s)
+                samples = np.array(default_samples(s, 8, int(rng.integers(2 ** 63)), unit=True))
+                for name, f in maps.items():
+                    for check in checks + ((check_phase_isometry_sets,) if field == REAL else ()):
+                        at_unit = check(f, samples).verdict
+                        if name == "doubled":
+                            assert at_unit == "fail"
+                        for k in (-40, -10, -1, 1, 10, 40):
+                            if abs(k) * p <= 280:
+                                got = check(f, samples * 10.0 ** k).verdict
+                                assert got == at_unit, (field, p, n, name, check.__name__, k)
