@@ -287,5 +287,7 @@ def test_bad_seeds_counts_and_dims_raise_contract_violations(call):
 def test_numpy_integer_seeds_and_counts_are_accepted():
     s = lp_space(REAL, 2, 3.0)
     assert np.array_equal(default_samples(s, np.int64(8), np.uint64(5)), default_samples(s, 8, 5))
-    assert reconstruct(identity_oracle(s), seed=np.int64(3)) is not None
+    by_numpy, by_int = (reconstruct(identity_oracle(s), seed=seed) for seed in (np.int64(3), 3))
+    assert np.array_equal([x for x, _ in by_numpy.phase_samples],
+                          [x for x, _ in by_int.phase_samples])
     assert check_linearity(identity_oracle(s), np.eye(2), seed=np.uint32(4)).passed
