@@ -54,7 +54,7 @@ from .fixtures import (
 from .jsonio import dumps, float_from_json, int_from_json, object_from_json, vec_from_json
 from .orthogonality import bj_orthogonal
 from .reconstruct import reconstruct
-from .spaces import Space, Vector, _require_tol, gateaux_sip_oracle, sip
+from .spaces import Space, Vector, _require_int, _require_tol, gateaux_sip_oracle, sip
 from .wigner import (
     MapOracle,
     check_exact_preservation,
@@ -113,8 +113,7 @@ class RunConfig:
         if bad:
             raise ContractViolation(f"unknown checks {bad}; known: {sorted(CHECKS)}")
         _require_tol(tol)
-        if samples < 2:
-            raise ContractViolation("sample count must be at least 2")
+        _require_int(samples, 2, "sample count")
         seed = d.get("seed")
         if seed is not None:
             seed = _u64(int_from_json(seed))

@@ -20,6 +20,7 @@ from .spaces import (
     REAL,
     Space,
     Vector,
+    _require_int,
     _rng,
     as_vec,
     linf2_space,
@@ -249,8 +250,7 @@ def structured_samples(space: Space, unit: bool = False) -> list[Vector]:
 
 def default_samples(space: Space, count: int, seed: int, unit: bool = False) -> list[Vector]:
     """Structured points first, then sphere draws, truncated to ``count``."""
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 2:
-        raise ContractViolation(f"need an integer count of at least two samples, got {count!r}")
+    _require_int(count, 2, "sample count")
     rng = _rng(seed)
     vecs = structured_samples(space, unit=unit)[:count]
     if len(vecs) < count:

@@ -207,13 +207,18 @@ def _run(searches: list, G) -> list[ScalarMin]:
             evaluate = None
     if live:
         (k,), (grid,) = live, grids
-        evaluate = G(live)
-        try:
-            while True:
-                grid = searches[k].send(evaluate(grid))
-        except StopIteration as stop:
-            results[k] = stop.value
+        results[k] = _finish(searches[k], grid, G(live))
     return results
+
+
+def _finish(search, grid, f) -> ScalarMin:
+    """Drive one search from its pending ``grid``: send it ``f(grid)`` until
+    it returns its ``ScalarMin``."""
+    try:
+        while True:
+            grid = search.send(f(grid))
+    except StopIteration as stop:
+        return stop.value
 
 
 def minimize_scalar(
@@ -243,8 +248,8 @@ def minimize_scalar(
     if not all(v > 0 and math.isfinite(v) for v in (initial_width, xatol, max_width)):
         raise ContractViolation("initial_width, xatol and max_width must be positive and finite")
     search = _minimize(field, initial_width=initial_width, xatol=xatol, max_width=max_width)
-    return _run([search], lambda rows: lambda lams: np.array(
-        [g(lam) for lam in lams.tolist()], dtype=float))[0]
+    return _finish(search, next(search),
+                   lambda lams: np.array([g(lam) for lam in lams.tolist()], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -389,7 +394,7 @@ def best_coeffs(space: Space, target, basis: Sequence) -> list[Scalar]:
         nonlocal c
         r, w = t - Q @ c, Q @ d
         search = _minimize(space.field, initial_width=width, xatol=xatol, max_width=max_width)
-        res = _run([search], lambda rows: lambda ss: nrm(r - ss[:, None] * w))[0]
+        res = _finish(search, next(search), lambda ss: nrm(r - ss[:, None] * w))
         c = c + res.argmin * d
         return res
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, HypothesisViolation, KindAmbiguous, UnsupportedSpace
-from .spaces import (COMPLEX, Lp, Scalar, Space, Vector, _as_array, _require_independent,
-                     _require_tol, _rng, as_vec, norm, norm_fn, sip)
-from .wigner import MapOracle
+from .spaces import (COMPLEX, Lp, Scalar, Space, Vector, _as_array, _require_independent, _rng,
+                     as_vec, norm, norm_fn, sip)
+from .wigner import MapOracle, _require_map
 
 KIND_LINEAR = "linear"
 KIND_CONJUGATE = "conjugate_linear"
@@ -70,11 +70,9 @@ class Reconstruction:
 def _require_reconstructible(m: MapOracle, tol: float) -> None:
     if not isinstance(m.source.norm, Lp) or not isinstance(m.target.norm, Lp):
         raise UnsupportedSpace("reconstruction needs smooth (Lp) spaces")
-    if m.source.field != m.target.field:
-        raise ContractViolation("source and target must share the scalar field")
+    _require_map(m, tol)
     if m.source.dim != m.target.dim:
         raise ContractViolation("reconstruction needs equal dimensions")
-    _require_tol(tol)
 
 
 def _span_coeffs(target: Space, w: Vector, basis, bound: float, leaves: str,

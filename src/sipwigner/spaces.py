@@ -90,8 +90,7 @@ class Space:
     def __post_init__(self):
         if self.field not in (REAL, COMPLEX):
             raise ContractViolation(f"unknown field {self.field!r}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, int) or self.dim < 1:
-            raise ContractViolation(f"dim must be a positive integer, got {self.dim!r}")
+        _require_int(self.dim, 1, "dim")
         if isinstance(self.norm, Linf2):
             if self.field != REAL or self.dim != 2:
                 raise ContractViolation("the Linf2 norm lives on the real plane only")
@@ -330,9 +329,15 @@ def _require_tol(tol) -> None:
         raise ContractViolation("tol must be positive and finite")
 
 
+def _require_int(value, low: int, what: str) -> None:
+    """Raise ContractViolation unless ``value`` is an integer, an ``int`` or
+    a numpy integer but never a ``bool``, of at least ``low``; ``what``
+    names it in the message."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ContractViolation(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def _rng(seed) -> np.random.Generator:
-    """numpy's default generator at ``seed``; ContractViolation unless
-    ``seed`` is a non-negative integer (a numpy one will do, a bool will not)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ContractViolation(f"seed must be a non-negative integer, got {seed!r}")
+    """numpy's default generator at ``seed``, a non-negative integer."""
+    _require_int(seed, 0, "seed")
     return np.random.default_rng(seed)

@@ -35,7 +35,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedField, UnsupportedSpace
-from .spaces import COMPLEX, Lp, REAL, Space, Vector, _as_array, _require_tol, _rng, norm, sip
+from .spaces import (COMPLEX, Lp, REAL, Space, Vector, _as_array, _require_int, _require_tol, _rng,
+                     norm, sip)
 
 PASS = "pass"
 FAIL = "fail"
@@ -112,16 +113,23 @@ class Report:
         }
 
 
-def _prepared(m: MapOracle, samples: Sequence, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The samples and their images, stacked as rows, after the shared
-    argument checks."""
+def _require_map(m: MapOracle, tol: float) -> None:
+    """The preconditions of every check and of ``reconstruct``: a positive,
+    finite ``tol`` and one scalar field at both ends of the map."""
     _require_tol(tol)
     if m.source.field != m.target.field:
         raise ContractViolation("source and target must share the scalar field")
+
+
+def _prepared(m: MapOracle, samples: Sequence,
+              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The samples and their images, stacked as rows, and the samples'
+    norms, after the shared argument checks."""
+    _require_map(m, tol)
     if len(samples) == 0:
         raise ContractViolation("need at least one sample")
     xs = _as_array(m.source, samples, ndim=2)
-    return xs, m(xs)
+    return xs, m(xs), norm(m.source, xs)
 
 
 def _worst(violation: np.ndarray, bound: np.ndarray) -> tuple[bool, float, tuple]:
@@ -136,12 +144,11 @@ def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
     G[i, j] = [x_i, x_j] entrywise, in modulus or as they are."""
     if not isinstance(m.source.norm, Lp) or not isinstance(m.target.norm, Lp):
         raise UnsupportedSpace("semi-inner-product checks need smooth (Lp) spaces on both ends")
-    xs, fxs = _prepared(m, samples, tol)
+    xs, fxs, nx = _prepared(m, samples, tol)
     lhs = sip(m.target, fxs[:, None], fxs[None])
     rhs = sip(m.source, xs[:, None], xs[None])
     if modulus:
         lhs, rhs = np.abs(lhs), np.abs(rhs)
-    nx = norm(m.source, xs)
     failed, worst, (i, j) = _worst(np.abs(lhs - rhs), tol * nx[:, None] * nx[None])
     witness = Witness(xs[i], xs[j], lhs[i, j].item(), rhs[i, j].item()) if failed else None
     return Report(check, FAIL if failed else PASS, worst, witness, seed,
@@ -165,7 +172,7 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
     """
     if m.source.field != REAL or m.target.field != REAL:
         raise UnsupportedField("the multiset criterion is a real-field check")
-    xs, fxs = _prepared(m, samples, tol)
+    xs, fxs, nx = _prepared(m, samples, tol)
     i, j = np.tril_indices(len(xs))  # row-major: (0, 0), (1, 0), (1, 1), ...
 
     def sorted_pair(space, v):
@@ -174,7 +181,6 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
 
     lo_f, hi_f = sorted_pair(m.target, fxs)
     lo, hi = sorted_pair(m.source, xs)
-    nx = norm(m.source, xs)
     violation = np.maximum(np.abs(lo_f - lo), np.abs(hi_f - hi))
     failed, worst, (k,) = _worst(violation, tol * (nx[i] + nx[j]))
     witness = None
@@ -199,10 +205,9 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     The samples must span the source space, otherwise additivity off their
     span would go untested.
     """
-    if isinstance(n_draws, bool) or not isinstance(n_draws, int) or n_draws < 0:
-        raise ContractViolation(f"n_draws must be a non-negative integer, got {n_draws!r}")
+    _require_int(n_draws, 0, "n_draws")
     rng = _rng(seed)
-    xs, fxs = _prepared(m, samples, tol)
+    xs, fxs, nx = _prepared(m, samples, tol)
     svals = np.linalg.svd(xs, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     if rank < m.source.dim:
@@ -220,7 +225,7 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     images = m(a * xs[i] + b * xs[j])
 
     # the scan runs over the sample norms first, then the seeded combinations
-    nx, nfx = norm(m.source, xs), norm(m.target, fxs)
+    nfx = norm(m.target, fxs)
     combo_dev = norm(m.target, images - a * fxs[i] - b * fxs[j])
     failed, worst, (k,) = _worst(
         np.concatenate([np.abs(nfx - nx), combo_dev]),
