@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .spaces import (
     Space,
     Vector,
     _require_int,
+    _require_rng,
     _rng,
     as_vec,
     linf2_space,
@@ -45,12 +47,14 @@ class IsometrySpec:
 
     def __post_init__(self):
         n = len(self.perm)
+        for i in self.perm:
+            _require_int(i, 1, "perm entry")
         if sorted(self.perm) != list(range(1, n + 1)):
             raise ContractViolation(f"perm must be a permutation of 1..{n}")
         if len(self.diag) != n:
             raise ContractViolation("diag length must match perm length")
         for d in self.diag:
-            if abs(abs(complex(d)) - 1.0) > 1e-12:
+            if not isinstance(d, Number) or abs(abs(complex(d)) - 1.0) > 1e-12:
                 raise ContractViolation(f"diag entries must be unimodular, got {d!r}")
 
     @property
@@ -89,7 +93,10 @@ class IsometrySpec:
 
 def matrix_oracle(space: Space, matrix, conjugate_first: bool = False) -> MapOracle:
     """Wrap a square matrix (optionally composed with conjugation) as a map."""
-    m = np.asarray(matrix, dtype=space.dtype)
+    try:  # same_kind: a complex matrix is refused on a real space, not truncated
+        m = np.asarray(matrix).astype(space.dtype, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ContractViolation(f"malformed matrix: {exc}") from None
     if m.shape != (space.dim, space.dim):
         raise ContractViolation(f"matrix shape {m.shape} does not fit dim {space.dim}")
     if conjugate_first and space.field != COMPLEX:
@@ -143,6 +150,7 @@ def seeded_phase(space: Space, seed: int):
     64-bit key, so repeated evaluations at the same vector agree and
     different seeds give unrelated phase patterns.  Real field: +-1.
     """
+    _require_int(seed, 0, "seed")
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
 
     def sigma(x):
@@ -212,6 +220,8 @@ def unit_sphere_samples(space: Space, count: int, rng: np.random.Generator) -> l
     imaginary part); draws with norm <= 1e-6 are rejected and only the
     shortfall is drawn again, so the stream matches one draw at a time.
     """
+    _require_int(count, 0, "sample count")
+    _require_rng(rng)
     out: list[Vector] = []
     while len(out) < count:
         k = count - len(out)
@@ -261,6 +271,7 @@ def default_samples(space: Space, count: int, seed: int, unit: bool = False) -> 
 def random_isometry_spec(space: Space, rng: np.random.Generator,
                          conjugate: bool | None = None) -> IsometrySpec:
     """A seeded IsometrySpec for the given space."""
+    _require_rng(rng)
     n = space.dim
     perm = tuple(int(i) + 1 for i in rng.permutation(n))
     if space.field == COMPLEX:
@@ -275,6 +286,7 @@ def random_isometry_spec(space: Space, rng: np.random.Generator,
 
 def random_unitary(space: Space, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish orthogonal/unitary matrix via QR; p = 2 spaces only."""
+    _require_rng(rng)
     if not (isinstance(space.norm, Lp) and space.norm.p == 2.0):
         raise ContractViolation("dense rotations are isometries of p = 2 only")
     g = rng.standard_normal((space.dim, space.dim))

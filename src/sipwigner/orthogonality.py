@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -245,7 +246,8 @@ def minimize_scalar(
     objective still descending (non-coercive input) or the objective has no
     finite minimum on the grid.
     """
-    if not all(v > 0 and math.isfinite(v) for v in (initial_width, xatol, max_width)):
+    if not all(isinstance(v, Real) and v > 0 and math.isfinite(v)
+               for v in (initial_width, xatol, max_width)):
         raise ContractViolation("initial_width, xatol and max_width must be positive and finite")
     search = _minimize(field, initial_width=initial_width, xatol=xatol, max_width=max_width)
     return _finish(search, next(search),

@@ -40,12 +40,19 @@ points, where the one-sided derivatives disagree.
 Coordinates are validated in one place, ``_as_array``: the evaluators here,
 ``as_vec`` and ``wigner.MapOracle`` (once per stack of points, once per
 stack of images) all call it; code holding validated arrays uses ``norm_fn``.
+The other argument rules live here too, one function each, and raise
+ContractViolation: ``_require_tol`` for a tolerance, ``_require_int`` for
+an integer with a lower bound (dims, seeds, sample and draw counts, perm
+entries; ``_is_int`` is its type test, which ``basis_vec`` shares),
+``_require_rng`` for a generator and ``_require_independent`` for a set of
+columns.  ``wigner._require_map`` holds the preconditions on a map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite
+from numbers import Real
 from typing import Union
 
 import numpy as np
@@ -67,7 +74,7 @@ class Lp:
     p: float
 
     def __post_init__(self):
-        if not (isfinite(self.p) and self.p > 1.0):
+        if not (isinstance(self.p, Real) and isfinite(self.p) and self.p > 1.0):
             raise ContractViolation(f"Lp exponent must satisfy 1 < p < inf, got {self.p!r}")
 
 
@@ -181,7 +188,7 @@ def _scalar(value, field: str = REAL):
 
 
 def basis_vec(space: Space, i: int) -> Vector:
-    if not 0 <= i < space.dim:
+    if not (_is_int(i) and 0 <= i < space.dim):
         raise ContractViolation(f"basis index {i} out of range for dim {space.dim}")
     e = np.zeros(space.dim, dtype=space.dtype)
     e[i] = 1
@@ -324,17 +331,29 @@ def functional_value(space: Space, coeffs, x) -> Scalar:
 
 def _require_tol(tol) -> None:
     """Raise ContractViolation unless the tolerance ``tol`` is a positive,
-    finite number; NaN fails too, since it compares false."""
-    if not 0 < tol < inf:
+    finite real number; NaN fails too, since it compares false."""
+    if not (isinstance(tol, Real) and 0 < tol < inf):
         raise ContractViolation("tol must be positive and finite")
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an integer: an ``int`` or a numpy integer, never
+    a ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_int(value, low: int, what: str) -> None:
-    """Raise ContractViolation unless ``value`` is an integer, an ``int`` or
-    a numpy integer but never a ``bool``, of at least ``low``; ``what``
-    names it in the message."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    """Raise ContractViolation unless ``value`` is an integer (``_is_int``)
+    of at least ``low``; ``what`` names it in the message."""
+    if not (_is_int(value) and value >= low):
         raise ContractViolation(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _require_rng(rng) -> None:
+    """Raise ContractViolation unless ``rng`` draws like a numpy Generator;
+    the test is duck-typed on ``standard_normal``, so a wrapper will do."""
+    if not callable(getattr(rng, "standard_normal", None)):
+        raise ContractViolation(f"rng must be a numpy Generator, got {rng!r}")
 
 
 def _rng(seed) -> np.random.Generator:

@@ -19,6 +19,12 @@ Each check evaluates all sample pairs at once as arrays (the pair checks
 compare Gram-type matrices), and a failing Report's witness is the first
 pair, in row-major order, attaining the largest violation.
 
+The argument rules each have one home.  ``_require_map`` holds the
+preconditions on a map that the checks and ``reconstruct`` share:
+``spaces._require_tol`` and one scalar field at both ends.  ``_prepared``
+runs it and returns the validated samples with their images and norms;
+``n_draws`` and ``seed`` go through ``spaces._require_int``.
+
 A check's ``tol`` is relative to the magnitudes it compares: a violation
 passes within tol*||x_i||*||x_j|| for the Gram entries, tol*(||x_i|| +
 ||x_j||) for the multisets, and tol*||x|| or tol*(|a|*||x_i|| +

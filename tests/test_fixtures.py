@@ -13,7 +13,9 @@ from sipwigner import (
     Lp,
     Space,
     basis_vec,
+    bj_orthogonal,
     check_linearity,
+    check_wigner,
     conjugation_oracle,
     default_samples,
     identity_oracle,
@@ -22,6 +24,7 @@ from sipwigner import (
     make_isometry,
     make_phase_equivalent,
     matrix_oracle,
+    minimize_scalar,
     norm,
     random_isometry_spec,
     random_unitary,
@@ -256,8 +259,15 @@ def test_random_isometry_spec_obeys_field():
     (lambda: make_isometry(lp_space(REAL, 3, 3.0), IsometrySpec((2, 1), (1.0, 1.0))),
      "spec dim 2 != space dim 3"),
     (lambda: conjugation_oracle(lp_space(REAL, 2, 3.0)), "conjugation needs the complex field"),
+    (lambda: IsometrySpec((1.0, 2.0), (1, 1)), "perm entry must be an integer"),
+    (lambda: IsometrySpec((1,), ("a",)), "diag entries must be unimodular, got 'a'"),
+    (lambda: IsometrySpec((1,), (None,)), "diag entries must be unimodular, got None"),
+    (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), [[1, 2], [3]]), "malformed matrix"),
+    (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), [[1j, 0], [0, 1]]), "malformed matrix"),
+    (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), 1j * np.eye(2)), "malformed matrix"),
 ], ids=["complex-weight-real-field", "perm-not-array", "matrix-shape", "conjugate-real-matrix",
-        "isometry-on-fixture", "isometry-dim", "conjugation-real"])
+        "isometry-on-fixture", "isometry-dim", "conjugation-real", "perm-float", "diag-string",
+        "diag-none", "matrix-ragged", "matrix-complex-list", "matrix-complex-array"])
 def test_fixture_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()
@@ -275,10 +285,23 @@ def test_fixture_builders_refuse_bad_input(build, message):
     lambda: default_samples(lp_space(REAL, 2, 3.0), True, 1),
     lambda: Space(REAL, True, Lp(3.0)),
     lambda: Space(REAL, 2.0, Lp(3.0)),
+    lambda: unit_sphere_samples(lp_space(REAL, 2, 3.0), 2.5, np.random.default_rng(0)),
+    lambda: unit_sphere_samples(lp_space(REAL, 2, 3.0), -1, np.random.default_rng(0)),
+    lambda: seeded_phase(lp_space(REAL, 2, 3.0), "a"),
+    lambda: check_wigner(identity_oracle(lp_space(REAL, 2, 3.0)), np.eye(2), tol="x"),
+    lambda: reconstruct(identity_oracle(lp_space(REAL, 2, 3.0)), tol="x"),
+    lambda: bj_orthogonal(lp_space(REAL, 2, 3.0), [1.0, 0.0], [0.0, 1.0], tol="x"),
+    lambda: minimize_scalar(lambda t: t * t, REAL, xatol="x"),
+    # a generator is a numpy Generator, not a seed
+    lambda: random_isometry_spec(lp_space(REAL, 2, 3.0), 1),
+    lambda: unit_sphere_samples(lp_space(REAL, 2, 3.0), 3, 5),
+    lambda: random_unitary(lp_space(REAL, 2, 2.0), 5),
 ], ids=["reconstruct-negative-seed", "reconstruct-float-seed", "reconstruct-bool-seed",
         "linearity-negative-seed", "linearity-str-seed", "samples-negative-seed",
         "samples-float-seed", "samples-float-count", "samples-bool-count", "space-bool-dim",
-        "space-float-dim"])
+        "space-float-dim", "sphere-float-count", "sphere-negative-count", "phase-str-seed",
+        "wigner-str-tol", "reconstruct-str-tol", "bj-str-tol", "minimize-str-xatol",
+        "isometry-spec-int-rng", "sphere-int-rng", "unitary-int-rng"])
 def test_bad_seeds_counts_and_dims_raise_contract_violations(call):
     with pytest.raises(ContractViolation):
         call()
@@ -291,3 +314,8 @@ def test_numpy_integer_seeds_and_counts_are_accepted():
     assert np.array_equal([x for x, _ in by_numpy.phase_samples],
                           [x for x, _ in by_int.phase_samples])
     assert check_linearity(identity_oracle(s), np.eye(2), seed=np.uint32(4)).passed
+    assert Space(REAL, np.int64(2), Lp(3.0)) == s
+    xs = default_samples(s, 6, 1)
+    by_numpy, by_int = (check_linearity(identity_oracle(s), xs, seed=2, n_draws=draws)
+                        for draws in (np.int64(3), 3))
+    assert by_numpy == by_int and by_int.pairs == 9

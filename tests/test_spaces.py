@@ -12,6 +12,7 @@ from sipwigner import (
     COMPLEX,
     REAL,
     ContractViolation,
+    Lp,
     NonSmoothPoint,
     Space,
     as_vec,
@@ -234,10 +235,16 @@ def test_complex_coordinates_with_zero_imaginary_part_are_real_coordinates():
 @pytest.mark.parametrize("build, message", [
     (lambda: basis_vec(LP3, 2), "basis index 2 out of range for dim 2"),
     (lambda: basis_vec(LP3, -1), "basis index -1 out of range for dim 2"),
+    # a bool is no index (True would pass for 1), nor is a float
+    (lambda: basis_vec(LP3, True), "basis index True out of range for dim 2"),
+    (lambda: basis_vec(LP3, 1.5), "basis index 1.5 out of range for dim 2"),
     (lambda: Space(REAL, 2, "l2"), "unknown norm descriptor 'l2'"),
     (lambda: Space.from_dict({"field": "real", "dim": 2, "norm": {"linf2_fixture": False}}),
      "malformed norm descriptor"),
-], ids=["basis-past-dim", "basis-negative", "norm-string", "linf2-false"])
+    (lambda: Lp("3"), "Lp exponent must satisfy 1 < p < inf, got '3'"),
+    (lambda: Lp(None), "Lp exponent must satisfy 1 < p < inf, got None"),
+], ids=["basis-past-dim", "basis-negative", "basis-bool", "basis-float", "norm-string",
+        "linf2-false", "lp-string", "lp-none"])
 def test_space_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()

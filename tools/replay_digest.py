@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/replay_digest.py [--src DIR]
+    python3 tools/replay_digest.py [--src DIR] [--against REF]
 
 The requests are the ``check`` and ``solve`` workloads of ``perfbench/`` at
 seeds 401 and 9 (490 requests), then each of their ``check`` and
@@ -15,11 +15,13 @@ criteria of ``acceptance.run_all()`` at the default seed: 3, 4, 6a, 6b and 7
 as they are, and 2 and 5 with the trailing ``, <elapsed>s ...`` part of the
 detail cut off, which leaves their errors, ratios, kind hits and offenders.
 Criterion 1 is left out: its verdict is a 1 ms timing budget.  A change
-meant to keep every output the same keeps the digest: run this once with
-``--src`` pointing at the parent commit's ``src`` and once without, and
-compare the two lines.
+meant to keep every output the same keeps the digest.
 
-``DIR`` defaults to the ``src`` next to this file.  numpy's RuntimeWarnings
+``DIR`` defaults to the ``src`` next to this file.  ``--against REF``
+compares ``DIR`` with the ``src/`` of the git commit ``REF``: it extracts
+that tree with ``git archive`` into a temporary directory, replays each side
+in a process of its own, prints both lines (``REF`` first) and exits 1 when
+the digests differ.  numpy's RuntimeWarnings
 are silenced while replaying: their text holds the install path and source
 line numbers, and Python prints each one only once per process.
 """
@@ -29,7 +31,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -66,12 +70,33 @@ def replay(main, run_all) -> tuple[int, int, str]:
     return len(requests), len(criteria), digest.hexdigest()
 
 
+def against(ref: str, src: Path) -> int:
+    """Replay the ``src/`` of commit ``ref`` and then ``src``, each in a
+    child process; print both lines and return 1 when they differ."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = subprocess.run(["git", "archive", ref, "src"], cwd=ROOT, capture_output=True)
+        if tree.returncode:
+            raise SystemExit(f"replay_digest: no src/ at {ref}: {tree.stderr.decode().strip()}")
+        subprocess.run(["tar", "x", "-C", tmp], input=tree.stdout, check=True)
+        for label, side in ((ref, Path(tmp) / "src"), (str(src), src)):
+            out = subprocess.run([sys.executable, __file__, "--src", str(side)],
+                                 stdout=subprocess.PIPE, text=True, check=True).stdout
+            lines.append(out.strip())
+            print(f"{label}: {lines[-1]}")
+    return 0 if lines[0] == lines[1] else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the sipwigner package to replay")
+    parser.add_argument("--against", metavar="REF",
+                        help="git commit whose src/ to replay and compare with")
     args = parser.parse_args(argv)
     src = args.src.resolve()
+    if args.against is not None:
+        return against(args.against, src)
     if not (src / "sipwigner" / "__init__.py").is_file():
         raise SystemExit(f"replay_digest: no sipwigner package under {src}")
     sys.path.insert(0, str(src))
