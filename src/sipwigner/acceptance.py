@@ -41,7 +41,7 @@ from .fixtures import (
 )
 from .orthogonality import bj_orthogonal
 from .reconstruct import KIND_CONJUGATE, KIND_LINEAR, reconstruct, reproduction_residual
-from .spaces import COMPLEX, REAL, gateaux_sip_oracle, lp_space, norm, sip
+from .spaces import COMPLEX, REAL, _gaussian, gateaux_sip_oracle, lp_space, norm, sip
 from .wigner import (
     check_exact_preservation,
     check_linearity,
@@ -190,18 +190,16 @@ def _pick(rng, options: list):
     return options[rng.integers(len(options))]
 
 
+def _seed(rng) -> int:
+    """A child seed for a fixture's own generator or hash, drawn from ``rng``."""
+    return int(rng.integers(2 ** 63))
+
+
 def _orth_space(rng):
     field = REAL if rng.integers(2) == 0 else COMPLEX
     p = _pick(rng, [1.5, 2.0, 3.0, 7.0])
     n = _pick(rng, [2, 3, 5])
     return lp_space(field, n, p)
-
-
-def _random_vec(rng, space):
-    v = rng.standard_normal(space.dim)
-    if space.field == COMPLEX:
-        v = v + 1j * rng.standard_normal(space.dim)
-    return v
 
 
 def _orthogonalize(space, z, x):
@@ -228,17 +226,17 @@ def _orth_draws(rng):
     groups = {}
     for k in range(2 * ORTH_TRIPLES):
         s = _orth_space(rng)
-        x = _random_vec(rng, s)
+        x = _gaussian(s, rng)
         while norm(s, x) < 0.5:
-            x = _random_vec(rng, s)
-        y = _random_vec(rng, s)
-        z = _random_vec(rng, s) if k >= ORTH_TRIPLES else None
+            x = _gaussian(s, rng)
+        y = _gaussian(s, rng)
+        z = _gaussian(s, rng) if k >= ORTH_TRIPLES else None
         if k < ORTH_TRIPLES and k % 2:
             # keep instances decisively non-orthogonal: the norm dip below
             # ||x|| scales like ||x|| * (relative sip)^2, so a 5e-2 floor
             # keeps the margin orders of magnitude past the verdict tol
             while abs(sip(s, y, x)) < 5e-2 * norm(s, x) * norm(s, y):
-                y = _random_vec(rng, s)
+                y = _gaussian(s, rng)
         groups.setdefault(s, []).append((k, x, y, z))
     stacks = []
     for s, group in groups.items():
@@ -274,7 +272,10 @@ def criterion_3_orthogonality_routes(cfg: GateConfig) -> CriterionResult:
     return CriterionResult("3_orthogonality_routes", ok, detail, elapsed)
 
 
-def _checker_space(rng, n):
+def _checker_space(rng, dims: list):
+    """A checker family's space: its dimension from ``dims``, then its field
+    and its exponent, drawn in that order."""
+    n = _pick(rng, dims)
     field = REAL if rng.integers(2) == 0 else COMPLEX
     p = _pick(rng, [1.5, 2.0, 3.0])
     return lp_space(field, n, p)
@@ -286,24 +287,21 @@ def criterion_4_checker_verdicts(cfg: GateConfig) -> CriterionResult:
     rng = np.random.default_rng([cfg.seed, 4])
     bad = []
     for k in range(CHECKER_SPECS):
-        n = _pick(rng, [1, 2, 3, 5])
-        s = _checker_space(rng, n)
+        s = _checker_space(rng, [1, 2, 3, 5])
         spec = random_isometry_spec(s, rng)
         base = make_isometry(s, spec)
-        f = make_phase_equivalent(base, seeded_phase(s, int(rng.integers(2 ** 63))))
-        sample_seed = int(rng.integers(2 ** 63))
-        samples = default_samples(s, max(8, 2 * n), sample_seed, unit=True)
-        if not check_wigner(f, samples, seed=sample_seed).passed:
-            bad.append((k, "wigner pass"))
-        doubled = check_wigner(scale_oracle(f, 2.0), samples, seed=sample_seed)
-        if doubled.passed or doubled.max_violation < CHECKER_FAIL_FLOOR:
-            bad.append((k, "wigner 2U fail floor"))
+        f = make_phase_equivalent(base, seeded_phase(s, _seed(rng)))
+        sample_seed = _seed(rng)
+        samples = default_samples(s, max(8, 2 * s.dim), sample_seed, unit=True)
+        checks = [(check_wigner, "wigner")]
         if s.field == REAL:
-            if not check_phase_isometry_sets(f, samples, seed=sample_seed).passed:
-                bad.append((k, "multiset pass"))
-            doubled = check_phase_isometry_sets(scale_oracle(f, 2.0), samples, seed=sample_seed)
+            checks.append((check_phase_isometry_sets, "multiset"))
+        for check, label in checks:
+            if not check(f, samples, seed=sample_seed).passed:
+                bad.append((k, f"{label} pass"))
+            doubled = check(scale_oracle(f, 2.0), samples, seed=sample_seed)
             if doubled.passed or doubled.max_violation < CHECKER_FAIL_FLOOR:
-                bad.append((k, "multiset 2U fail floor"))
+                bad.append((k, f"{label} 2U fail floor"))
     elapsed = time.perf_counter() - started
     detail = f"{CHECKER_SPECS} specs over n in (1,2,3,5); offenders: {bad[:4]}"
     return CriterionResult("4_checker_verdicts", not bad, detail, elapsed)
@@ -316,18 +314,17 @@ def criterion_5_roundtrip(cfg: GateConfig) -> CriterionResult:
     kind_hits = 0
     bad = []
     for k in range(ROUNDTRIP_TRIPLES):
-        n = _pick(rng, [1, 2, 3, 5])
-        s = _checker_space(rng, n)
+        s = _checker_space(rng, [1, 2, 3, 5])
         use_dense = s.norm.p == 2.0 and rng.integers(2) == 1
         conjugate = s.field == COMPLEX and rng.integers(2) == 1
         if use_dense:
             base = matrix_oracle(s, random_unitary(s, rng), conjugate)
         else:
             base = make_isometry(s, random_isometry_spec(s, rng, conjugate=conjugate))
-        f = make_phase_equivalent(base, seeded_phase(s, int(rng.integers(2 ** 63))))
-        expected = KIND_CONJUGATE if (conjugate and n > 1) else KIND_LINEAR
+        f = make_phase_equivalent(base, seeded_phase(s, _seed(rng)))
+        expected = KIND_CONJUGATE if (conjugate and s.dim > 1) else KIND_LINEAR
         try:
-            rec = reconstruct(f, tol=ROUNDTRIP_TOL, seed=int(rng.integers(2 ** 63)))
+            rec = reconstruct(f, tol=ROUNDTRIP_TOL, seed=_seed(rng))
         except Exception as exc:  # any escape is a criterion failure
             bad.append((k, type(exc).__name__))
             continue
@@ -340,7 +337,7 @@ def criterion_5_roundtrip(cfg: GateConfig) -> CriterionResult:
         if any(abs(abs(sig) - 1.0) > ROUNDTRIP_TOL for _, sig in rec.phase_samples):
             bad.append((k, "phase drift"))
         held_out = unit_sphere_samples(s, ROUNDTRIP_HELDOUT,
-                                       np.random.default_rng(int(rng.integers(2 ** 63))))
+                                       np.random.default_rng(_seed(rng)))
         res = reproduction_residual(f, rec, held_out)
         if res > ROUNDTRIP_TOL:
             bad.append((k, f"held-out residual {res:.2e}"))
@@ -361,13 +358,12 @@ def _implication_family(rng):
     finite-sample exact-preservation pass must keep implying linearity.
     Complex per-vector phases are continuous, so they never collide.
     """
-    n = _pick(rng, [2, 3, 5])
-    s = _checker_space(rng, n)
+    s = _checker_space(rng, [2, 3, 5])
     conjugate = s.field == COMPLEX and rng.integers(2) == 1
     base = make_isometry(s, random_isometry_spec(s, rng, conjugate=conjugate))
     twist = rng.integers(2) == 1
     if twist and s.field == COMPLEX:
-        f = make_phase_equivalent(base, seeded_phase(s, int(rng.integers(2 ** 63))))
+        f = make_phase_equivalent(base, seeded_phase(s, _seed(rng)))
     elif twist:
         f = scale_oracle(base, -1.0)
     else:
@@ -383,7 +379,7 @@ def criterion_6a_preservation_implies_linearity(cfg: GateConfig) -> CriterionRes
     passed_exact = 0
     for k in range(IMPLICATION_SEEDS):
         s, f = _implication_family(rng)
-        sample_seed = int(rng.integers(2 ** 63))
+        sample_seed = _seed(rng)
         # the structured prefix of default_samples is all-real (basis sums
         # and differences); size past it so random draws are present, else
         # conjugation is invisible to an exact check over real-sip pairs
@@ -430,11 +426,10 @@ def criterion_7_linear_isometries_pass_exact(cfg: GateConfig) -> CriterionResult
     worst = 0.0
     failures = 0
     for _ in range(IMPLICATION_SEEDS):
-        n = _pick(rng, [1, 2, 3, 5])
-        s = _checker_space(rng, n)
+        s = _checker_space(rng, [1, 2, 3, 5])
         f = make_isometry(s, random_isometry_spec(s, rng, conjugate=False))
-        sample_seed = int(rng.integers(2 ** 63))
-        samples = default_samples(s, max(8, 2 * n), sample_seed, unit=True)
+        sample_seed = _seed(rng)
+        samples = default_samples(s, max(8, 2 * s.dim), sample_seed, unit=True)
         report = check_exact_preservation(f, samples, tol=EXACT_TOL, seed=sample_seed)
         worst = max(worst, report.max_violation)
         if not report.passed or report.max_violation > EXACT_TOL:

@@ -10,6 +10,7 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Number
+from sys import float_info
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .spaces import (
     REAL,
     Space,
     Vector,
+    _gaussian,
     _require_int,
     _require_rng,
     _rng,
@@ -128,9 +130,14 @@ def conjugation_oracle(space: Space) -> MapOracle:
 def scale_oracle(base: MapOracle, factor: float | complex) -> MapOracle:
     """The map x -> factor * f(x).
 
-    Composes on ``base.fn``, so each point is validated once, by the
-    returned oracle, however deep the composition.
+    ``factor`` is a finite int, float or complex (numpy scalars included,
+    bools not); anything else raises ContractViolation here, not when the
+    map is called.  Composes on ``base.fn``, so each point is validated
+    once, by the returned oracle, however deep the composition.
     """
+    if not (isinstance(factor, (int, float, complex, np.number)) and not isinstance(factor, bool)
+            and (abs(factor) <= float_info.max if isinstance(factor, int) else np.isfinite(factor))):
+        raise ContractViolation(f"scale factor must be a finite number, got {factor!r}")
     return MapOracle(base.source, base.target, lambda x: factor * np.asarray(base.fn(x)))
 
 
@@ -216,20 +223,16 @@ def swap_counterexample() -> tuple[Space, MapOracle, SwapWitness]:
 def unit_sphere_samples(space: Space, count: int, rng: np.random.Generator) -> list[Vector]:
     """Seeded draws normalized to the unit sphere of the space's norm.
 
-    Drawn as one stack (per draw, ``dim`` normals, then ``dim`` more for the
-    imaginary part); draws with norm <= 1e-6 are rejected and only the
-    shortfall is drawn again, so the stream matches one draw at a time.
+    Drawn as one ``spaces._gaussian`` stack (per draw, ``dim`` normals, then
+    ``dim`` more for the imaginary part); draws with norm <= 1e-6 are
+    rejected and only the shortfall is drawn again, so the stream matches
+    one draw at a time.
     """
     _require_int(count, 0, "sample count")
     _require_rng(rng)
     out: list[Vector] = []
     while len(out) < count:
-        k = count - len(out)
-        if space.field == COMPLEX:
-            g = rng.standard_normal((k, 2, space.dim))
-            v = g[:, 0] + 1j * g[:, 1]
-        else:
-            v = rng.standard_normal((k, space.dim))
+        v = _gaussian(space, rng, count - len(out))
         n = norm(space, v)
         keep = n > 1e-6
         out.extend(v[keep] / n[keep, None])

@@ -29,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, HypothesisViolation, KindAmbiguous, UnsupportedSpace
-from .spaces import (COMPLEX, Lp, Scalar, Space, Vector, _as_array, _require_independent, _rng,
-                     as_vec, norm, norm_fn, sip)
-from .wigner import MapOracle, _require_map
+from .errors import ContractViolation, HypothesisViolation, KindAmbiguous
+from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _require_independent, _rng, as_vec,
+                     norm, norm_fn, sip)
+from .wigner import MapOracle, _require_map, _require_smooth
 
 KIND_LINEAR = "linear"
 KIND_CONJUGATE = "conjugate_linear"
@@ -68,8 +68,7 @@ class Reconstruction:
 
 
 def _require_reconstructible(m: MapOracle, tol: float) -> None:
-    if not isinstance(m.source.norm, Lp) or not isinstance(m.target.norm, Lp):
-        raise UnsupportedSpace("reconstruction needs smooth (Lp) spaces")
+    _require_smooth(m)
     _require_map(m, tol)
     if m.source.dim != m.target.dim:
         raise ContractViolation("reconstruction needs equal dimensions")

@@ -45,14 +45,20 @@ ContractViolation: ``_require_tol`` for a tolerance, ``_require_int`` for
 an integer with a lower bound (dims, seeds, sample and draw counts, perm
 entries; ``_is_int`` is its type test, which ``basis_vec`` shares),
 ``_require_rng`` for a generator and ``_require_independent`` for a set of
-columns.  ``wigner._require_map`` holds the preconditions on a map.
+vectors.  That is the package's one independence rule: the smallest
+singular value must exceed 1e-10 of the largest, for ``best_coeffs``,
+``check_linearity``, ``recover_pair_coeffs`` and ``reconstruct``'s span
+solves alike.  ``wigner._require_map`` holds the preconditions on a map.
+``_gaussian`` is the one Gaussian draw of space vectors, which the
+samplers share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, isfinite
+from math import inf
 from numbers import Real
+from sys import float_info
 from typing import Union
 
 import numpy as np
@@ -74,7 +80,8 @@ class Lp:
     p: float
 
     def __post_init__(self):
-        if not (isinstance(self.p, Real) and isfinite(self.p) and self.p > 1.0):
+        # compared, not converted: an integer past the float range is refused too
+        if not (isinstance(self.p, Real) and 1.0 < self.p <= float_info.max):
             raise ContractViolation(f"Lp exponent must satisfy 1 < p < inf, got {self.p!r}")
 
 
@@ -131,7 +138,11 @@ class Space:
 
 
 def lp_space(field: str, dim: int, p: float) -> Space:
-    return Space(field, dim, Lp(float(p)))
+    try:
+        p = float(p)
+    except OverflowError:  # an integer past the float range: Lp refuses it
+        pass
+    return Space(field, dim, Lp(p))
 
 
 def linf2_space() -> Space:
@@ -174,8 +185,8 @@ def as_vec(space: Space, x) -> Vector:
 def _require_independent(svals, count: int, message: str) -> None:
     """Raise ContractViolation(message) unless the descending singular values
     ``svals`` of a ``count``-column matrix show independent columns: all
-    ``count`` of them present, the smallest above 1e-12 of the largest."""
-    if len(svals) < count or svals[-1] <= 1e-12 * svals[0]:
+    ``count`` of them present, the smallest above 1e-10 of the largest."""
+    if len(svals) < count or svals[-1] <= 1e-10 * svals[0]:
         raise ContractViolation(message)
 
 
@@ -354,6 +365,16 @@ def _require_rng(rng) -> None:
     the test is duck-typed on ``standard_normal``, so a wrapper will do."""
     if not callable(getattr(rng, "standard_normal", None)):
         raise ContractViolation(f"rng must be a numpy Generator, got {rng!r}")
+
+
+def _gaussian(space: Space, rng, *lead: int) -> np.ndarray:
+    """Standard normal vectors of ``space``, stacked along the ``lead`` axes:
+    per vector, ``dim`` normals, then over C ``dim`` more for the imaginary
+    part, the stream of drawing the two halves one call each."""
+    if space.field == REAL:
+        return rng.standard_normal((*lead, space.dim))
+    g = rng.standard_normal((*lead, 2, space.dim))
+    return g[..., 0, :] + 1j * g[..., 1, :]
 
 
 def _rng(seed) -> np.random.Generator:

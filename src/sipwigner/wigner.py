@@ -21,9 +21,12 @@ pair, in row-major order, attaining the largest violation.
 
 The argument rules each have one home.  ``_require_map`` holds the
 preconditions on a map that the checks and ``reconstruct`` share:
-``spaces._require_tol`` and one scalar field at both ends.  ``_prepared``
-runs it and returns the validated samples with their images and norms;
-``n_draws`` and ``seed`` go through ``spaces._require_int``.
+``spaces._require_tol`` and one scalar field at both ends.
+``_require_smooth`` refuses a map unless both of its ends are Lp spaces;
+the semi-inner-product checks and ``reconstruct`` call it.  ``_prepared``
+runs ``_require_map`` and returns the validated samples with their images
+and norms; ``n_draws`` and ``seed`` go through ``spaces._require_int``,
+and ``check_linearity``'s spanning test is ``spaces._require_independent``.
 
 A check's ``tol`` is relative to the magnitudes it compares: a violation
 passes within tol*||x_i||*||x_j|| for the Gram entries, tol*(||x_i|| +
@@ -41,8 +44,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedField, UnsupportedSpace
-from .spaces import (COMPLEX, Lp, REAL, Space, Vector, _as_array, _require_int, _require_tol, _rng,
-                     norm, sip)
+from .spaces import (COMPLEX, Lp, REAL, Space, Vector, _as_array, _require_independent,
+                     _require_int, _require_tol, _rng, norm, sip)
 
 PASS = "pass"
 FAIL = "fail"
@@ -127,6 +130,12 @@ def _require_map(m: MapOracle, tol: float) -> None:
         raise ContractViolation("source and target must share the scalar field")
 
 
+def _require_smooth(m: MapOracle) -> None:
+    """Raise UnsupportedSpace unless both ends of the map are smooth (Lp)."""
+    if not isinstance(m.source.norm, Lp) or not isinstance(m.target.norm, Lp):
+        raise UnsupportedSpace("the map needs smooth (Lp) spaces on both ends")
+
+
 def _prepared(m: MapOracle, samples: Sequence,
               tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The samples and their images, stacked as rows, and the samples'
@@ -148,8 +157,7 @@ def _worst(violation: np.ndarray, bound: np.ndarray) -> tuple[bool, float, tuple
 def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
     """Compare the Gram-type matrices G_f[i, j] = [f(x_i), f(x_j)] and
     G[i, j] = [x_i, x_j] entrywise, in modulus or as they are."""
-    if not isinstance(m.source.norm, Lp) or not isinstance(m.target.norm, Lp):
-        raise UnsupportedSpace("semi-inner-product checks need smooth (Lp) spaces on both ends")
+    _require_smooth(m)
     xs, fxs, nx = _prepared(m, samples, tol)
     lhs = sip(m.target, fxs[:, None], fxs[None])
     rhs = sip(m.source, xs[:, None], xs[None])
@@ -214,10 +222,8 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     _require_int(n_draws, 0, "n_draws")
     rng = _rng(seed)
     xs, fxs, nx = _prepared(m, samples, tol)
-    svals = np.linalg.svd(xs, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    if rank < m.source.dim:
-        raise ContractViolation("samples must span the source space")
+    _require_independent(np.linalg.svd(xs, compute_uv=False), m.source.dim,
+                         "samples must span the source space")
 
     # per draw, in stream order: two indices, then the coefficients' normals
     n, width = len(xs), 4 if m.source.field == COMPLEX else 2

@@ -265,9 +265,21 @@ def test_random_isometry_spec_obeys_field():
     (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), [[1, 2], [3]]), "malformed matrix"),
     (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), [[1j, 0], [0, 1]]), "malformed matrix"),
     (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), 1j * np.eye(2)), "malformed matrix"),
+    # the factor is checked when the map is built, not when it is called
+    (lambda: scale_oracle(identity_oracle(lp_space(REAL, 2, 3.0)), "a"),
+     "scale factor must be a finite number, got 'a'"),
+    (lambda: scale_oracle(identity_oracle(lp_space(REAL, 2, 3.0)), None),
+     "scale factor must be a finite number, got None"),
+    (lambda: scale_oracle(identity_oracle(lp_space(REAL, 2, 3.0)), float("nan")),
+     "scale factor must be a finite number, got nan"),
+    (lambda: scale_oracle(identity_oracle(lp_space(REAL, 2, 3.0)), True),
+     "scale factor must be a finite number, got True"),
+    (lambda: scale_oracle(identity_oracle(lp_space(REAL, 2, 3.0)), 10 ** 400),
+     "scale factor must be a finite number"),
 ], ids=["complex-weight-real-field", "perm-not-array", "matrix-shape", "conjugate-real-matrix",
         "isometry-on-fixture", "isometry-dim", "conjugation-real", "perm-float", "diag-string",
-        "diag-none", "matrix-ragged", "matrix-complex-list", "matrix-complex-array"])
+        "diag-none", "matrix-ragged", "matrix-complex-list", "matrix-complex-array",
+        "scale-string", "scale-none", "scale-nan", "scale-bool", "scale-past-float-range"])
 def test_fixture_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()

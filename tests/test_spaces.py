@@ -243,8 +243,11 @@ def test_complex_coordinates_with_zero_imaginary_part_are_real_coordinates():
      "malformed norm descriptor"),
     (lambda: Lp("3"), "Lp exponent must satisfy 1 < p < inf, got '3'"),
     (lambda: Lp(None), "Lp exponent must satisfy 1 < p < inf, got None"),
+    # an integer exponent past the float range is refused, not overflowed
+    (lambda: Lp(10 ** 400), "Lp exponent must satisfy 1 < p < inf, got 1000"),
+    (lambda: lp_space(REAL, 2, 10 ** 400), "Lp exponent must satisfy 1 < p < inf, got 1000"),
 ], ids=["basis-past-dim", "basis-negative", "basis-bool", "basis-float", "norm-string",
-        "linf2-false", "lp-string", "lp-none"])
+        "linf2-false", "lp-string", "lp-none", "lp-past-float-range", "lp-space-past-float-range"])
 def test_space_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()

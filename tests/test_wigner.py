@@ -14,6 +14,7 @@ from sipwigner import (
     UnsupportedField,
     UnsupportedSpace,
     as_vec,
+    best_coeffs,
     check_exact_preservation,
     check_linearity,
     check_phase_isometry_sets,
@@ -29,6 +30,7 @@ from sipwigner import (
     norm,
     random_isometry_spec,
     reconstruct,
+    recover_pair_coeffs,
     scale_oracle,
     seeded_phase,
     sip,
@@ -37,6 +39,7 @@ from sipwigner import (
 from sipwigner.jsonio import dumps
 
 RC3 = lp_space(REAL, 3, 3.0)
+R2 = lp_space(REAL, 2, 3.0)
 CC2 = lp_space(COMPLEX, 2, 3.0)
 
 
@@ -386,9 +389,23 @@ def test_check_linearity_refuses_a_bad_n_draws_and_keeps_the_empty_report(space)
     assert np.array_equal(doubled.witness.x, doubled.witness.y)  # a sample norm
 
 
-def test_check_linearity_refuses_samples_that_do_not_span():
-    with pytest.raises(ContractViolation, match="span the source space"):
-        check_linearity(identity_oracle(RC3), [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+SPAN_USERS = {
+    "check_linearity": (lambda xs: check_linearity(identity_oracle(R2), xs),
+                        "samples must span the source space"),
+    "recover_pair_coeffs": (lambda xs: recover_pair_coeffs(identity_oracle(R2), *xs),
+                            "x and y must be linearly independent"),
+    "best_coeffs": (lambda xs: best_coeffs(R2, [1.0, 1.0], xs),
+                    "basis vectors are linearly dependent"),
+}
+
+
+@pytest.mark.parametrize("call, message", SPAN_USERS.values(), ids=SPAN_USERS.keys())
+def test_samples_that_do_not_span_are_refused_at_one_threshold(call, message):
+    """Every caller of the independence rule refuses vectors whose smallest
+    singular value is at most 1e-10 of the largest, and accepts them above."""
+    with pytest.raises(ContractViolation, match=message):
+        call([[1.0, 0.0], [1.0, 1e-11]])  # ratio 5e-12
+    call([[1.0, 0.0], [1.0, 1e-9]])  # ratio 5e-10
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0, 50.0, 100.0])

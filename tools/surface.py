@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/surface.py [DIR]
+    python3 tools/surface.py [DIR] [--against REF]
 
 Columns, each read from the source text and its AST:
 
@@ -15,15 +15,22 @@ Columns, each read from the source text and its AST:
   dataclass fields with a default, shown as ``params + fields = total``.
   Each is a value a caller may leave out or set.
 
-``DIR`` defaults to the ``src/sipwigner`` next to this file.  The tool needs
-nothing outside the standard library and always exits 0.
+``DIR`` defaults to the ``src/sipwigner`` next to this file.  ``--against
+REF`` prints only the totals: first those of the ``src/sipwigner`` of the git
+commit ``REF``, which it extracts with ``git archive`` into a temporary
+directory, then those of ``DIR``.  The tool needs nothing outside the
+standard library besides ``git`` and ``tar`` for ``--against``, and exits 0
+unless ``REF`` cannot be extracted.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
-import sys
+import os
+import subprocess
+import tempfile
 import tokenize
 from pathlib import Path
 
@@ -81,10 +88,14 @@ def measure(path: Path) -> tuple[int, int, int, int, int, int]:
             *_settable(tree))
 
 
-def main(argv: list[str]) -> None:
-    package = Path(argv[0]) if argv else PACKAGE
+def _modules(package: Path) -> list[tuple[str, tuple]]:
+    """One row per module of ``package``, then the ``total`` row."""
     rows = [(path.name, measure(path)) for path in sorted(package.glob("*.py"))]
     rows.append(("total", tuple(map(sum, zip(*(r for _, r in rows))))))
+    return rows
+
+
+def _print(rows: list[tuple[str, tuple]]) -> None:
     width = max(len(name) for name, _ in rows)
     print(f"{'module':<{width}}  {'lines':>6}  {'code':>6}  {'stmts':>6}  {'nodes':>7}  settable")
     for name, (lines, code, stmts, nodes, params, fields) in rows:
@@ -92,5 +103,32 @@ def main(argv: list[str]) -> None:
               f"{params} + {fields} = {params + fields}")
 
 
+def _against(ref: str, package: Path) -> None:
+    """Print the totals of the ``src/sipwigner`` of commit ``ref``, then of
+    ``package``."""
+    root = PACKAGE.parent.parent
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = subprocess.run(["git", "archive", ref, "src/sipwigner"], cwd=root,
+                              capture_output=True)
+        if tree.returncode:
+            raise SystemExit(f"surface: no src/sipwigner at {ref}: {tree.stderr.decode().strip()}")
+        subprocess.run(["tar", "x", "-C", tmp], input=tree.stdout, check=True)
+        _print([(ref, _modules(Path(tmp) / "src" / "sipwigner")[-1][1]),
+                (os.path.relpath(package), _modules(package)[-1][1])])
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("dir", nargs="?", type=Path, default=PACKAGE,
+                        help="the package directory to measure")
+    parser.add_argument("--against", metavar="REF",
+                        help="git commit whose src/sipwigner totals to print first")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        _print(_modules(args.dir))
+    else:
+        _against(args.against, args.dir)
+
+
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
