@@ -23,12 +23,12 @@ from .spaces import (
     Space,
     Vector,
     _gaussian,
+    _norm,
     _require_int,
     _require_rng,
     _rng,
     as_vec,
     linf2_space,
-    norm,
 )
 from .wigner import MapOracle
 
@@ -233,7 +233,7 @@ def unit_sphere_samples(space: Space, count: int, rng: np.random.Generator) -> l
     out: list[Vector] = []
     while len(out) < count:
         v = _gaussian(space, rng, count - len(out))
-        n = norm(space, v)
+        n = _norm(space, v)
         keep = n > 1e-6
         out.extend(v[keep] / n[keep, None])
     return out
@@ -244,7 +244,7 @@ def structured_samples(space: Space, unit: bool = False) -> list[Vector]:
 
     The rows are ``e_0 .. e_{n-1}``, then ``e_i + e_j`` and ``e_i - e_j``
     for each ``i < j`` in row-major order, built as one stack (and, with
-    ``unit``, normalized by one stacked ``norm`` call).
+    ``unit``, normalized by one stacked ``spaces._norm`` call).
     """
     n = space.dim
     eye = np.eye(n, dtype=space.dtype)
@@ -257,7 +257,7 @@ def structured_samples(space: Space, unit: bool = False) -> list[Vector]:
     pm[:, 1] = eye[i] - eye[j]
     vecs = np.concatenate([eye, pm.reshape(-1, n)])
     if unit:
-        vecs = vecs / norm(space, vecs)[:, None]
+        vecs = vecs / _norm(space, vecs)[:, None]
     return list(vecs)
 
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, HypothesisViolation, KindAmbiguous
-from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _require_independent, _rng, as_vec,
-                     norm, norm_fn, sip)
+from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _norm, _require_independent, _rng,
+                     _sip, as_vec)
 from .wigner import MapOracle, _require_map, _require_smooth
 
 KIND_LINEAR = "linear"
@@ -85,7 +85,7 @@ def _span_coeffs(target: Space, w: Vector, basis, bound: float, leaves: str,
     A = np.stack(basis, axis=1)
     c, _, _, svals = np.linalg.lstsq(A, w, rcond=None)
     _require_independent(svals, A.shape[1], "basis vectors are linearly dependent")
-    residual = norm(target, w - A @ c)
+    residual = float(_norm(target, w - A @ c))
     if residual > bound:
         raise HypothesisViolation(f"{leaves}: residual {residual:.3e}",
                                   {**witness, "residual": residual})
@@ -97,7 +97,7 @@ def _pair_coeffs(m: MapOracle, x, y, fx, fy, fxy, tol: float) -> tuple[Scalar, S
     the images fx, fy, fxy of x, y and x + y."""
     witness = {"x": x.tolist(), "y": y.tolist()}
     alpha, beta = _span_coeffs(m.target, fxy, [fx, fy],
-                               tol * (1.0 + norm_fn(m.source)(x + y)),
+                               tol * (1.0 + _norm(m.source, x + y)),
                                "f(x+y) leaves span(f(x), f(y))", witness)
     for name, c in (("alpha", alpha), ("beta", beta)):
         if abs(abs(c) - 1.0) > tol:
@@ -109,7 +109,7 @@ def _pair_coeffs(m: MapOracle, x, y, fx, fy, fxy, tol: float) -> tuple[Scalar, S
 def _kind(m: MapOracle, z: Vector, f1, col2, fz, tol: float) -> str:
     """The kind from f(e1), the gauge-aligned second column
     col2 = (beta/alpha)*f(e2) and the image fz of the probe z = e1 + i*e2."""
-    a, b = _span_coeffs(m.target, fz, [f1, col2], tol * (1.0 + norm_fn(m.source)(z)),
+    a, b = _span_coeffs(m.target, fz, [f1, col2], tol * (1.0 + _norm(m.source, z)),
                         "f(e1 + i*e2) leaves span(f(e1), f(e2))", {})
     if abs(a) < 1e-6:
         raise KindAmbiguous(f"degenerate leading coefficient {a!r}")
@@ -126,13 +126,14 @@ def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Sc
     """The scalar gamma with f(lam*x) = gamma*f(x); |gamma| = |lam| must hold."""
     _require_reconstructible(m, tol)
     xv = as_vec(m.source, x)
-    if norm(m.source, xv) == 0.0:
+    nx = _norm(m.source, xv)
+    if nx == 0.0:
         raise ContractViolation("scalar action is probed at nonzero x")
     fx, flx = m(np.stack([xv, lam * xv]))
-    if norm(m.target, fx) == 0.0:
+    if _norm(m.target, fx) == 0.0:
         raise HypothesisViolation("f vanished at a nonzero point", {"x": xv.tolist()})
     witness = {"x": xv.tolist(), "lam": lam}
-    (gamma,) = _span_coeffs(m.target, flx, [fx], tol * (1.0 + abs(lam) * norm(m.source, xv)),
+    (gamma,) = _span_coeffs(m.target, flx, [fx], tol * (1.0 + abs(lam) * nx),
                             "f(lam*x) leaves the line through f(x)", witness)
     if abs(abs(gamma) - abs(lam)) > tol * (1.0 + abs(lam)):
         raise HypothesisViolation(
@@ -173,11 +174,11 @@ def detect_kind(m: MapOracle, tol: float = 1e-8) -> str:
 
 def _phase_and_residual(m: MapOracle, U: np.ndarray, kind: str, X: np.ndarray, F: np.ndarray):
     """Per row x of X, with f(x) the same row of F: ||x||, sigma(x) via the
-    semi-inner product, the residual ||f(x) - sigma(x) * U x*|| and U x*."""
+    semi-inner product, the residual ||f(x) - sigma(x) * U x*|| and ||U x*||."""
     images = (np.conj(X) if kind == KIND_CONJUGATE else X) @ U.T
-    nx = norm(m.source, X)
-    sigma = sip(m.target, F, images) / nx ** 2
-    return nx, sigma, norm(m.target, F - sigma[:, None] * images), images
+    nx, n_images = _norm(m.source, X), _norm(m.target, images)
+    sigma = _sip(m.target, F, images, n_images) / nx ** 2
+    return nx, sigma, _norm(m.target, F - sigma[:, None] * images), n_images
 
 
 def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruction:
@@ -207,7 +208,6 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
     """
     _require_reconstructible(m, tol)
     source, n = m.source, m.source.dim
-    size = norm_fn(source)
 
     rng = _rng(seed)
     shape = (2, n) if source.field == COMPLEX else (n,)
@@ -218,7 +218,7 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
         V = np.array(V)
         if source.field == COMPLEX:
             V = V[:, 0] + 1j * V[:, 1]
-        nv = size(V)
+        nv = _norm(source, V)
         r = int(np.argmax(np.append(nv < 1e-6, True)))  # the first rejected draw, or left
         rows.append(V[:r] * ((0.5 + 1.5 * np.array(u[:r])) / nv[:r])[:, None])
         if r < left:  # draw r takes no scale: replay the stream up to its normals
@@ -244,8 +244,8 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
     U = np.stack(cols, axis=1)
     kind = _kind(m, probes[-1], F[0], cols[1], F[2 * n - 1], tol) if probe_kind else KIND_LINEAR
 
-    nx, sigma, residual, images = _phase_and_residual(m, U, kind, X, F[len(probes):])
-    iso_dev = np.abs(norm(m.target, images) - nx)
+    nx, sigma, residual, n_images = _phase_and_residual(m, U, kind, X, F[len(probes):])
+    iso_dev = np.abs(n_images - nx)
     iso_bad = iso_dev > _ISO_TOL * (1.0 + nx)
     phase_bad = np.abs(np.abs(sigma) - 1.0) > tol
     failed = iso_bad | phase_bad | (residual > tol * (1.0 + nx))
@@ -269,7 +269,7 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
 def reproduction_residual(m: MapOracle, rec: Reconstruction, vectors) -> float:
     """Worst ||f(x) - sigma(x) * U x*|| over held-out vectors."""
     X = _as_array(m.source, vectors, ndim=2)
-    if np.any(norm(m.source, X) == 0.0):
+    if np.any(_norm(m.source, X) == 0.0):
         raise ContractViolation("held-out vectors must be nonzero")
     _, _, residual, _ = _phase_and_residual(m, rec.U, rec.kind, X, m(X))
     return float(residual.max(initial=0.0))

@@ -37,9 +37,14 @@ central finite difference of t -> ||y + t*x||; it is the independent
 cross-check for the closed forms above and is *rejected* at non-smooth
 points, where the one-sided derivatives disagree.
 
-Coordinates are validated in one place, ``_as_array``: the evaluators here,
-``as_vec`` and ``wigner.MapOracle`` (once per stack of points, once per
-stack of images) all call it; code holding validated arrays uses ``norm_fn``.
+Coordinates are validated in one place, ``_as_array``, and once, at the
+public boundary: the evaluators here, ``as_vec`` and ``wigner.MapOracle``
+(once per stack of points, once per stack of images) all call it.  Each
+public evaluator validates its arguments, calls a kernel on the validated
+arrays and converts the result with ``_scalar``.  The kernels are ``_norm``
+and ``_sip``, the one product of ``_support`` and ``_apply``; package code
+that holds validated arrays (the checkers, ``reconstruct``, the samplers)
+calls them directly and passes on the norms it already holds.
 The other argument rules live here too, one function each, and raise
 ContractViolation: ``_require_tol`` for a tolerance, ``_require_int`` for
 an integer with a lower bound (dims, seeds, sample and draw counts, perm
@@ -223,12 +228,15 @@ def norm(space: Space, x):
 
 
 def norm_fn(space: Space):
-    """A validation-free norm evaluator for hot loops.
+    """The minimizers' evaluator: ``_norm`` as a callable, without validation.
 
     The returned callable assumes its argument is already a coordinate
     array of the right dtype, with the coordinates along the last axis; a
-    single vector gives a float and stacked vectors an array of norms.  Use
-    ``norm`` everywhere else.
+    single vector gives a float and stacked vectors an array of norms.
+    ``orthogonality``'s searches take every norm value through it, so it
+    stays the one seam where their evaluations are counted: tests patch
+    ``orthogonality.norm_fn``, and ``perfbench/tracer.py`` wraps it for
+    ``spaces.norm_evals``.  Other package code calls ``_norm``.
     """
     return lambda v: _scalar(_norm(space, v))
 
@@ -284,6 +292,12 @@ def _apply(g: np.ndarray, xv: np.ndarray):
     return np.einsum("...i,...i->...", xv, np.conj(g))
 
 
+def _sip(space: Space, xv: np.ndarray, yv: np.ndarray, ny):
+    """The kernel of ``sip``: [x, y] on validated arrays, given ``ny`` =
+    ||y|| of each stacked y, so a caller holding the norms passes them."""
+    return ny * _apply(_support(space, yv, ny), xv)
+
+
 def sip(space: Space, x, y):
     """The semi-inner product [x, y] of ``space``.
 
@@ -294,8 +308,7 @@ def sip(space: Space, x, y):
     """
     xv = _as_array(space, x)
     yv = _as_array(space, y)
-    ny = _norm(space, yv)
-    return _scalar(ny * _apply(_support(space, yv, ny), xv), space.field)
+    return _scalar(_sip(space, xv, yv, _norm(space, yv)), space.field)
 
 
 def gateaux_sip_oracle(space: Space, x, y, h: float | None = None):

@@ -44,8 +44,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedField, UnsupportedSpace
-from .spaces import (COMPLEX, Lp, REAL, Space, Vector, _as_array, _require_independent,
-                     _require_int, _require_tol, _rng, norm, sip)
+from .spaces import (COMPLEX, Lp, REAL, Space, Vector, _as_array, _norm, _require_independent,
+                     _require_int, _require_tol, _rng, _sip)
 
 PASS = "pass"
 FAIL = "fail"
@@ -139,12 +139,17 @@ def _require_smooth(m: MapOracle) -> None:
 def _prepared(m: MapOracle, samples: Sequence,
               tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The samples and their images, stacked as rows, and the samples'
-    norms, after the shared argument checks."""
+    norms, after the shared argument checks.
+
+    This is where a check validates its samples (and ``m`` its images),
+    once: the checks compute on the results with the ``spaces`` kernels
+    ``_norm`` and ``_sip``, and ``_gram_check`` reuses the norms as the
+    ||y|| of the source Gram matrix."""
     _require_map(m, tol)
     if len(samples) == 0:
         raise ContractViolation("need at least one sample")
     xs = _as_array(m.source, samples, ndim=2)
-    return xs, m(xs), norm(m.source, xs)
+    return xs, m(xs), _norm(m.source, xs)
 
 
 def _worst(violation: np.ndarray, bound: np.ndarray) -> tuple[bool, float, tuple]:
@@ -159,8 +164,8 @@ def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
     G[i, j] = [x_i, x_j] entrywise, in modulus or as they are."""
     _require_smooth(m)
     xs, fxs, nx = _prepared(m, samples, tol)
-    lhs = sip(m.target, fxs[:, None], fxs[None])
-    rhs = sip(m.source, xs[:, None], xs[None])
+    lhs = _sip(m.target, fxs[:, None], fxs[None], _norm(m.target, fxs))
+    rhs = _sip(m.source, xs[:, None], xs[None], nx)
     if modulus:
         lhs, rhs = np.abs(lhs), np.abs(rhs)
     failed, worst, (i, j) = _worst(np.abs(lhs - rhs), tol * nx[:, None] * nx[None])
@@ -190,7 +195,7 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
     i, j = np.tril_indices(len(xs))  # row-major: (0, 0), (1, 0), (1, 1), ...
 
     def sorted_pair(space, v):
-        plus, minus = norm(space, v[i] + v[j]), norm(space, v[i] - v[j])
+        plus, minus = _norm(space, v[i] + v[j]), _norm(space, v[i] - v[j])
         return np.minimum(plus, minus), np.maximum(plus, minus)
 
     lo_f, hi_f = sorted_pair(m.target, fxs)
@@ -237,8 +242,8 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     images = m(a * xs[i] + b * xs[j])
 
     # the scan runs over the sample norms first, then the seeded combinations
-    nfx = norm(m.target, fxs)
-    combo_dev = norm(m.target, images - a * fxs[i] - b * fxs[j])
+    nfx = _norm(m.target, fxs)
+    combo_dev = _norm(m.target, images - a * fxs[i] - b * fxs[j])
     failed, worst, (k,) = _worst(
         np.concatenate([np.abs(nfx - nx), combo_dev]),
         tol * np.concatenate([nx, np.abs(a[:, 0]) * nx[i] + np.abs(b[:, 0]) * nx[j]]),

@@ -19,6 +19,7 @@ from sipwigner import (
     sip,
     support_functional,
 )
+from sipwigner.fixtures import _sip_linf2_exact
 
 SPACES = (
     lp_space(REAL, 2, 1.5),
@@ -138,6 +139,7 @@ def test_fixture_sip_equals_the_rational_oracle_exactly(xt, yt):
     else:
         expected = Fraction(3, 4) * xt[0] * yt[0] + Fraction(1, 4) * xt[1] * yt[1]
     assert Fraction(sip(s, x, y)) == expected
+    assert _sip_linf2_exact(xt, yt) == expected
 
 
 @given(space_and_vectors(count=3))

@@ -311,7 +311,7 @@ def reference_scan(check, m, samples, tol=1e-8, seed=101):
                 lhs, rhs = sip(t, fx, fy), sip(s, x, y)
                 if check is check_wigner:
                     lhs, rhs = abs(lhs), abs(rhs)
-                entries.append((abs(lhs - rhs), tol * (1.0 + norm(s, x) * norm(s, y)), x, y))
+                entries.append((abs(lhs - rhs), tol * norm(s, x) * norm(s, y), x, y))
     elif check is check_phase_isometry_sets:
         for i in range(len(xs)):
             for j in range(i + 1):
@@ -319,10 +319,10 @@ def reference_scan(check, m, samples, tol=1e-8, seed=101):
                 lhs = sorted((norm(t, fx + fy), norm(t, fx - fy)))
                 rhs = sorted((norm(s, x + y), norm(s, x - y)))
                 violation = max(abs(lhs[0] - rhs[0]), abs(lhs[1] - rhs[1]))
-                entries.append((violation, tol * (1.0 + norm(s, x) + norm(s, y)), x, y))
+                entries.append((violation, tol * (norm(s, x) + norm(s, y)), x, y))
     else:
         for x, fx in zip(xs, fxs):
-            entries.append((abs(norm(t, fx) - norm(s, x)), tol * (1.0 + norm(s, x)), x, x))
+            entries.append((abs(norm(t, fx) - norm(s, x)), tol * norm(s, x), x, x))
         rng = np.random.default_rng(seed)
         for _ in range(50):
             i = int(rng.integers(len(xs)))
@@ -334,7 +334,7 @@ def reference_scan(check, m, samples, tol=1e-8, seed=101):
                 a = float(rng.standard_normal())
                 b = float(rng.standard_normal())
             dev = norm(t, m(a * xs[i] + b * xs[j]) - a * fxs[i] - b * fxs[j])
-            bound = tol * (1.0 + abs(a) * norm(s, xs[i]) + abs(b) * norm(s, xs[j]))
+            bound = tol * (abs(a) * norm(s, xs[i]) + abs(b) * norm(s, xs[j]))
             entries.append((dev, bound, xs[i], xs[j]))
     worst, pair, failed = 0.0, None, False
     for violation, bound, x, y in entries:

@@ -20,8 +20,12 @@ meant to keep every output the same keeps the digest.
 ``DIR`` defaults to the ``src`` next to this file.  ``--against REF``
 compares ``DIR`` with the ``src/`` of the git commit ``REF``: it extracts
 that tree with ``git archive`` into a temporary directory, replays each side
-in a process of its own, prints both lines (``REF`` first) and exits 1 when
-the digests differ.  numpy's RuntimeWarnings
+in a process of its own and prints both lines (``REF`` first).  When the
+digests differ it then prints one line per replayed item that differs,
+naming the parts that do (exit code, stdout, stderr; a criterion's verdict
+or detail), and exits 1.  A request is named by its seed and workload
+label, with `` (pretty)`` for the second layout; ``selftest --json`` and
+the criteria go by their own names.  numpy's RuntimeWarnings
 are silenced while replaying: their text holds the install path and source
 line numbers, and Python prints each one only once per process.
 """
@@ -31,6 +35,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import json
 import subprocess
 import sys
 import tempfile
@@ -49,42 +54,79 @@ PRETTY = ("check", "reconstruct")  # commands replayed in the pretty layout too
 TIMED = ("2_", "5_")  # criteria whose detail ends in ", <elapsed>s ..."
 
 
-def replay(main, run_all) -> tuple[int, int, str]:
-    """(request count, criterion count, sha256 hex) over the replayed
-    requests and the criteria of ``run_all()`` named in TIMELESS and TIMED."""
-    digest = hashlib.sha256()
-    ops = [op for seed in SEEDS for op in wl.check_ops(seed) + wl.solve_ops(seed)]
-    requests = [(op.argv, op.stdin) for op in ops]
-    requests += [([a for a in op.argv if a != "--json"], op.stdin)
-                 for op in ops if op.argv[0] in PRETTY]
-    requests.append((["selftest", "--json"], None))
+def replay(main, run_all) -> tuple[list, list]:
+    """The replayed items in digest order, each as (name, parts): the
+    requests with their exit code, stdout and stderr, then the criteria of
+    ``run_all()`` named in TIMELESS and TIMED with their name, verdict and
+    detail."""
+    ops = [(seed, op) for seed in SEEDS for op in wl.check_ops(seed) + wl.solve_ops(seed)]
+    requests = [(f"seed {seed} {op.label}", op.argv, op.stdin) for seed, op in ops]
+    requests += [(f"seed {seed} {op.label} (pretty)", [a for a in op.argv if a != "--json"],
+                  op.stdin) for seed, op in ops if op.argv[0] in PRETTY]
+    requests.append(("selftest --json", ["selftest", "--json"], None))
+    answers = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for argv, stdin in requests:
+        for name, argv, stdin in requests:
             code, out, err = run.call_cli(main, argv, stdin)
-            digest.update(f"{code}\0{out}\0{err}\0".encode())
+            answers.append((name, {"exit code": str(code), "stdout": out, "stderr": err}))
         criteria = [r for r in run_all() if r.name.startswith(TIMELESS + TIMED)]
-    for r in criteria:
-        detail = r.detail.rsplit(", ", 1)[0] if r.name.startswith(TIMED) else r.detail
-        digest.update(f"{r.name}\0{r.passed}\0{detail}\0".encode())
-    return len(requests), len(criteria), digest.hexdigest()
+    verdicts = [(r.name, {"name": r.name, "verdict": str(r.passed),
+                          "detail": r.detail.rsplit(", ", 1)[0] if r.name.startswith(TIMED)
+                          else r.detail}) for r in criteria]
+    return answers, verdicts
+
+
+def replay_src(src: Path) -> tuple[str, list]:
+    """Replay the sipwigner package under ``src``: its digest line, and its
+    items with each part replaced by the part's own sha256 hex."""
+    if not (src / "sipwigner" / "__init__.py").is_file():
+        raise SystemExit(f"replay_digest: no sipwigner package under {src}")
+    sys.path.insert(0, str(src))
+    cli = importlib.import_module("sipwigner.cli")
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"replay_digest: sipwigner imported from {cli.__file__}, not {src}")
+    acceptance = importlib.import_module("sipwigner.acceptance")
+    answers, verdicts = replay(cli.main, acceptance.run_all)
+    digest = hashlib.sha256()
+    for _, parts in answers + verdicts:
+        digest.update("".join(f"{v}\0" for v in parts.values()).encode())
+    line = f"{len(answers)} requests, {len(verdicts)} criteria sha256 {digest.hexdigest()}"
+    return line, [(name, {k: hashlib.sha256(v.encode()).hexdigest() for k, v in parts.items()})
+                  for name, parts in answers + verdicts]
+
+
+# a child process's replay: the digest line and the hashed items, as JSON
+CHILD = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+         "import replay_digest; print(json.dumps(replay_digest.replay_src(Path(sys.argv[2]))))")
 
 
 def against(ref: str, src: Path) -> int:
     """Replay the ``src/`` of commit ``ref`` and then ``src``, each in a
-    child process; print both lines and return 1 when they differ."""
-    lines = []
+    child process, and print both lines.  When they differ, print each item
+    whose parts differ and return 1."""
+    lines, sides = [], []
     with tempfile.TemporaryDirectory() as tmp:
         tree = subprocess.run(["git", "archive", ref, "src"], cwd=ROOT, capture_output=True)
         if tree.returncode:
             raise SystemExit(f"replay_digest: no src/ at {ref}: {tree.stderr.decode().strip()}")
         subprocess.run(["tar", "x", "-C", tmp], input=tree.stdout, check=True)
         for label, side in ((ref, Path(tmp) / "src"), (str(src), src)):
-            out = subprocess.run([sys.executable, __file__, "--src", str(side)],
+            out = subprocess.run([sys.executable, "-c", CHILD, str(ROOT / "tools"), str(side)],
                                  stdout=subprocess.PIPE, text=True, check=True).stdout
-            lines.append(out.strip())
-            print(f"{label}: {lines[-1]}")
-    return 0 if lines[0] == lines[1] else 1
+            line, items = json.loads(out)
+            lines.append(line)
+            sides.append(dict(items))
+            print(f"{label}: {line}")
+    if lines[0] == lines[1]:
+        return 0
+    old, new = sides
+    for name in old | new:  # ref's order, then the items only this side has
+        a, b = old.get(name, {}), new.get(name, {})
+        parts = [k for k in a | b if a.get(k) != b.get(k)]
+        if parts:
+            print(f"differs ({', '.join(parts)}): {name}")
+    return 1
 
 
 def main(argv=None) -> int:
@@ -97,15 +139,7 @@ def main(argv=None) -> int:
     src = args.src.resolve()
     if args.against is not None:
         return against(args.against, src)
-    if not (src / "sipwigner" / "__init__.py").is_file():
-        raise SystemExit(f"replay_digest: no sipwigner package under {src}")
-    sys.path.insert(0, str(src))
-    cli = importlib.import_module("sipwigner.cli")
-    if not Path(cli.__file__).resolve().is_relative_to(src):
-        raise SystemExit(f"replay_digest: sipwigner imported from {cli.__file__}, not {src}")
-    acceptance = importlib.import_module("sipwigner.acceptance")
-    count, criteria, hexdigest = replay(cli.main, acceptance.run_all)
-    print(f"{count} requests, {criteria} criteria sha256 {hexdigest}")
+    print(replay_src(src)[0])
     return 0
 
 
