@@ -41,7 +41,7 @@ from .fixtures import (
 )
 from .orthogonality import bj_orthogonal
 from .reconstruct import KIND_CONJUGATE, KIND_LINEAR, reconstruct, reproduction_residual
-from .spaces import COMPLEX, REAL, _gaussian, gateaux_sip_oracle, lp_space, norm, sip
+from .spaces import COMPLEX, REAL, _gaussian, _norm, _sip, gateaux_sip_oracle, lp_space, norm, sip
 from .wigner import (
     check_exact_preservation,
     check_linearity,
@@ -221,13 +221,15 @@ def _orth_draws(rng):
     instances, whose y is the sum of two vectors orthogonal to x.  Every
     vector comes from ``rng`` in the order of drawing the instances one at
     a time, rejection loops included, so the gate checks the data it always
-    has; the projections are made afterwards, one call per space.
+    has; the rejection tests run on the ``spaces`` kernels, since the draws
+    are valid by construction, and the projections are made afterwards, one
+    call per space.
     """
     groups = {}
     for k in range(2 * ORTH_TRIPLES):
         s = _orth_space(rng)
         x = _gaussian(s, rng)
-        while norm(s, x) < 0.5:
+        while (nx := _norm(s, x)) < 0.5:
             x = _gaussian(s, rng)
         y = _gaussian(s, rng)
         z = _gaussian(s, rng) if k >= ORTH_TRIPLES else None
@@ -235,7 +237,7 @@ def _orth_draws(rng):
             # keep instances decisively non-orthogonal: the norm dip below
             # ||x|| scales like ||x|| * (relative sip)^2, so a 5e-2 floor
             # keeps the margin orders of magnitude past the verdict tol
-            while abs(sip(s, y, x)) < 5e-2 * norm(s, x) * norm(s, y):
+            while abs(_sip(s, y, x, nx)) < 5e-2 * nx * _norm(s, y):
                 y = _gaussian(s, rng)
         groups.setdefault(s, []).append((k, x, y, z))
     stacks = []

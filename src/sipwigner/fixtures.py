@@ -6,9 +6,13 @@ a keyed hash), so fixture runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 from numbers import Number
 from sys import float_info
 
@@ -55,9 +59,12 @@ class IsometrySpec:
             raise ContractViolation(f"perm must be a permutation of 1..{n}")
         if len(self.diag) != n:
             raise ContractViolation("diag length must match perm length")
-        for d in self.diag:
-            if not isinstance(d, Number) or abs(abs(complex(d)) - 1.0) > 1e-12:
+        for d in self.diag:  # "not ... <=", so that NaN fails too
+            if isinstance(d, bool) or not (isinstance(d, Number)
+                                           and abs(abs(complex(d)) - 1.0) <= 1e-12):
                 raise ContractViolation(f"diag entries must be unimodular, got {d!r}")
+        if not isinstance(self.conjugate_first, (bool, np.bool_)):
+            raise ContractViolation(f"conjugate_first must be a bool, got {self.conjugate_first!r}")
 
     @property
     def dim(self) -> int:
@@ -77,7 +84,7 @@ class IsometrySpec:
         return {
             "perm": list(self.perm),
             "diag": [{"re": complex(d).real, "im": complex(d).imag} for d in self.diag],
-            "conjugate_first": self.conjugate_first,
+            "conjugate_first": bool(self.conjugate_first),
         }
 
     @staticmethod
@@ -94,18 +101,32 @@ class IsometrySpec:
 
 
 def matrix_oracle(space: Space, matrix, conjugate_first: bool = False) -> MapOracle:
-    """Wrap a square matrix (optionally composed with conjugation) as a map."""
+    """Wrap a square matrix (optionally composed with conjugation) as a map.
+
+    The matrix must have finite entries.  Points are evaluated with
+    ``ndarray.dot`` at about half the call cost of ``m @ x``, wherever numpy
+    gives the two the same bits: a C- or Fortran-ordered matrix of dim >= 2
+    and a point of positive stride.  Elsewhere numpy sums in another order
+    or signs a zero otherwise, so there the map takes ``m @ x``.
+    """
     try:  # same_kind: a complex matrix is refused on a real space, not truncated
         m = np.asarray(matrix).astype(space.dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError) as exc:
         raise ContractViolation(f"malformed matrix: {exc}") from None
     if m.shape != (space.dim, space.dim):
         raise ContractViolation(f"matrix shape {m.shape} does not fit dim {space.dim}")
+    if not np.isfinite(m).all():
+        raise ContractViolation("matrix entries must be finite")
     if conjugate_first and space.field != COMPLEX:
         raise ContractViolation("conjugation needs the complex field")
+    if m.flags.forc and space.dim > 1:
+        def mul(x):
+            return m.dot(x) if x.strides[0] > 0 else m @ x
+    else:
+        mul = m.__matmul__
     if conjugate_first:
-        return MapOracle(space, space, lambda x: m @ np.conj(x))
-    return MapOracle(space, space, lambda x: m @ x)
+        return MapOracle(space, space, lambda x: mul(np.conj(x)))
+    return MapOracle(space, space, mul)
 
 
 def make_isometry(space: Space, spec: IsometrySpec) -> MapOracle:
@@ -155,18 +176,21 @@ def seeded_phase(space: Space, seed: int):
 
     Hashes the exact coordinate bytes (with -0.0 normalized away) under a
     64-bit key, so repeated evaluations at the same vector agree and
-    different seeds give unrelated phase patterns.  Real field: +-1.
+    different seeds give unrelated phase patterns.  Real field: +-1.  The
+    keyed blake2b is set up once; each point hashes on a copy of it.
     """
     _require_int(seed, 0, "seed")
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    keyed = hashlib.blake2b(digest_size=8, key=key)
+    zero = space.zero_scalar()
 
     def sigma(x):
-        xv = as_vec(space, x) + (0j if space.field == COMPLEX else 0.0)
-        digest = hashlib.blake2b(xv.tobytes(), digest_size=8, key=key).digest()
-        u = int.from_bytes(digest, "little") / 2.0 ** 64
+        h = keyed.copy()
+        h.update((as_vec(space, x) + zero).tobytes())
+        u = int.from_bytes(h.digest(), "little") / 2.0 ** 64
         if space.field == REAL:
             return 1.0 if u < 0.5 else -1.0
-        return complex(np.exp(2j * np.pi * u))
+        return cmath.exp(2j * math.pi * u)
 
     return sigma
 
@@ -239,35 +263,52 @@ def unit_sphere_samples(space: Space, count: int, rng: np.random.Generator) -> l
     return out
 
 
+def _structured_rows(space: Space, rows: int, unit: bool) -> np.ndarray:
+    """The first ``rows`` rows of ``structured_samples`` as one stack, built
+    without the rows past them."""
+    n = space.dim
+    eye = np.eye(n, dtype=space.dtype)
+    # index lists, not np.triu_indices: at n <= 5 that call alone costs
+    # more than the whole old per-vector loop
+    pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
+    ij = list(islice(pairs, max(rows - n + 1, 0) // 2))
+    i, j = [a for a, _ in ij], [b for _, b in ij]
+    pm = np.empty((len(ij), 2, n), dtype=space.dtype)
+    pm[:, 0] = eye[i] + eye[j]
+    pm[:, 1] = eye[i] - eye[j]
+    vecs = np.concatenate([eye, pm.reshape(-1, n)])[:rows]
+    if unit:
+        vecs = vecs / _norm(space, vecs)[:, None]
+    return vecs
+
+
+# default_samples' prefixes; a bounded cache, read only through copies
+_cached_rows = lru_cache(maxsize=64)(_structured_rows)
+
+
 def structured_samples(space: Space, unit: bool = False) -> list[Vector]:
     """Basis vectors plus pairwise sums and differences (tie-prone points).
 
     The rows are ``e_0 .. e_{n-1}``, then ``e_i + e_j`` and ``e_i - e_j``
     for each ``i < j`` in row-major order, built as one stack (and, with
-    ``unit``, normalized by one stacked ``spaces._norm`` call).
+    ``unit``, normalized by one stacked ``spaces._norm`` call).  All n^2
+    rows are built each call, uncached.
     """
-    n = space.dim
-    eye = np.eye(n, dtype=space.dtype)
-    # index lists, not np.triu_indices: at n <= 5 that call alone costs
-    # more than the whole old per-vector loop
-    i = [a for a in range(n) for _ in range(a + 1, n)]
-    j = [b for a in range(n) for b in range(a + 1, n)]
-    pm = np.empty((len(i), 2, n), dtype=space.dtype)
-    pm[:, 0] = eye[i] + eye[j]
-    pm[:, 1] = eye[i] - eye[j]
-    vecs = np.concatenate([eye, pm.reshape(-1, n)])
-    if unit:
-        vecs = vecs / _norm(space, vecs)[:, None]
-    return list(vecs)
+    return list(_structured_rows(space, space.dim ** 2, unit))
 
 
 def default_samples(space: Space, count: int, seed: int, unit: bool = False) -> list[Vector]:
-    """Structured points first, then sphere draws, truncated to ``count``."""
+    """Structured points first, then sphere draws, truncated to ``count``.
+
+    Only the structured rows kept are built, once per (space, rows, unit)
+    in a bounded cache; each call returns its own copy.  The generator at
+    ``seed`` is made only when sphere draws follow.
+    """
     _require_int(count, 2, "sample count")
-    rng = _rng(seed)
-    vecs = structured_samples(space, unit=unit)[:count]
+    _require_int(seed, 0, "seed")
+    vecs = list(_cached_rows(space, int(min(count, space.dim ** 2)), bool(unit)).copy())
     if len(vecs) < count:
-        vecs.extend(unit_sphere_samples(space, count - len(vecs), rng))
+        vecs.extend(unit_sphere_samples(space, count - len(vecs), _rng(seed)))
     return vecs
 
 
@@ -278,11 +319,11 @@ def random_isometry_spec(space: Space, rng: np.random.Generator,
     n = space.dim
     perm = tuple(int(i) + 1 for i in rng.permutation(n))
     if space.field == COMPLEX:
-        diag = tuple(complex(np.exp(2j * np.pi * u)) for u in rng.random(n))
+        diag = tuple(cmath.exp(2j * math.pi * u) for u in rng.random(n).tolist())
         if conjugate is None:
             conjugate = bool(rng.integers(2))
-    else:
-        diag = tuple(float(d) for d in rng.choice([-1.0, 1.0], size=n))
+    else:  # the values and the stream of rng.choice([-1.0, 1.0], size=n)
+        diag = tuple((-1.0, 1.0)[b] for b in rng.integers(0, 2, size=n).tolist())
         conjugate = False
     return IsometrySpec(perm, diag, conjugate)
 

@@ -168,7 +168,7 @@ def _as_array(space: Space, x, ndim: int | None = None) -> np.ndarray:
         if v.ndim == 0 or v.shape[-1] != space.dim or ndim not in (None, v.ndim):
             want = {None: "(..., {})", 1: "({},)", 2: "(k, {})"}[ndim].format(space.dim)
             raise ContractViolation(f"expected coordinates of shape {want}, got shape {v.shape}")
-        if space.field == REAL and np.iscomplexobj(v):
+        if space.field == REAL and v.dtype.kind == "c":
             if np.any(v.imag != 0):
                 raise ContractViolation("complex coordinates in a real space")
             v = v.real

@@ -450,6 +450,9 @@ REFUSED = {
     "map-number": ({"source": _SRC, "map": 3}, 'error: config needs a "map" object\n'),
     "map-neither-key": ({"source": _SRC, "map": {}},
                         'error: map spec needs "builtin" or "isometry"\n'),
+    # json writes NaN as the literal that the config parser takes
+    "diag-nan": ({"source": _SRC, "map": {"isometry": {"perm": [2, 1], "diag": [float("nan"), 1.0]}}},
+                 "error: diag entries must be unimodular, got nan\n"),
     "swap-on-lp": ({"source": _SRC, "map": {"builtin": "swap_linf2"}},
                    "error: builtin 'swap_linf2' lives on the two-dimensional max-norm "
                    "fixture plane\n"),

@@ -1,10 +1,13 @@
 """Generators, specs, and the exact rational witness on the max-norm plane."""
 
+import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import sipwigner.fixtures
 from sipwigner import (
     COMPLEX,
     REAL,
@@ -12,6 +15,7 @@ from sipwigner import (
     IsometrySpec,
     Lp,
     Space,
+    as_vec,
     basis_vec,
     bj_orthogonal,
     check_linearity,
@@ -54,6 +58,9 @@ def test_isometry_spec_validation():
         IsometrySpec((2, 1), (2.0, 1.0))  # diag not unimodular
     with pytest.raises(ContractViolation):
         IsometrySpec((2, 1), (1.0,))  # length mismatch
+    # criteria draw the flag as a numpy comparison; its dict is a JSON bool
+    spec = IsometrySpec((1,), (1.0,), np.int64(1) == 1)
+    assert IsometrySpec.from_dict(spec.to_dict()).conjugate_first is True
 
 
 def test_isometry_spec_json_round_trip():
@@ -108,6 +115,42 @@ def test_seeded_phase_is_deterministic_and_unimodular():
     assert all(abs(abs(v) - 1.0) < 1e-12 for v in vals_a)
 
 
+def reference_phase(space, seed):
+    """The phase as first written: a keyed blake2b made for every point, and
+    the complex phase through numpy's exp."""
+    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+
+    def sigma(x):
+        xv = as_vec(space, x) + (0j if space.field == COMPLEX else 0.0)
+        digest = hashlib.blake2b(xv.tobytes(), digest_size=8, key=key).digest()
+        u = int.from_bytes(digest, "little") / 2.0 ** 64
+        if space.field == REAL:
+            return 1.0 if u < 0.5 else -1.0
+        return complex(np.exp(2j * np.pi * u))
+
+    return sigma
+
+
+def test_seeded_phase_matches_the_per_call_hash_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for field in (REAL, COMPLEX):
+        xs = []
+        for n in (1, 2, 3, 5, 16):
+            s = lp_space(field, n, 3.0)
+            v = rng.standard_normal((250, n)) * 10.0 ** rng.integers(-8, 9, (250, 1))
+            if field == COMPLEX:
+                v = v + 1j * rng.standard_normal((250, n))
+            v[rng.random((250, n)) < 0.2] = 0.0
+            v[rng.random((250, n)) < 0.2] = -0.0
+            xs.append((s, list(v)))
+        for seed in (0, 17, 2 ** 63, 2 ** 64 + 5):
+            for s, vecs in xs:
+                got = [seeded_phase(s, seed)(x) for x in vecs]
+                want = [reference_phase(s, seed)(x) for x in vecs]
+                assert [type(z) for z in got] == [type(z) for z in want]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 def test_seeded_phase_real_gives_signs_and_ignores_negative_zero():
     s = lp_space(REAL, 2, 2.0)
     sigma = seeded_phase(s, 7)
@@ -160,6 +203,27 @@ def test_structured_samples_match_the_sequential_loop_bit_for_bit():
                     assert isinstance(got, list)
                     assert [(v.dtype, v.shape) for v in got] == [(v.dtype, v.shape) for v in want]
                     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+                    # default_samples: a prefix of these rows, then sphere draws at the seed
+                    for count in {2} | {c for c in (n - 1, n + 1, n * n - 1, n * n + 3) if c >= 2}:
+                        ref = want[:count] + sequential_sphere_draws(
+                            s, count - len(want[:count]), np.random.default_rng(7))
+                        first = default_samples(s, count, 7, unit=unit)
+                        assert [v.tobytes() for v in first] == [v.tobytes() for v in ref]
+                        first[0][0] = 5.0  # each call gets its own copy of the cached rows
+                        again = default_samples(s, count, 7, unit=unit)
+                        assert [v.tobytes() for v in again] == [v.tobytes() for v in ref]
+
+
+def test_default_samples_builds_only_the_rows_it_returns():
+    # 16 samples of complex l_3^200 take 16 structured rows, not all 40,000
+    sipwigner.fixtures._cached_rows.cache_clear()
+    tracemalloc.start()
+    try:
+        xs = default_samples(lp_space(COMPLEX, 200, 3.0), 16, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(xs) == 16 and peak < 4_000_000
 
 
 def test_default_samples_contract():
@@ -233,6 +297,63 @@ def test_composed_wrappers_match_the_public_calls_bit_for_bit():
         assert [f(x).tobytes() for x in X] == [row.tobytes() for row in by_hand]
 
 
+def test_matrix_oracle_matches_the_matmul_bit_for_bit():
+    # ndarray.dot where numpy gives it the bits of m @ x; m @ x itself on a
+    # matrix with no unit stride, at dim 1 and on points of negative stride
+    rng = np.random.default_rng(5)
+    for field in (REAL, COMPLEX):
+        for n in (1, 2, 3, 5, 16):
+            s = lp_space(field, n, 2.0)
+            dense = rng.standard_normal((n, n)).astype(s.dtype)
+            if field == COMPLEX:
+                dense += 1j * rng.standard_normal((n, n))
+            for base in (random_isometry_spec(s, rng).matrix(field), random_unitary(s, rng), dense):
+                wide = np.zeros((2 * n, 2 * n), s.dtype)
+                wide[::2, ::2] = base
+                pts = rng.standard_normal((7, 2 * n)).astype(s.dtype)
+                if field == COMPLEX:
+                    pts += 1j * rng.standard_normal((7, 2 * n))
+                pts[:, ::3] = 0.0
+                stacks = (np.ascontiguousarray(pts[:, :n]), np.asfortranarray(pts[:, :n]),
+                          pts[:, ::2], pts[:, ::-2], np.eye(n, dtype=s.dtype), -np.eye(n))
+                for m in (base, np.asfortranarray(base), wide[::2, ::2]):
+                    for conj in ((False, True) if field == COMPLEX else (False,)):
+                        f = matrix_oracle(s, m, conj)
+                        for X in stacks:
+                            want = np.stack([m @ (np.conj(x) if conj else x) for x in X])
+                            assert f(X).tobytes() == want.tobytes()
+
+
+def reference_isometry_spec(space, rng, conjugate=None):
+    """The spec as first drawn: rng.choice signs and numpy-exp weights."""
+    n = space.dim
+    perm = tuple(int(i) + 1 for i in rng.permutation(n))
+    if space.field == COMPLEX:
+        diag = tuple(complex(np.exp(2j * np.pi * u)) for u in rng.random(n))
+        if conjugate is None:
+            conjugate = bool(rng.integers(2))
+    else:
+        diag = tuple(float(d) for d in rng.choice([-1.0, 1.0], size=n))
+        conjugate = False
+    return IsometrySpec(perm, diag, conjugate)
+
+
+def test_random_isometry_spec_matches_the_choice_draws_bit_for_bit():
+    for field in (REAL, COMPLEX):
+        for n in (1, 2, 3, 5, 16):
+            s = lp_space(field, n, 3.0)
+            for conjugate in ((None, False, True) if field == COMPLEX else (None, False)):
+                for seed in range(40):
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = random_isometry_spec(s, rng, conjugate)
+                    want = reference_isometry_spec(s, ref_rng, conjugate)
+                    assert got.perm == want.perm
+                    assert got.conjugate_first is want.conjugate_first
+                    assert [type(d) for d in got.diag] == [type(d) for d in want.diag]
+                    assert np.array(got.diag).tobytes() == np.array(want.diag).tobytes()
+                    assert rng.random() == ref_rng.random()  # same stream position
+
+
 def test_random_unitary_contract():
     with pytest.raises(ContractViolation):
         random_unitary(lp_space(REAL, 2, 3.0), np.random.default_rng(1))
@@ -262,6 +383,14 @@ def test_random_isometry_spec_obeys_field():
     (lambda: IsometrySpec((1.0, 2.0), (1, 1)), "perm entry must be an integer"),
     (lambda: IsometrySpec((1,), ("a",)), "diag entries must be unimodular, got 'a'"),
     (lambda: IsometrySpec((1,), (None,)), "diag entries must be unimodular, got None"),
+    (lambda: IsometrySpec((1, 2), (float("nan"), 1.0)), "diag entries must be unimodular, got nan"),
+    (lambda: IsometrySpec((1, 2), (True, 1.0)), "diag entries must be unimodular, got True"),
+    (lambda: IsometrySpec((1, 2), (1.0, 1.0), "false"),
+     "conjugate_first must be a bool, got 'false'"),
+    (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), [[np.nan, 0], [0, 1]]),
+     "matrix entries must be finite"),
+    (lambda: matrix_oracle(lp_space(COMPLEX, 2, 3.0), [[1, 0], [0, np.inf * 1j]]),
+     "matrix entries must be finite"),
     (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), [[1, 2], [3]]), "malformed matrix"),
     (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), [[1j, 0], [0, 1]]), "malformed matrix"),
     (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), 1j * np.eye(2)), "malformed matrix"),
@@ -278,7 +407,7 @@ def test_random_isometry_spec_obeys_field():
      "scale factor must be a finite number"),
 ], ids=["complex-weight-real-field", "perm-not-array", "matrix-shape", "conjugate-real-matrix",
         "isometry-on-fixture", "isometry-dim", "conjugation-real", "perm-float", "diag-string",
-        "diag-none", "matrix-ragged", "matrix-complex-list", "matrix-complex-array",
+        "diag-none", "diag-nan", "diag-bool", "conjugate-string", "matrix-nan", "matrix-inf", "matrix-ragged", "matrix-complex-list", "matrix-complex-array",
         "scale-string", "scale-none", "scale-nan", "scale-bool", "scale-past-float-range"])
 def test_fixture_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
