@@ -27,6 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fixtures import (
+    _seeded_phase,
     default_samples,
     identity_oracle,
     make_isometry,
@@ -35,7 +36,6 @@ from .fixtures import (
     random_isometry_spec,
     random_unitary,
     scale_oracle,
-    seeded_phase,
     swap_counterexample,
     unit_sphere_samples,
 )
@@ -292,7 +292,7 @@ def criterion_4_checker_verdicts(cfg: GateConfig) -> CriterionResult:
         s = _checker_space(rng, [1, 2, 3, 5])
         spec = random_isometry_spec(s, rng)
         base = make_isometry(s, spec)
-        f = make_phase_equivalent(base, seeded_phase(s, _seed(rng)))
+        f = make_phase_equivalent(base, _seeded_phase(s, _seed(rng)))
         sample_seed = _seed(rng)
         samples = default_samples(s, max(8, 2 * s.dim), sample_seed, unit=True)
         checks = [(check_wigner, "wigner")]
@@ -323,7 +323,7 @@ def criterion_5_roundtrip(cfg: GateConfig) -> CriterionResult:
             base = matrix_oracle(s, random_unitary(s, rng), conjugate)
         else:
             base = make_isometry(s, random_isometry_spec(s, rng, conjugate=conjugate))
-        f = make_phase_equivalent(base, seeded_phase(s, _seed(rng)))
+        f = make_phase_equivalent(base, _seeded_phase(s, _seed(rng)))
         expected = KIND_CONJUGATE if (conjugate and s.dim > 1) else KIND_LINEAR
         try:
             rec = reconstruct(f, tol=ROUNDTRIP_TOL, seed=_seed(rng))
@@ -365,7 +365,7 @@ def _implication_family(rng):
     base = make_isometry(s, random_isometry_spec(s, rng, conjugate=conjugate))
     twist = rng.integers(2) == 1
     if twist and s.field == COMPLEX:
-        f = make_phase_equivalent(base, seeded_phase(s, _seed(rng)))
+        f = make_phase_equivalent(base, _seeded_phase(s, _seed(rng)))
     elif twist:
         f = scale_oracle(base, -1.0)
     else:

@@ -42,13 +42,13 @@ from .errors import (
 )
 from .fixtures import (
     IsometrySpec,
+    _seeded_phase,
     conjugation_oracle,
     default_samples,
     identity_oracle,
     make_isometry,
     make_phase_equivalent,
     scale_oracle,
-    seeded_phase,
     swap_counterexample,
 )
 from .jsonio import dumps, float_from_json, int_from_json, object_from_json, vec_from_json
@@ -164,7 +164,7 @@ def _resolve_map(cfg: RunConfig) -> MapOracle:
         m = make_isometry(cfg.source, IsometrySpec.from_dict(spec["isometry"]))
         phase_seed = spec.get("phase_seed")
         if phase_seed is not None:
-            m = make_phase_equivalent(m, seeded_phase(cfg.source, _u64(int_from_json(phase_seed))))
+            m = make_phase_equivalent(m, _seeded_phase(cfg.source, _u64(int_from_json(phase_seed))))
         return m
     raise ContractViolation('map spec needs "builtin" or "isometry"')
 

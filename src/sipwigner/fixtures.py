@@ -2,6 +2,14 @@
 
 Everything here is driven by a single 64-bit seed (numpy's default_rng or
 a keyed hash), so fixture runs are reproducible bit for bit.
+
+The pointwise phase comes in two parts, like ``spaces.sip`` and its kernel
+``_sip``: the public ``seeded_phase`` validates each vector it is given and
+then hashes it with the kernel ``_seeded_phase``, while the package's own
+phase-twisted maps (``acceptance``'s criteria 4, 5 and 6a, and the CLI's
+``phase_seed``) compose the kernel itself through ``make_phase_equivalent``,
+since ``MapOracle`` hands its ``fn`` only rows it has validated.  Both give
+the same phase, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .spaces import (
     as_vec,
     linf2_space,
 )
-from .wigner import MapOracle
+from .wigner import MapOracle, _require_map
 
 
 @dataclass(frozen=True)
@@ -151,11 +159,13 @@ def conjugation_oracle(space: Space) -> MapOracle:
 def scale_oracle(base: MapOracle, factor: float | complex) -> MapOracle:
     """The map x -> factor * f(x).
 
-    ``factor`` is a finite int, float or complex (numpy scalars included,
-    bools not); anything else raises ContractViolation here, not when the
-    map is called.  Composes on ``base.fn``, so each point is validated
-    once, by the returned oracle, however deep the composition.
+    ``base`` must be a MapOracle and ``factor`` a finite int, float or
+    complex (numpy scalars included, bools not); anything else raises
+    ContractViolation here, not when the map is called.  Composes on
+    ``base.fn``, so each point is validated once, by the returned oracle,
+    however deep the composition.
     """
+    _require_map(base)
     if not (isinstance(factor, (int, float, complex, np.number)) and not isinstance(factor, bool)
             and (abs(factor) <= float_info.max if isinstance(factor, int) else np.isfinite(factor))):
         raise ContractViolation(f"scale factor must be a finite number, got {factor!r}")
@@ -166,9 +176,39 @@ def make_phase_equivalent(base: MapOracle, sigma) -> MapOracle:
     """Compose a map with a pointwise unimodular factor x -> sigma(x)*f(x).
 
     ``sigma`` takes one source vector and returns a scalar; like
-    ``scale_oracle``, the composition is on ``base.fn``.
+    ``scale_oracle``, the composition is on ``base.fn``, and a ``base``
+    that is not a MapOracle or a ``sigma`` that is not callable raises
+    ContractViolation here.
     """
+    _require_map(base)
+    if not callable(sigma):
+        raise ContractViolation(f"sigma must be callable, got {sigma!r}")
     return MapOracle(base.source, base.target, lambda x: sigma(x) * np.asarray(base.fn(x)))
+
+
+def _seeded_phase(space: Space, seed: int):
+    """``seeded_phase`` on coordinate vectors already validated on ``space``.
+
+    The kernel under the public ``seeded_phase``, as ``spaces._sip`` is under
+    ``sip``: the seed is checked and the keyed blake2b set up once, here,
+    and each point hashes on a copy of it.  The package composes it into
+    its phase-twisted maps with ``make_phase_equivalent``, whose oracle
+    hands it only the rows that ``MapOracle.__call__`` has validated.
+    """
+    _require_int(seed, 0, "seed")
+    key = (int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+    keyed = hashlib.blake2b(digest_size=8, key=key)
+    zero = space.zero_scalar()
+
+    def sigma(v):
+        h = keyed.copy()
+        h.update((v + zero).tobytes())
+        u = int.from_bytes(h.digest(), "little") / 2.0 ** 64
+        if space.field == REAL:
+            return 1.0 if u < 0.5 else -1.0
+        return cmath.exp(2j * math.pi * u)
+
+    return sigma
 
 
 def seeded_phase(space: Space, seed: int):
@@ -176,23 +216,14 @@ def seeded_phase(space: Space, seed: int):
 
     Hashes the exact coordinate bytes (with -0.0 normalized away) under a
     64-bit key, so repeated evaluations at the same vector agree and
-    different seeds give unrelated phase patterns.  Real field: +-1.  The
-    keyed blake2b is set up once; each point hashes on a copy of it.
+    different seeds give unrelated phase patterns.  Real field: +-1.  Each
+    call validates its input with ``as_vec``, then runs the kernel
+    ``_seeded_phase``; the package's own phase-twisted maps call the kernel
+    directly, on rows their oracle has validated, so they validate each
+    point once.
     """
-    _require_int(seed, 0, "seed")
-    key = (int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    keyed = hashlib.blake2b(digest_size=8, key=key)
-    zero = space.zero_scalar()
-
-    def sigma(x):
-        h = keyed.copy()
-        h.update((as_vec(space, x) + zero).tobytes())
-        u = int.from_bytes(h.digest(), "little") / 2.0 ** 64
-        if space.field == REAL:
-            return 1.0 if u < 0.5 else -1.0
-        return cmath.exp(2j * math.pi * u)
-
-    return sigma
+    sigma = _seeded_phase(space, seed)
+    return lambda x: sigma(as_vec(space, x))
 
 
 def _sip_linf2_exact(x, y) -> Fraction:

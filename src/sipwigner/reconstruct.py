@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, HypothesisViolation, KindAmbiguous
-from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _norm, _require_independent, _rng,
-                     _sip, as_vec)
+from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _norm, _require_independent,
+                     _require_tol, _rng, _sip, as_vec)
 from .wigner import MapOracle, _require_map, _require_smooth
 
 KIND_LINEAR = "linear"
@@ -68,8 +68,9 @@ class Reconstruction:
 
 
 def _require_reconstructible(m: MapOracle, tol: float) -> None:
+    _require_map(m)
     _require_smooth(m)
-    _require_map(m, tol)
+    _require_tol(tol)
     if m.source.dim != m.target.dim:
         raise ContractViolation("reconstruction needs equal dimensions")
 
@@ -268,6 +269,7 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
 
 def reproduction_residual(m: MapOracle, rec: Reconstruction, vectors) -> float:
     """Worst ||f(x) - sigma(x) * U x*|| over held-out vectors."""
+    _require_map(m)
     X = _as_array(m.source, vectors, ndim=2)
     if np.any(_norm(m.source, X) == 0.0):
         raise ContractViolation("held-out vectors must be nonzero")

@@ -53,7 +53,7 @@ entries; ``_is_int`` is its type test, which ``basis_vec`` shares),
 vectors.  That is the package's one independence rule: the smallest
 singular value must exceed 1e-10 of the largest, for ``best_coeffs``,
 ``check_linearity``, ``recover_pair_coeffs`` and ``reconstruct``'s span
-solves alike.  ``wigner._require_map`` holds the preconditions on a map.
+solves alike.  ``wigner._require_map`` is the rule for a map argument.
 ``_gaussian`` is the one Gaussian draw of space vectors, which the
 samplers share.
 """

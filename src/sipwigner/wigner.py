@@ -19,14 +19,16 @@ Each check evaluates all sample pairs at once as arrays (the pair checks
 compare Gram-type matrices), and a failing Report's witness is the first
 pair, in row-major order, attaining the largest violation.
 
-The argument rules each have one home.  ``_require_map`` holds the
-preconditions on a map that the checks and ``reconstruct`` share:
-``spaces._require_tol`` and one scalar field at both ends.
-``_require_smooth`` refuses a map unless both of its ends are Lp spaces;
-the semi-inner-product checks and ``reconstruct`` call it.  ``_prepared``
-runs ``_require_map`` and returns the validated samples with their images
-and norms; ``n_draws`` and ``seed`` go through ``spaces._require_int``,
-and ``check_linearity``'s spanning test is ``spaces._require_independent``.
+The argument rules each have one home.  ``_require_map`` is the rule for
+a map argument: a MapOracle, tested before any attribute of it is read,
+with one scalar field at both ends.  The checks, ``reconstruct`` and the
+``fixtures`` composers run it before they touch the map, and a MapOracle
+checks its own spaces and ``fn`` when built.  ``_require_smooth`` refuses
+a map unless both of its ends are Lp spaces; the semi-inner-product checks
+and ``reconstruct`` call it.  ``_prepared`` runs ``spaces._require_tol``
+and returns the validated samples with their images and norms;
+``n_draws`` and ``seed`` go through ``spaces._require_int``, and
+``check_linearity``'s spanning test is ``spaces._require_independent``.
 
 A check's ``tol`` is relative to the magnitudes it compares: a violation
 passes within tol*||x_i||*||x_j|| for the Gram entries, tol*(||x_i|| +
@@ -64,12 +66,19 @@ class MapOracle:
     points once, ``fn`` is applied to each point, and the list of images is
     checked once as a 2-D stack, which every image must fill with exactly
     one row of the target dimension, before it is returned with the points'
-    leading axes.  An oracle is its two spaces and ``fn``, nothing more.
+    leading axes.  An oracle is its two spaces and ``fn``, nothing more;
+    anything else raises ContractViolation when the oracle is built.
     """
 
     source: Space
     target: Space
     fn: Callable[[Vector], Vector]
+
+    def __post_init__(self):
+        if not (isinstance(self.source, Space) and isinstance(self.target, Space)):
+            raise ContractViolation("a map's source and target must be Spaces")
+        if not callable(self.fn):
+            raise ContractViolation(f"a map's fn must be callable, got {self.fn!r}")
 
     def __call__(self, x) -> np.ndarray:
         xv = _as_array(self.source, x)
@@ -122,10 +131,11 @@ class Report:
         }
 
 
-def _require_map(m: MapOracle, tol: float) -> None:
-    """The preconditions of every check and of ``reconstruct``: a positive,
-    finite ``tol`` and one scalar field at both ends of the map."""
-    _require_tol(tol)
+def _require_map(m: MapOracle) -> None:
+    """The rule for a map argument, run before any attribute of ``m`` is
+    read: a MapOracle with one scalar field at both ends."""
+    if not isinstance(m, MapOracle):
+        raise ContractViolation(f"the map must be a MapOracle, got {type(m).__name__}")
     if m.source.field != m.target.field:
         raise ContractViolation("source and target must share the scalar field")
 
@@ -139,13 +149,13 @@ def _require_smooth(m: MapOracle) -> None:
 def _prepared(m: MapOracle, samples: Sequence,
               tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The samples and their images, stacked as rows, and the samples'
-    norms, after the shared argument checks.
+    norms, after ``spaces._require_tol``; the caller has run ``_require_map``.
 
     This is where a check validates its samples (and ``m`` its images),
     once: the checks compute on the results with the ``spaces`` kernels
     ``_norm`` and ``_sip``, and ``_gram_check`` reuses the norms as the
     ||y|| of the source Gram matrix."""
-    _require_map(m, tol)
+    _require_tol(tol)
     if len(samples) == 0:
         raise ContractViolation("need at least one sample")
     xs = _as_array(m.source, samples, ndim=2)
@@ -162,6 +172,7 @@ def _worst(violation: np.ndarray, bound: np.ndarray) -> tuple[bool, float, tuple
 def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
     """Compare the Gram-type matrices G_f[i, j] = [f(x_i), f(x_j)] and
     G[i, j] = [x_i, x_j] entrywise, in modulus or as they are."""
+    _require_map(m)
     _require_smooth(m)
     xs, fxs, nx = _prepared(m, samples, tol)
     lhs = _sip(m.target, fxs[:, None], fxs[None], _norm(m.target, fxs))
@@ -189,7 +200,8 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
     which absorbs near-tied elements under either pairing.  The pairs are
     unordered, diagonal included.
     """
-    if m.source.field != REAL or m.target.field != REAL:
+    _require_map(m)
+    if m.source.field != REAL:
         raise UnsupportedField("the multiset criterion is a real-field check")
     xs, fxs, nx = _prepared(m, samples, tol)
     i, j = np.tril_indices(len(xs))  # row-major: (0, 0), (1, 0), (1, 1), ...
@@ -226,6 +238,7 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     """
     _require_int(n_draws, 0, "n_draws")
     rng = _rng(seed)
+    _require_map(m)
     xs, fxs, nx = _prepared(m, samples, tol)
     _require_independent(np.linalg.svd(xs, compute_uv=False), m.source.dim,
                          "samples must span the source space")

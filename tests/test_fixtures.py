@@ -1,6 +1,7 @@
 """Generators, specs, and the exact rational witness on the max-norm plane."""
 
 import hashlib
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -14,14 +15,17 @@ from sipwigner import (
     ContractViolation,
     IsometrySpec,
     Lp,
+    MapOracle,
     Space,
     as_vec,
     basis_vec,
     bj_orthogonal,
     check_linearity,
+    check_phase_isometry_sets,
     check_wigner,
     conjugation_oracle,
     default_samples,
+    detect_kind,
     identity_oracle,
     linf2_space,
     lp_space,
@@ -33,6 +37,8 @@ from sipwigner import (
     random_isometry_spec,
     random_unitary,
     reconstruct,
+    recover_pair_coeffs,
+    reproduction_residual,
     scale_oracle,
     seeded_phase,
     sip,
@@ -157,6 +163,96 @@ def test_seeded_phase_real_gives_signs_and_ignores_negative_zero():
     assert all(sigma(x) in (-1.0, 1.0)
                for x in default_samples(s, 8, 3))
     assert sigma(np.array([0.0, 1.0])) == sigma(np.array([-0.0, 1.0]))
+
+
+@pytest.mark.parametrize("x, message", [
+    ([np.nan, 1.0], "coordinates must be finite"),
+    ([1.0, 0.0, 0.0], r"expected coordinates of shape \(2,\), got shape \(3,\)"),
+    ([[1.0, 0.0]], r"expected coordinates of shape \(2,\), got shape \(1, 2\)"),
+    ([1j, 0.0], "complex coordinates in a real space"),
+], ids=["nan", "wrong-shape", "two-d", "complex-on-real"])
+def test_public_seeded_phase_validates_each_vector(x, message):
+    with pytest.raises(ContractViolation, match=message):
+        seeded_phase(lp_space(REAL, 2, 3.0), 5)(x)
+
+
+def test_the_phase_kernel_gives_the_public_phase_maps_bit_for_bit():
+    # the package composes the kernel on the rows its oracle has validated;
+    # the public seeded_phase validates each vector again before hashing it
+    rng = np.random.default_rng(23)
+    for field in (REAL, COMPLEX):
+        for n in (1, 2, 3, 5, 16):
+            s = lp_space(field, n, 3.0)
+            base = make_isometry(s, random_isometry_spec(s, rng))
+            x = rng.standard_normal((40, n))
+            if field == COMPLEX:
+                x = x + 1j * rng.standard_normal((40, n))
+                x.imag[rng.random((40, n)) < 0.2] = -0.0
+            x[rng.random((40, n)) < 0.2] = 0.0
+            x.real[rng.random((40, n)) < 0.2] = -0.0
+            for seed in (0, 17, 2 ** 64 + 5):
+                kernel, public = sipwigner.fixtures._seeded_phase(s, seed), seeded_phase(s, seed)
+                got = [kernel(v) for v in x]
+                want = [public(v) for v in x]
+                assert [type(z) for z in got] == [type(z) for z in want]
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+                composed = make_phase_equivalent(base, kernel)
+                reference = make_phase_equivalent(base, public)
+                for stack in (x, x[:1], x[0], x.reshape(4, 10, n)):
+                    assert composed(stack).tobytes() == reference(stack).tobytes()
+
+
+def count_validations(monkeypatch) -> list:
+    """Wrap ``spaces._as_array`` in every sipwigner module that binds it; the
+    returned list grows by one entry per call."""
+    calls = []
+    validate = sipwigner.spaces._as_array
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return validate(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sipwigner" and getattr(module, "_as_array", None) is validate:
+            monkeypatch.setattr(module, "_as_array", counted)
+    return calls
+
+
+def test_package_phase_twisted_maps_validate_each_stack_once_per_end(monkeypatch):
+    from sipwigner import acceptance, cli
+
+    # the maps criteria 4, 5 and 6a build, as they build them
+    built, compose = [], acceptance.make_phase_equivalent
+    monkeypatch.setattr(acceptance, "make_phase_equivalent",
+                        lambda base, sigma: built.append(compose(base, sigma)) or built[-1])
+    for criterion, count in ((acceptance.criterion_4_checker_verdicts, "CHECKER_SPECS"),
+                             (acceptance.criterion_5_roundtrip, "ROUNDTRIP_TRIPLES"),
+                             (acceptance.criterion_6a_preservation_implies_linearity,
+                              "IMPLICATION_SEEDS")):
+        monkeypatch.setattr(acceptance, count, 8)
+        before = len(built)
+        criterion(acceptance.GateConfig())
+        assert len(built) > before, criterion.__name__
+    # ... and the CLI's phase_seed map
+    built.append(cli._resolve_map(cli.RunConfig.from_dict({
+        "source": {"field": "complex", "dim": 3, "norm": {"lp": 3.0}},
+        "map": {"isometry": {"perm": [3, 1, 2], "diag": [1.0, 1.0, 1.0]}, "phase_seed": 11}})))
+
+    calls = count_validations(monkeypatch)
+    rng = np.random.default_rng(3)
+    for f in built:
+        # criterion 4 also checks the doubled map: one composition deeper
+        for m in (f, scale_oracle(f, 2.0)):
+            x = np.array(unit_sphere_samples(f.source, 7, rng))
+            calls.clear()
+            assert m(x).shape == x.shape
+            assert len(calls) == 2  # the 7 points, then their 7 images
+    # the public phase validates each point once more: k + 2
+    s = lp_space(COMPLEX, 3, 3.0)
+    x = np.array(unit_sphere_samples(s, 7, rng))
+    calls.clear()
+    make_phase_equivalent(identity_oracle(s), seeded_phase(s, 11))(x)
+    assert len(calls) == 9
 
 
 def test_swap_counterexample_exact_witness():
@@ -405,10 +501,22 @@ def test_random_isometry_spec_obeys_field():
      "scale factor must be a finite number, got True"),
     (lambda: scale_oracle(identity_oracle(lp_space(REAL, 2, 3.0)), 10 ** 400),
      "scale factor must be a finite number"),
+    # a map argument, a phase and an oracle's fn are checked when built, too
+    (lambda: scale_oracle("x", 2.0), "the map must be a MapOracle, got str"),
+    (lambda: make_phase_equivalent("x", seeded_phase(lp_space(REAL, 2, 3.0), 5)),
+     "the map must be a MapOracle, got str"),
+    (lambda: make_phase_equivalent(identity_oracle(lp_space(REAL, 2, 3.0)), 5),
+     "sigma must be callable, got 5"),
+    (lambda: MapOracle(lp_space(REAL, 2, 3.0), lp_space(REAL, 2, 3.0), 5),
+     "a map's fn must be callable, got 5"),
+    (lambda: MapOracle("l_3^2", lp_space(REAL, 2, 3.0), np.negative),
+     "a map's source and target must be Spaces"),
 ], ids=["complex-weight-real-field", "perm-not-array", "matrix-shape", "conjugate-real-matrix",
         "isometry-on-fixture", "isometry-dim", "conjugation-real", "perm-float", "diag-string",
         "diag-none", "diag-nan", "diag-bool", "conjugate-string", "matrix-nan", "matrix-inf", "matrix-ragged", "matrix-complex-list", "matrix-complex-array",
-        "scale-string", "scale-none", "scale-nan", "scale-bool", "scale-past-float-range"])
+        "scale-string", "scale-none", "scale-nan", "scale-bool", "scale-past-float-range",
+        "scale-map-string", "phase-map-string", "phase-sigma-int", "oracle-fn-int",
+        "oracle-source-string"])
 def test_fixture_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()
@@ -437,12 +545,23 @@ def test_fixture_builders_refuse_bad_input(build, message):
     lambda: random_isometry_spec(lp_space(REAL, 2, 3.0), 1),
     lambda: unit_sphere_samples(lp_space(REAL, 2, 3.0), 3, 5),
     lambda: random_unitary(lp_space(REAL, 2, 2.0), 5),
+    # a map is a MapOracle, checked before any of its attributes is read
+    lambda: check_wigner("x", np.eye(2)),
+    lambda: check_phase_isometry_sets("x", np.eye(2)),
+    lambda: check_linearity(None, np.eye(2)),
+    lambda: reconstruct(3),
+    lambda: detect_kind("m"),
+    lambda: recover_pair_coeffs(1, [1.0, 0.0], [0.0, 1.0]),
+    lambda: reproduction_residual("m", reconstruct(identity_oracle(lp_space(REAL, 2, 3.0))),
+                                  np.eye(2)),
 ], ids=["reconstruct-negative-seed", "reconstruct-float-seed", "reconstruct-bool-seed",
         "linearity-negative-seed", "linearity-str-seed", "samples-negative-seed",
         "samples-float-seed", "samples-float-count", "samples-bool-count", "space-bool-dim",
         "space-float-dim", "sphere-float-count", "sphere-negative-count", "phase-str-seed",
         "wigner-str-tol", "reconstruct-str-tol", "bj-str-tol", "minimize-str-xatol",
-        "isometry-spec-int-rng", "sphere-int-rng", "unitary-int-rng"])
+        "isometry-spec-int-rng", "sphere-int-rng", "unitary-int-rng", "wigner-str-map",
+        "multiset-str-map", "linearity-none-map", "reconstruct-int-map", "kind-str-map",
+        "pair-int-map", "residual-str-map"])
 def test_bad_seeds_counts_and_dims_raise_contract_violations(call):
     with pytest.raises(ContractViolation):
         call()
