@@ -10,6 +10,9 @@ phase-twisted maps (``acceptance``'s criteria 4, 5 and 6a, and the CLI's
 ``phase_seed``) compose the kernel itself through ``make_phase_equivalent``,
 since ``MapOracle`` hands its ``fn`` only rows it has validated.  Both give
 the same phase, bit for bit.
+
+Each builder that takes a space runs ``spaces._require_space`` on it when
+called, before reading it; no built map or phase checks it again per point.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .spaces import (
     _norm,
     _require_int,
     _require_rng,
+    _require_space,
     _rng,
     as_vec,
     linf2_space,
@@ -117,6 +121,7 @@ def matrix_oracle(space: Space, matrix, conjugate_first: bool = False) -> MapOra
     and a point of positive stride.  Elsewhere numpy sums in another order
     or signs a zero otherwise, so there the map takes ``m @ x``.
     """
+    _require_space(space)
     try:  # same_kind: a complex matrix is refused on a real space, not truncated
         m = np.asarray(matrix).astype(space.dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError) as exc:
@@ -139,6 +144,7 @@ def matrix_oracle(space: Space, matrix, conjugate_first: bool = False) -> MapOra
 
 def make_isometry(space: Space, spec: IsometrySpec) -> MapOracle:
     """Realize an IsometrySpec on an Lp space as a map oracle."""
+    _require_space(space)
     if not isinstance(space.norm, Lp):
         raise ContractViolation("isometry specs are realized on Lp spaces")
     if spec.dim != space.dim:
@@ -147,10 +153,12 @@ def make_isometry(space: Space, spec: IsometrySpec) -> MapOracle:
 
 
 def identity_oracle(space: Space) -> MapOracle:
+    _require_space(space)
     return matrix_oracle(space, np.eye(space.dim))
 
 
 def conjugation_oracle(space: Space) -> MapOracle:
+    _require_space(space)
     if space.field != COMPLEX:
         raise ContractViolation("conjugation needs the complex field")
     return MapOracle(space, space, np.conj)
@@ -186,29 +194,40 @@ def make_phase_equivalent(base: MapOracle, sigma) -> MapOracle:
     return MapOracle(base.source, base.target, lambda x: sigma(x) * np.asarray(base.fn(x)))
 
 
+_NEGATIVE_ZERO = np.float64(-0.0).tobytes()
+
+
 def _seeded_phase(space: Space, seed: int):
     """``seeded_phase`` on coordinate vectors already validated on ``space``.
 
     The kernel under the public ``seeded_phase``, as ``spaces._sip`` is under
-    ``sip``: the seed is checked and the keyed blake2b set up once, here,
-    and each point hashes on a copy of it.  The package composes it into
-    its phase-twisted maps with ``make_phase_equivalent``, whose oracle
-    hands it only the rows that ``MapOracle.__call__`` has validated.
+    ``sip``: the space and seed are checked, the keyed blake2b is set up and
+    the field's phase rule is chosen once, here, and each point hashes on a
+    copy of the keyed hash.  A point's bytes are hashed as they are unless
+    the 8 bytes of -0.0 occur in them; only then is the point normalized by
+    adding a zero, which turns each -0.0 into 0.0.  A match astride two
+    coordinates normalizes a point that needed none, to the same bytes.
+    The package composes the kernel into its phase-twisted maps with
+    ``make_phase_equivalent``, whose oracle hands it only the rows that
+    ``MapOracle.__call__`` has validated.
     """
+    _require_space(space)
     _require_int(seed, 0, "seed")
     key = (int(seed) & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
     keyed = hashlib.blake2b(digest_size=8, key=key)
     zero = space.zero_scalar()
 
-    def sigma(v):
+    def uniform(v) -> float:
+        data = v.tobytes()
+        if _NEGATIVE_ZERO in data:
+            data = (v + zero).tobytes()
         h = keyed.copy()
-        h.update((v + zero).tobytes())
-        u = int.from_bytes(h.digest(), "little") / 2.0 ** 64
-        if space.field == REAL:
-            return 1.0 if u < 0.5 else -1.0
-        return cmath.exp(2j * math.pi * u)
+        h.update(data)
+        return int.from_bytes(h.digest(), "little") / 2.0 ** 64
 
-    return sigma
+    if space.field == REAL:
+        return lambda v: 1.0 if uniform(v) < 0.5 else -1.0
+    return lambda v: cmath.exp(2j * math.pi * uniform(v))
 
 
 def seeded_phase(space: Space, seed: int):
@@ -283,6 +302,7 @@ def unit_sphere_samples(space: Space, count: int, rng: np.random.Generator) -> l
     rejected and only the shortfall is drawn again, so the stream matches
     one draw at a time.
     """
+    _require_space(space)
     _require_int(count, 0, "sample count")
     _require_rng(rng)
     out: list[Vector] = []
@@ -325,6 +345,7 @@ def structured_samples(space: Space, unit: bool = False) -> list[Vector]:
     ``unit``, normalized by one stacked ``spaces._norm`` call).  All n^2
     rows are built each call, uncached.
     """
+    _require_space(space)
     return list(_structured_rows(space, space.dim ** 2, unit))
 
 
@@ -335,6 +356,7 @@ def default_samples(space: Space, count: int, seed: int, unit: bool = False) -> 
     in a bounded cache; each call returns its own copy.  The generator at
     ``seed`` is made only when sphere draws follow.
     """
+    _require_space(space)
     _require_int(count, 2, "sample count")
     _require_int(seed, 0, "seed")
     vecs = list(_cached_rows(space, int(min(count, space.dim ** 2)), bool(unit)).copy())
@@ -346,6 +368,7 @@ def default_samples(space: Space, count: int, seed: int, unit: bool = False) -> 
 def random_isometry_spec(space: Space, rng: np.random.Generator,
                          conjugate: bool | None = None) -> IsometrySpec:
     """A seeded IsometrySpec for the given space."""
+    _require_space(space)
     _require_rng(rng)
     n = space.dim
     perm = tuple(int(i) + 1 for i in rng.permutation(n))
@@ -361,6 +384,7 @@ def random_isometry_spec(space: Space, rng: np.random.Generator,
 
 def random_unitary(space: Space, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish orthogonal/unitary matrix via QR; p = 2 spaces only."""
+    _require_space(space)
     _require_rng(rng)
     if not (isinstance(space.norm, Lp) and space.norm.p == 2.0):
         raise ContractViolation("dense rotations are isometries of p = 2 only")

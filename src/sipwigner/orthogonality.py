@@ -6,12 +6,17 @@ is convex, so a grid line search decides it from norm queries alone: each
 probe evaluates the objective on a 17-point grid in one batched call, and
 the grid minima of a convex function bracket all of its minimizers.  The
 searches are generators driven by ``_run``, so the independent decisions
-of a stack share each call: one per probe round for every open pair.  Over
-the complex field each sweep searches along Re lam, along Im lam and then
-along the sweep's displacement; a 2-D grid argmin is not a sound bracket
-for elongated convex level sets.  In smooth spaces the decision agrees
-with the semi-inner product criterion [y, x] = 0, which callers can
-cross-check through ``spaces.sip``.
+of a stack share each call: one per probe round for every open pair.  A
+search yields its grid and is sent back only what it needs of the values:
+the first and last index of their minimum and the minimum itself, which
+``_run`` reduces for every row of a round in one array call each; the
+bracket state stays in each search's own Python scalars.  Over the complex
+field each sweep searches along Re lam, along Im lam and then along the
+sweep's displacement, each search yielding its real grid t with the line
+(lam, d) that maps it to the points lam + t*d; a 2-D grid argmin is not a
+sound bracket for elongated convex level sets.  In smooth spaces the
+decision agrees with the semi-inner product criterion [y, x] = 0, which
+callers can cross-check through ``spaces.sip``.
 """
 
 from __future__ import annotations
@@ -60,35 +65,34 @@ class ScalarMin:
     probes: int
 
 
-def _line_min(width: float, xatol: float, max_width: float, at=None):
+def _line_min(width: float, xatol: float, max_width: float, line: tuple = ()):
     """Minimize a convex function of one real variable by grid probes.
 
-    A generator: it yields each grid of points, ``at(t)`` when ``at`` is
-    given, is sent their values and returns the ``ScalarMin``; ``_run``
-    drives it.  The grid minima of a convex function form one run t[i..j],
-    and every minimizer lies in [t[i-1], t[j+1]], which becomes the next
-    grid (~8x narrower).  While the run touches a free end of the grid, one
-    that no probe has yet shown to lie past every minimizer, the bracket
-    widens outwards on that side instead, up to ``max_width``; a single
-    minimum at a free end past that bound means the objective still
-    descends there (SolverError).  A run of three or more points is a
-    plateau: the objective is constant between its ends, so the next probe
-    refines only the two cells holding its edges.  The search stops once
-    the bracket exceeds the run by at most 2*xatol, or stops shrinking (a
-    few ulp at the scale of the points); the argmin is the run's midpoint
-    and ``flat`` says the run is wider than 1e-6.
+    A generator: it yields each grid t, as ``(t, lam, d)`` when ``line`` is
+    ``(lam, d)`` (the points are then the scalars lam + t*d), and is sent
+    ``(i, j, vmin)``: the first and the last index of the minimum of the
+    objective over the grid, and that minimum.  It returns the
+    ``ScalarMin``; ``_run`` or ``_finish`` drives it.  The grid minima of a
+    convex function form one run t[i..j], and every minimizer lies in
+    [t[i-1], t[j+1]], which becomes the next grid (~8x narrower).  While the
+    run touches a free end of the grid, one that no probe has yet shown to
+    lie past every minimizer, the bracket widens outwards on that side
+    instead, up to ``max_width``; a single minimum at a free end past that
+    bound means the objective still descends there (SolverError).  A run of
+    three or more points is a plateau: the objective is constant between its
+    ends, so the next probe refines only the two cells holding its edges.
+    The search stops once the bracket exceeds the run by at most 2*xatol, or
+    stops shrinking (a few ulp at the scale of the points); the argmin is
+    the run's midpoint and ``flat`` says the run is wider than 1e-6.
     """
     t = width * _SPAN
     free_lo = free_hi = True
     gap = math.inf
     nfev = 0
     for probes in range(1, _MAX_PROBES + 1):
-        v = yield (t if at is None else at(t))
+        i, j, vmin = yield ((t, *line) if line else t)
         last = len(t) - 1
         nfev += last + 1
-        i = int(v.argmin())
-        j = last - int(v[::-1].argmin())
-        vmin = float(v[i])
         if not math.isfinite(vmin):
             raise SolverError(f"objective has no finite minimum on the bracket: {vmin!r}")
         ts = t.tolist()
@@ -133,7 +137,7 @@ def _minimize(field: str, *, initial_width: float, xatol: float, max_width: floa
     def search(d: complex, reach: float, tol: float):
         """A line search from lam along d over |t*d| <= reach, to tol in lam."""
         step = abs(d)
-        return _line_min(reach / step, tol / step, max_width / step, at=lambda t: lam + t * d)
+        return _line_min(reach / step, tol / step, max_width / step, (lam, d))
 
     # a loop of its own, not best_coeffs' sweep over the blocks (1, 1j): its
     # coarse-to-fine tolerances fix bj_orthogonal's output bytes, while
@@ -177,9 +181,14 @@ def _run(searches: list, G) -> list[ScalarMin]:
     search ``rows[r]`` to their values; for one, that search's 1-D grid.
     While two or more searches run, every round stacks their grids (17
     points, or 18 on a plateau edge; a shorter grid is padded with its own
-    last point), makes one call and sends each search its own values; ``G``
-    is asked again only when a search finishes.  The last search left runs
-    on its own grids.  Returns each search's ``ScalarMin``, in order.
+    last point), maps complex searches' grids to their points
+    ``lam + t*d`` in one array expression and makes one call.  It then
+    reduces every row at once, one argmin from each end and one fancy index
+    for the minima, and sends each search its ``(i, j, vmin)``, with j
+    clipped to the search's own grid, since the padding repeats its last
+    value.  ``G`` is asked again only when a search finishes.  The last
+    search left runs on its own grids through ``_finish``.  Returns each
+    search's ``ScalarMin``, in order.
     """
     results: list = [None] * len(searches)
     live = list(range(len(searches)))
@@ -187,18 +196,28 @@ def _run(searches: list, G) -> list[ScalarMin]:
     evaluate = None
     while len(live) > 1:
         evaluate = evaluate or G(live)
-        if min(map(len, grids)) == max(map(len, grids)):
-            values = evaluate(np.array(grids))
+        lines = isinstance(grids[0], tuple)
+        ts = [g[0] for g in grids] if lines else grids
+        sizes = [len(t) for t in ts]
+        m = max(sizes)
+        if min(sizes) == m:
+            points = np.array(ts)
         else:
-            points = np.empty((len(grids), max(map(len, grids))), grids[0].dtype)
-            for r, g in enumerate(grids):
-                points[r, :len(g)] = g
-                points[r, len(g):] = g[-1]
-            values = evaluate(points)
+            points = np.empty((len(ts), m))
+            for r, t in enumerate(ts):
+                points[r, :len(t)] = t
+                points[r, len(t):] = t[-1]
+        if lines:
+            lam, d = np.array([g[1:] for g in grids], complex).T
+            points = lam[:, None] + points * d[:, None]
+        values = evaluate(points)
+        first = values.argmin(axis=1)
+        ends = zip(first.tolist(), (m - 1 - values[:, ::-1].argmin(axis=1)).tolist(),
+                   values[np.arange(len(ts)), first].tolist(), sizes)
         finished = []
-        for r, (k, g, v) in enumerate(zip(live, grids, values)):
+        for r, (k, (i, j, vmin, size)) in enumerate(zip(live, ends)):
             try:
-                grids[r] = searches[k].send(v if len(v) == len(g) else v[:len(g)])
+                grids[r] = searches[k].send((i, min(j, size - 1), vmin))
             except StopIteration as stop:
                 results[k] = stop.value
                 finished.append(r)
@@ -213,11 +232,18 @@ def _run(searches: list, G) -> list[ScalarMin]:
 
 
 def _finish(search, grid, f) -> ScalarMin:
-    """Drive one search from its pending ``grid``: send it ``f(grid)`` until
-    it returns its ``ScalarMin``."""
+    """Drive one search from its pending ``grid`` until it returns its
+    ``ScalarMin``: map each grid to its points (``lam + t*d`` for a complex
+    search's ``(t, lam, d)``), evaluate ``f`` on them and send the search
+    the ``(i, j, vmin)`` that ``_run`` reduces for a row."""
     try:
         while True:
-            grid = search.send(f(grid))
+            if isinstance(grid, tuple):
+                t, lam, d = grid
+                grid = lam + t * d
+            v = f(grid)
+            i = int(v.argmin())
+            grid = search.send((i, len(v) - 1 - int(v[::-1].argmin()), float(v[i])))
     except StopIteration as stop:
         return stop.value
 

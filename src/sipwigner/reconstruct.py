@@ -270,6 +270,8 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
 def reproduction_residual(m: MapOracle, rec: Reconstruction, vectors) -> float:
     """Worst ||f(x) - sigma(x) * U x*|| over held-out vectors."""
     _require_map(m)
+    if not isinstance(rec, Reconstruction):
+        raise ContractViolation(f"rec must be a Reconstruction, got {type(rec).__name__}")
     X = _as_array(m.source, vectors, ndim=2)
     if np.any(_norm(m.source, X) == 0.0):
         raise ContractViolation("held-out vectors must be nonzero")

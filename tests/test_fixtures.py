@@ -138,7 +138,7 @@ def reference_phase(space, seed):
 
 
 def test_seeded_phase_matches_the_per_call_hash_bit_for_bit():
-    rng = np.random.default_rng(11)
+    rng, extra = np.random.default_rng(11), np.random.default_rng(12)
     for field in (REAL, COMPLEX):
         xs = []
         for n in (1, 2, 3, 5, 16):
@@ -148,7 +148,23 @@ def test_seeded_phase_matches_the_per_call_hash_bit_for_bit():
                 v = v + 1j * rng.standard_normal((250, n))
             v[rng.random((250, n)) < 0.2] = 0.0
             v[rng.random((250, n)) < 0.2] = -0.0
-            xs.append((s, list(v)))
+            # all-zero points, of either sign; over C, -0.0 in imaginary parts only
+            special = [np.zeros(n), -np.zeros(n)]
+            if field == COMPLEX:
+                special.append(np.full(n, complex(-0.0, -0.0)))
+                for w in extra.standard_normal((20, n)):
+                    special.append(w + 0j)
+                    special[-1].imag = -0.0
+            xs.append((s, list(v) + special))
+        # the bytes of -0.0 astride two coordinates, with no coordinate -0.0:
+        # the kernel normalizes a point that needs none, to the same bytes
+        astride = [2.5e-323, 1.0 + 128 * 2.0 ** -52]
+        assert np.float64(-0.0).tobytes() in np.array(astride).tobytes()
+        if field == REAL:
+            xs.append((lp_space(REAL, 2, 3.0), [np.array(astride)]))
+        else:
+            xs.append((lp_space(COMPLEX, 1, 3.0), [np.array([complex(*astride)])]))
+            xs.append((lp_space(COMPLEX, 2, 3.0), [np.array([1j, complex(*astride)])]))
         for seed in (0, 17, 2 ** 63, 2 ** 64 + 5):
             for s, vecs in xs:
                 got = [seeded_phase(s, seed)(x) for x in vecs]
@@ -511,12 +527,31 @@ def test_random_isometry_spec_obeys_field():
      "a map's fn must be callable, got 5"),
     (lambda: MapOracle("l_3^2", lp_space(REAL, 2, 3.0), np.negative),
      "a map's source and target must be Spaces"),
+    # a space argument is a Space, checked once when the builder is called
+    (lambda: seeded_phase("x", 5), "the space must be a Space, got str"),
+    (lambda: default_samples("x", 4, 1), "the space must be a Space, got str"),
+    (lambda: structured_samples("x"), "the space must be a Space, got str"),
+    (lambda: unit_sphere_samples("x", 3, np.random.default_rng(0)),
+     "the space must be a Space, got str"),
+    (lambda: make_isometry("x", IsometrySpec((2, 1), (1.0, 1.0))),
+     "the space must be a Space, got str"),
+    (lambda: identity_oracle("x"), "the space must be a Space, got str"),
+    (lambda: matrix_oracle("x", np.eye(2)), "the space must be a Space, got str"),
+    (lambda: conjugation_oracle(None), "the space must be a Space, got NoneType"),
+    (lambda: random_isometry_spec("x", np.random.default_rng(0)),
+     "the space must be a Space, got str"),
+    (lambda: random_unitary("x", np.random.default_rng(0)), "the space must be a Space, got str"),
+    (lambda: reproduction_residual(identity_oracle(lp_space(REAL, 2, 3.0)), "rec", np.eye(2)),
+     "rec must be a Reconstruction, got str"),
 ], ids=["complex-weight-real-field", "perm-not-array", "matrix-shape", "conjugate-real-matrix",
         "isometry-on-fixture", "isometry-dim", "conjugation-real", "perm-float", "diag-string",
         "diag-none", "diag-nan", "diag-bool", "conjugate-string", "matrix-nan", "matrix-inf", "matrix-ragged", "matrix-complex-list", "matrix-complex-array",
         "scale-string", "scale-none", "scale-nan", "scale-bool", "scale-past-float-range",
         "scale-map-string", "phase-map-string", "phase-sigma-int", "oracle-fn-int",
-        "oracle-source-string"])
+        "oracle-source-string", "phase-space-string", "samples-space-string",
+        "structured-space-string", "sphere-space-string", "isometry-space-string",
+        "identity-space-string", "matrix-space-string", "conjugation-space-none",
+        "isometry-spec-space-string", "unitary-space-string", "residual-rec-string"])
 def test_fixture_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()

@@ -25,6 +25,7 @@ from sipwigner import (
 )
 from sipwigner.acceptance import GateConfig, criterion_3_orthogonality_routes
 from sipwigner.jsonio import dumps
+from sipwigner.spaces import norm_fn
 
 
 def lp_norms(p, pts):
@@ -380,6 +381,36 @@ def test_bj_stacked_edge_rows():
     s, x, y = linf2_space(), x[[0, 2]], np.array([[0.0, 1.0], [0.5, 2.0]])
     v = bj_orthogonal(s, x, y)
     assert v.flat_minimizer.tolist() == [True, False]
+    for r in range(2):
+        one = bj_orthogonal(s, x[r], y[r])
+        assert verdict_row(v, r) == (one.orthogonal, one.margin, one.minimizer,
+                                     one.flat_minimizer, one.nfev)
+
+
+def test_bj_padded_row_keeps_its_minimum_at_its_own_last_point(monkeypatch):
+    # a plateau row probes 18-point grids while a row with a tiny y, whose
+    # plateau reaches past its first grids, probes 17 points with the minimum
+    # at the last one.  Its padding repeats that minimum, so the stack's last
+    # argmin lands on the padding and must be clipped to the row's own grid.
+    s = linf2_space()
+    x, y = np.array([[0.0, 1.0], [-1.0, 1.0]]), np.array([[1.0, 0.0], [1e-301, 0.0]])
+    stacked = []
+
+    def recording(space):
+        nrm = norm_fn(space)
+
+        def evaluate(v):
+            values = nrm(v)
+            if np.ndim(values) == 2:
+                stacked.append(values)
+            return values
+        return evaluate
+
+    monkeypatch.setattr(orthogonality, "norm_fn", recording)
+    v = bj_orthogonal(s, x, y)
+    monkeypatch.undo()
+    assert any(values.shape == (2, 18) and values[1, 16] == values[1, 17] == values[1].min()
+               for values in stacked)
     for r in range(2):
         one = bj_orthogonal(s, x[r], y[r])
         assert verdict_row(v, r) == (one.orthogonal, one.margin, one.minimizer,
