@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, SolverError
-from .spaces import (COMPLEX, REAL, Scalar, Space, _as_array, _require_independent,
+from .spaces import (COMPLEX, REAL, Scalar, Space, _as_rows, _pair, _require_independent,
                      _require_tol, as_vec, norm_fn)
 
 _SPAN = np.linspace(-1.0, 1.0, 17)  # the first grid, width * _SPAN, holds 0 exactly
@@ -330,13 +330,9 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     quadratic in the coordinate error, ~1e-12, well inside tol.
     """
     _require_tol(tol)
-    xv, yv = _as_array(space, x), _as_array(space, y)
+    xv, yv = _pair(space, x, y)
     if xv.shape != yv.shape:
-        try:
-            xv, yv = np.broadcast_arrays(xv, yv)
-        except ValueError:
-            raise ContractViolation(
-                f"x and y do not broadcast: shapes {xv.shape} and {yv.shape}") from None
+        xv, yv = np.broadcast_arrays(xv, yv)
     shape = xv.shape[:-1]
     xv, yv = xv.reshape(-1, space.dim), yv.reshape(-1, space.dim)
     ax, ay = np.maximum.reduce(np.abs(xv), axis=1), np.maximum.reduce(np.abs(yv), axis=1)
@@ -407,15 +403,12 @@ def best_coeffs(space: Space, target, basis: Sequence) -> list[Scalar]:
     Raises ContractViolation when the basis vectors are linearly dependent.
     """
     t = as_vec(space, target)
-    vecs = [as_vec(space, b) for b in basis]
-    if not 1 <= len(vecs) <= 2:
-        raise ContractViolation("basis must hold one or two vectors")
-    A = np.stack(vecs, axis=1)
-    _require_independent(np.linalg.svd(A, compute_uv=False), len(vecs),
+    A = _as_rows(space, basis, 2, "basis must hold one or two vectors").T
+    _require_independent(np.linalg.svd(A, compute_uv=False), A.shape[1],
                          "basis vectors are linearly dependent")
     Q, R = np.linalg.qr(A)
     nrm = norm_fn(space)
-    c = np.zeros(len(vecs), Q.dtype)
+    c = np.zeros(A.shape[1], Q.dtype)
 
     def step(d, width: float, xatol: float, max_width: float) -> ScalarMin:
         """Move c to the minimizer of ||r - s*(Q@d)|| over scalars s, r = t - Q@c."""

@@ -13,6 +13,10 @@ from black-box evaluations of f:
 * ``reconstruct`` assembles U column by column in the gauge sigma(e1) = 1
   and then reads sigma off as [f(x), U x*] / ||x||^2.
 
+``_probes`` lays out the points that fix the columns and the kind, and
+``_frame`` reads both off their images, for ``reconstruct`` and
+``detect_kind`` alike.
+
 Span coefficients come from a least-squares solve.  Under the hypothesis
 f(x+y) lies exactly in span{f(x), f(y)}, so the target-norm residual is at
 rounding level; off it, that residual bounds the best-approximation distance
@@ -30,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, HypothesisViolation, KindAmbiguous
-from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _norm, _require_independent,
-                     _require_tol, _rng, _sip, as_vec)
+from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _norm,
+                     _require_independent, _require_tol, _rng, _sip, as_vec)
 from .wigner import MapOracle, _require_map, _require_smooth
 
 KIND_LINEAR = "linear"
@@ -107,10 +111,30 @@ def _pair_coeffs(m: MapOracle, x, y, fx, fy, fxy, tol: float) -> tuple[Scalar, S
     return alpha, beta
 
 
-def _kind(m: MapOracle, z: Vector, f1, col2, fz, tol: float) -> str:
-    """The kind from f(e1), the gauge-aligned second column
-    col2 = (beta/alpha)*f(e2) and the image fz of the probe z = e1 + i*e2."""
-    a, b = _span_coeffs(m.target, fz, [f1, col2], tol * (1.0 + _norm(m.source, z)),
+def _probes(E: np.ndarray, kind_probe: bool) -> np.ndarray:
+    """The points whose images fix the frame, as one stack: the rows of E,
+    the sums E0 + Ej (j >= 1) and, with ``kind_probe``, E0 + i*E1."""
+    return np.concatenate([E, E[0] + E[1:]] + ([E[0] + 1j * E[1:2]] if kind_probe else []))
+
+
+def _frame(m: MapOracle, E: np.ndarray, F: np.ndarray, tol: float,
+           kind_probe: bool) -> tuple[list, str]:
+    """The gauge-aligned columns and the kind, from the images F of
+    ``_probes(E, kind_probe)``: f(E0), then (beta_j/alpha_j)*f(Ej) with
+    f(E0 + Ej) = alpha_j*f(E0) + beta_j*f(Ej).  With ``kind_probe`` the
+    image of z = E0 + i*E1, decomposed against the first two columns, gives
+    the ratio h(i) of its coefficients: +i for a linear map, -i for a
+    conjugate-linear one, decisively by a factor of 10 or KindAmbiguous.
+    Without it the kind is linear."""
+    n = len(E)
+    cols = [F[0]]
+    for j in range(1, n):
+        alpha, beta = _pair_coeffs(m, E[0], E[j], F[0], F[j], F[n + j - 1], tol)
+        cols.append((beta / alpha) * F[j])
+    if not kind_probe:
+        return cols, KIND_LINEAR
+    a, b = _span_coeffs(m.target, F[2 * n - 1], cols[:2],
+                        tol * (1.0 + _norm(m.source, E[0] + 1j * E[1])),
                         "f(e1 + i*e2) leaves span(f(e1), f(e2))", {})
     if abs(a) < 1e-6:
         raise KindAmbiguous(f"degenerate leading coefficient {a!r}")
@@ -120,7 +144,7 @@ def _kind(m: MapOracle, z: Vector, f1, col2, fz, tol: float) -> str:
     if far < 10.0 * near:
         raise KindAmbiguous(f"h(i) estimate {ratio!r} sits between the classes "
                             f"(|.-i| = {d_lin:.3e}, |.+i| = {d_conj:.3e})")
-    return KIND_LINEAR if d_lin < d_conj else KIND_CONJUGATE
+    return cols, KIND_LINEAR if d_lin < d_conj else KIND_CONJUGATE
 
 
 def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Scalar:
@@ -156,21 +180,19 @@ def recover_pair_coeffs(m: MapOracle, x, y, tol: float = 1e-8) -> tuple[Scalar, 
 def detect_kind(m: MapOracle, tol: float = 1e-8) -> str:
     """Classify how scalars pass through f: "linear" or "conjugate_linear".
 
-    Decomposing f(e1 + i*e2) against f(e1) and the gauge-aligned second
-    column (beta/alpha)*f(e2) yields the coefficient ratio h(i), which is
-    +i for linear and -i for conjugate-linear maps; the classification must
-    be decisive by a factor of 10, otherwise KindAmbiguous is raised.
+    ``reconstruct``'s frame on e1 and e2 alone: decomposing f(e1 + i*e2)
+    against f(e1) and the gauge-aligned second column (beta/alpha)*f(e2)
+    yields the coefficient ratio h(i), which is +i for linear and -i for
+    conjugate-linear maps; the classification must be decisive by a factor
+    of 10, otherwise KindAmbiguous is raised.
     """
     _require_reconstructible(m, tol)
     if m.source.field != COMPLEX:
         raise ContractViolation("kind detection needs the complex field")
     if m.source.dim < 2:
         raise ContractViolation("kind detection needs dim >= 2")
-    e1, e2 = np.eye(m.source.dim, dtype=m.source.dtype)[:2]
-    z = e1 + 1j * e2
-    f1, f2, f12, fz = m(np.stack([e1, e2, e1 + e2, z]))
-    alpha, beta = _pair_coeffs(m, e1, e2, f1, f2, f12, tol)
-    return _kind(m, z, f1, (beta / alpha) * f2, fz, tol)
+    E = np.eye(m.source.dim, dtype=m.source.dtype)[:2]
+    return _frame(m, E, m(_probes(E, True)), tol, True)[1]
 
 
 def _phase_and_residual(m: MapOracle, U: np.ndarray, kind: str, X: np.ndarray, F: np.ndarray):
@@ -233,17 +255,12 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
 
     # dim-1 maps are always phase-equivalent to a linear isometry:
     # sigma absorbs any conjugation of the lone coordinate.
-    probe_kind = source.field == COMPLEX and n > 1
+    kind_probe = source.field == COMPLEX and n > 1
     E = np.eye(n, dtype=source.dtype)
-    probes = np.concatenate([E, E[0] + E[1:]] + ([E[0] + 1j * E[1:2]] if probe_kind else []))
+    probes = _probes(E, kind_probe)
     F = m(np.concatenate([probes, X]))
-
-    cols = [F[0]]
-    for j in range(1, n):
-        alpha, beta = _pair_coeffs(m, E[0], E[j], F[0], F[j], F[n + j - 1], tol)
-        cols.append((beta / alpha) * F[j])
+    cols, kind = _frame(m, E, F, tol, kind_probe)
     U = np.stack(cols, axis=1)
-    kind = _kind(m, probes[-1], F[0], cols[1], F[2 * n - 1], tol) if probe_kind else KIND_LINEAR
 
     nx, sigma, residual, n_images = _phase_and_residual(m, U, kind, X, F[len(probes):])
     iso_dev = np.abs(n_images - nx)

@@ -39,7 +39,12 @@ points, where the one-sided derivatives disagree.
 
 Coordinates are validated in one place, ``_as_array``, and once, at the
 public boundary: the evaluators here, ``as_vec`` and ``wigner.MapOracle``
-(once per stack of points, once per stack of images) all call it.  Each
+(once per stack of points, once per stack of images) all call it.  Two
+rules build on it.  ``_pair`` is the pair rule of ``sip``,
+``gateaux_sip_oracle`` and ``orthogonality.bj_orthogonal``: it validates x
+and y and refuses leading axes that do not broadcast.  ``_as_rows`` is the
+vector-set rule of the checkers' samples and ``best_coeffs``' basis: one
+vector per row, then a count.  ``Lp`` alone judges an exponent.  Each
 public evaluator validates its arguments, calls a kernel on the validated
 arrays and converts the result with ``_scalar``.  The kernels are ``_norm``
 and ``_sip``, the one product of ``_support`` and ``_apply``; package code
@@ -81,7 +86,8 @@ Vector = np.ndarray
 
 @dataclass(frozen=True)
 class Lp:
-    """p-norm descriptor; smoothness requires 1 < p < inf."""
+    """p-norm descriptor; smoothness requires 1 < p < inf.  The one judge of
+    an exponent: it stores any accepted real number as a float."""
 
     p: float
 
@@ -89,6 +95,7 @@ class Lp:
         # compared, not converted: an integer past the float range is refused too
         if not (isinstance(self.p, Real) and 1.0 < self.p <= float_info.max):
             raise ContractViolation(f"Lp exponent must satisfy 1 < p < inf, got {self.p!r}")
+        object.__setattr__(self, "p", float(self.p))
 
 
 @dataclass(frozen=True)
@@ -144,10 +151,6 @@ class Space:
 
 
 def lp_space(field: str, dim: int, p: float) -> Space:
-    try:
-        p = float(p)
-    except OverflowError:  # an integer past the float range: Lp refuses it
-        pass
     return Space(field, dim, Lp(p))
 
 
@@ -186,6 +189,31 @@ def _as_array(space: Space, x, ndim: int | None = None) -> np.ndarray:
 def as_vec(space: Space, x) -> Vector:
     """Coerce ``x`` to one validated coordinate vector of ``space``."""
     return _as_array(space, x, ndim=1)
+
+
+def _as_rows(space: Space, vectors, most: float, message: str) -> np.ndarray:
+    """The vector-set rule: ``vectors`` validated as one vector per row by
+    ``_as_array``, then ContractViolation(message) unless there are 1 to
+    ``most`` rows."""
+    rows = _as_array(space, vectors, ndim=2)
+    if not 1 <= len(rows) <= most:
+        raise ContractViolation(message)
+    return rows
+
+
+def _pair(space: Space, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The pair rule of the evaluators of two vectors: ``x`` and ``y``
+    validated by ``_as_array``, and ContractViolation unless their leading
+    axes broadcast.  The arrays are returned as they are; equal shapes run
+    no broadcast test."""
+    xv, yv = _as_array(space, x), _as_array(space, y)
+    if xv.shape != yv.shape:
+        try:
+            np.broadcast_shapes(xv.shape, yv.shape)
+        except ValueError:
+            raise ContractViolation(
+                f"x and y do not broadcast: shapes {xv.shape} and {yv.shape}") from None
+    return xv, yv
 
 
 def _require_independent(svals, count: int, message: str) -> None:
@@ -307,8 +335,7 @@ def sip(space: Space, x, y):
     ||y|| * sum_i x_i * conj(g_i) with g the support coefficients at y, for
     each pair of vectors stacked along the broadcast leading axes of x, y.
     """
-    xv = _as_array(space, x)
-    yv = _as_array(space, y)
+    xv, yv = _pair(space, x, y)
     return _scalar(_sip(space, xv, yv, _norm(space, yv)), space.field)
 
 
@@ -321,8 +348,7 @@ def gateaux_sip_oracle(space: Space, x, y, h: float | None = None):
     accurate: the error shrinks ~4x when h is halved.  Broadcasts over the
     leading axes of x and y like ``sip``.
     """
-    xv = _as_array(space, x)
-    yv = _as_array(space, y)
+    xv, yv = _pair(space, x, y)
     ny = _norm_at_smooth(space, yv)
     h = 1e-5 * np.maximum(1.0, ny) if h is None else float(h)
     if not np.all((h > 0) & np.isfinite(h)):

@@ -16,8 +16,9 @@ records the assumption explicitly.  Checks that evaluate semi-inner
 products require smooth (Lp) spaces and refuse the max-norm fixture.
 
 Each check evaluates all sample pairs at once as arrays (the pair checks
-compare Gram-type matrices), and a failing Report's witness is the first
-pair, in row-major order, attaining the largest violation.
+compare Gram-type matrices) and ends in ``_report``, the one verdict tail:
+a failing Report's witness is the first pair, in row-major order,
+attaining the largest violation.
 
 The argument rules each have one home.  ``_require_map`` is the rule for
 a map argument: a MapOracle, tested before any attribute of it is read,
@@ -26,7 +27,7 @@ with one scalar field at both ends.  The checks, ``reconstruct`` and the
 checks its own spaces and ``fn`` when built.  ``_require_smooth`` refuses
 a map unless both of its ends are Lp spaces; the semi-inner-product checks
 and ``reconstruct`` call it.  ``_prepared`` runs ``spaces._require_tol``
-and returns the validated samples with their images and norms;
+and ``spaces._as_rows`` and returns the samples with their images and norms;
 ``n_draws`` and ``seed`` go through ``spaces._require_int``,
 ``check_linearity``'s spanning test is ``spaces._require_independent`` and
 its sample indices are ``spaces._index_draws``.
@@ -42,13 +43,14 @@ norms stay inside the float range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedField, UnsupportedSpace
-from .spaces import (COMPLEX, Lp, REAL, Space, Vector, _as_array, _index_draws, _norm,
-                     _require_independent, _require_int, _require_tol, _rng, _sip)
+from .spaces import (COMPLEX, Lp, REAL, Space, Vector, _as_array, _as_rows, _index_draws,
+                     _norm, _require_independent, _require_int, _require_tol, _rng, _sip)
 
 PASS = "pass"
 FAIL = "fail"
@@ -157,17 +159,19 @@ def _prepared(m: MapOracle, samples: Sequence,
     ``_norm`` and ``_sip``, and ``_gram_check`` reuses the norms as the
     ||y|| of the source Gram matrix."""
     _require_tol(tol)
-    if len(samples) == 0:
-        raise ContractViolation("need at least one sample")
-    xs = _as_array(m.source, samples, ndim=2)
+    xs = _as_rows(m.source, samples, inf, "need at least one sample")
     return xs, m(xs), _norm(m.source, xs)
 
 
-def _worst(violation: np.ndarray, bound: np.ndarray) -> tuple[bool, float, tuple]:
-    """Verdict, maximum violation, and the first index (row-major) attaining
-    it.  A NaN violation never passes."""
+def _report(check: str, violation: np.ndarray, bound: np.ndarray, witness: Callable,
+            seed: int | None, pairs: int, map_calls: int) -> Report:
+    """Every check's verdict tail: fail unless each violation is within its
+    bound (a NaN violation never passes), the maximum violation, and on a
+    fail ``witness(*k)`` at the first index k, row-major, attaining it."""
     k = np.unravel_index(np.argmax(violation), violation.shape)
-    return not np.all(violation <= bound), float(violation[k]), k
+    failed = not np.all(violation <= bound)
+    return Report(check, FAIL if failed else PASS, float(violation[k]),
+                  witness(*k) if failed else None, seed, pairs, map_calls)
 
 
 def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
@@ -180,10 +184,9 @@ def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
     rhs = _sip(m.source, xs[:, None], xs[None], nx)
     if modulus:
         lhs, rhs = np.abs(lhs), np.abs(rhs)
-    failed, worst, (i, j) = _worst(np.abs(lhs - rhs), tol * nx[:, None] * nx[None])
-    witness = Witness(xs[i], xs[j], lhs[i, j].item(), rhs[i, j].item()) if failed else None
-    return Report(check, FAIL if failed else PASS, worst, witness, seed,
-                  pairs=len(xs) ** 2, map_calls=1)
+    return _report(check, np.abs(lhs - rhs), tol * nx[:, None] * nx[None],
+                   lambda i, j: Witness(xs[i], xs[j], lhs[i, j].item(), rhs[i, j].item()),
+                   seed, len(xs) ** 2, 1)
 
 
 def check_wigner(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -213,14 +216,11 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
 
     lo_f, hi_f = sorted_pair(m.target, fxs)
     lo, hi = sorted_pair(m.source, xs)
-    violation = np.maximum(np.abs(lo_f - lo), np.abs(hi_f - hi))
-    failed, worst, (k,) = _worst(violation, tol * (nx[i] + nx[j]))
-    witness = None
-    if failed:
-        witness = Witness(xs[i[k]], xs[j[k]], [lo_f[k].item(), hi_f[k].item()],
-                          [lo[k].item(), hi[k].item()])
-    return Report("phase_isometry_sets", FAIL if failed else PASS, worst, witness, seed,
-                  pairs=len(i), map_calls=1)
+    return _report("phase_isometry_sets", np.maximum(np.abs(lo_f - lo), np.abs(hi_f - hi)),
+                   tol * (nx[i] + nx[j]),
+                   lambda k: Witness(xs[i[k]], xs[j[k]], [lo_f[k].item(), hi_f[k].item()],
+                                     [lo[k].item(), hi[k].item()]),
+                   seed, len(i), 1)
 
 
 def check_exact_preservation(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -260,15 +260,13 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     # the scan runs over the sample norms first, then the seeded combinations
     nfx = _norm(m.target, fxs)
     combo_dev = _norm(m.target, images - a * fxs[i] - b * fxs[j])
-    failed, worst, (k,) = _worst(
-        np.concatenate([np.abs(nfx - nx), combo_dev]),
-        tol * np.concatenate([nx, np.abs(a[:, 0]) * nx[i] + np.abs(b[:, 0]) * nx[j]]),
-    )
-    witness = None
-    if failed and k < len(xs):
-        witness = Witness(xs[k], xs[k], float(nfx[k]), float(nx[k]))
-    elif failed:
-        k -= len(xs)
-        witness = Witness(xs[i[k]], xs[j[k]], tuple(c[k].tolist()), float(combo_dev[k]))
-    return Report("linearity", FAIL if failed else PASS, worst, witness, seed,
-                  pairs=len(xs) + n_draws, map_calls=2)
+
+    def witness(k) -> Witness:
+        if k < n:
+            return Witness(xs[k], xs[k], float(nfx[k]), float(nx[k]))
+        k -= n
+        return Witness(xs[i[k]], xs[j[k]], tuple(c[k].tolist()), float(combo_dev[k]))
+
+    return _report("linearity", np.concatenate([np.abs(nfx - nx), combo_dev]),
+                   tol * np.concatenate([nx, np.abs(a[:, 0]) * nx[i] + np.abs(b[:, 0]) * nx[j]]),
+                   witness, seed, n + n_draws, 2)

@@ -667,6 +667,11 @@ def test_best_coeffs_rejects_dependent_basis():
         best_coeffs(s, [1.0, 1.0], [[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(ContractViolation):
         best_coeffs(s, [1.0, 1.0], [])
+    # the basis is validated as one stack first, then counted
+    with pytest.raises(ContractViolation, match="expected coordinates of shape"):
+        best_coeffs(s, [1.0, 1.0], None)
+    with pytest.raises(ContractViolation, match="basis must hold one or two vectors"):
+        best_coeffs(s, [1.0, 1.0], np.eye(2)[[0, 1, 0]])
     # in dimension 1 two vectors are dependent, though the 1x2 matrix has a
     # single singular value
     with pytest.raises(ContractViolation):

@@ -247,11 +247,28 @@ def test_complex_coordinates_with_zero_imaginary_part_are_real_coordinates():
     # an integer exponent past the float range is refused, not overflowed
     (lambda: Lp(10 ** 400), "Lp exponent must satisfy 1 < p < inf, got 1000"),
     (lambda: lp_space(REAL, 2, 10 ** 400), "Lp exponent must satisfy 1 < p < inf, got 1000"),
+    # lp_space leaves the exponent to Lp, which refuses what float() would not take
+    (lambda: lp_space(REAL, 2, "x"), "Lp exponent must satisfy 1 < p < inf, got 'x'"),
+    (lambda: lp_space(REAL, 2, None), "Lp exponent must satisfy 1 < p < inf, got None"),
+    (lambda: lp_space(REAL, 2, 2j), r"Lp exponent must satisfy 1 < p < inf, got 2j"),
+    # the pair evaluators refuse stacks whose leading axes do not broadcast
+    (lambda: sip(LP3, np.ones((2, 2)), np.ones((3, 2))),
+     r"x and y do not broadcast: shapes \(2, 2\) and \(3, 2\)"),
+    (lambda: gateaux_sip_oracle(LP3, np.ones((2, 2)), np.ones((3, 2))),
+     r"x and y do not broadcast: shapes \(2, 2\) and \(3, 2\)"),
 ], ids=["basis-past-dim", "basis-negative", "basis-bool", "basis-float", "norm-string",
-        "linf2-false", "lp-string", "lp-none", "lp-past-float-range", "lp-space-past-float-range"])
+        "linf2-false", "lp-string", "lp-none", "lp-past-float-range", "lp-space-past-float-range",
+        "lp-space-string", "lp-space-none", "lp-space-complex", "sip-no-broadcast",
+        "oracle-no-broadcast"])
 def test_space_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()
+
+
+def test_lp_stores_its_exponent_as_a_float():
+    for p in (3, np.int64(3), 3.0):
+        assert type(Lp(p).p) is float and Lp(p) == Lp(3.0)
+    assert type(lp_space(REAL, 2, 3).norm.p) is float
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 64, 3 * 2 ** 30 + 5, 2 ** 32 - 7, 2 ** 32])

@@ -243,8 +243,9 @@ def test_checks_reject_degenerate_input():
         check_wigner(m, [])
     with pytest.raises(ContractViolation):
         check_wigner(m, samples_for(RC3), tol=0.0)
-    # a sample set is a sequence of source vectors: not ragged, not a 3-D stack
-    for bad in ([[1, 0, 0], [1, 0]], np.ones((2, 2, 3)), [1.0, 0.0, 0.0], [{}, 1, 2]):
+    # a sample set is a sequence of source vectors: not ragged, not a 3-D
+    # stack, and validated before it is counted
+    for bad in ([[1, 0, 0], [1, 0]], np.ones((2, 2, 3)), [1.0, 0.0, 0.0], [{}, 1, 2], None, 5):
         for check in (check_wigner, check_phase_isometry_sets,
                       check_exact_preservation, check_linearity):
             with pytest.raises(ContractViolation):
