@@ -25,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from numbers import Number
-from sys import float_info
 
 import numpy as np
 
@@ -38,7 +37,9 @@ from .spaces import (
     Space,
     Vector,
     _gaussian,
+    _is_scalar,
     _norm,
+    _require_flag,
     _require_int,
     _require_rng,
     _require_space,
@@ -64,6 +65,9 @@ class IsometrySpec:
     conjugate_first: bool = False
 
     def __post_init__(self):
+        if not (isinstance(self.perm, tuple) and isinstance(self.diag, tuple)):
+            raise ContractViolation(f"perm and diag must be tuples, got {self.perm!r} and "
+                                    f"{self.diag!r}")
         n = len(self.perm)
         for i in self.perm:
             _require_int(i, 1, "perm entry")
@@ -75,8 +79,7 @@ class IsometrySpec:
             if isinstance(d, bool) or not (isinstance(d, Number)
                                            and abs(abs(complex(d)) - 1.0) <= 1e-12):
                 raise ContractViolation(f"diag entries must be unimodular, got {d!r}")
-        if not isinstance(self.conjugate_first, (bool, np.bool_)):
-            raise ContractViolation(f"conjugate_first must be a bool, got {self.conjugate_first!r}")
+        _require_flag(self.conjugate_first, "conjugate_first")
 
     @property
     def dim(self) -> int:
@@ -122,6 +125,7 @@ def matrix_oracle(space: Space, matrix, conjugate_first: bool = False) -> MapOra
     or signs a zero otherwise, so there the map takes ``m @ x``.
     """
     _require_space(space)
+    _require_flag(conjugate_first, "conjugate_first")
     try:  # same_kind: a complex matrix is refused on a real space, not truncated
         m = np.asarray(matrix).astype(space.dtype, casting="same_kind", copy=False)
     except (TypeError, ValueError) as exc:
@@ -145,6 +149,8 @@ def matrix_oracle(space: Space, matrix, conjugate_first: bool = False) -> MapOra
 def make_isometry(space: Space, spec: IsometrySpec) -> MapOracle:
     """Realize an IsometrySpec on an Lp space as a map oracle."""
     _require_space(space)
+    if not isinstance(spec, IsometrySpec):
+        raise ContractViolation(f"spec must be an IsometrySpec, got {type(spec).__name__}")
     if not isinstance(space.norm, Lp):
         raise ContractViolation("isometry specs are realized on Lp spaces")
     if spec.dim != space.dim:
@@ -174,8 +180,7 @@ def scale_oracle(base: MapOracle, factor: float | complex) -> MapOracle:
     however deep the composition.
     """
     _require_map(base)
-    if not (isinstance(factor, (int, float, complex, np.number)) and not isinstance(factor, bool)
-            and (abs(factor) <= float_info.max if isinstance(factor, int) else np.isfinite(factor))):
+    if not _is_scalar(factor, COMPLEX):
         raise ContractViolation(f"scale factor must be a finite number, got {factor!r}")
     return MapOracle(base.source, base.target, lambda x: factor * np.asarray(base.fn(x)))
 
@@ -346,6 +351,7 @@ def structured_samples(space: Space, unit: bool = False) -> list[Vector]:
     rows are built each call, uncached.
     """
     _require_space(space)
+    _require_flag(unit, "unit")
     return list(_structured_rows(space, space.dim ** 2, unit))
 
 
@@ -359,6 +365,7 @@ def default_samples(space: Space, count: int, seed: int, unit: bool = False) -> 
     _require_space(space)
     _require_int(count, 2, "sample count")
     _require_int(seed, 0, "seed")
+    _require_flag(unit, "unit")
     vecs = list(_cached_rows(space, int(min(count, space.dim ** 2)), bool(unit)).copy())
     if len(vecs) < count:
         vecs.extend(unit_sphere_samples(space, count - len(vecs), _rng(seed)))

@@ -258,9 +258,10 @@ def minimize_scalar(
 ) -> ScalarMin:
     """Minimize a convex scalar -> real objective over the given field.
 
-    ``g`` takes one scalar of the field.  Real field: a grid line search on
-    a bracket of half-width ``initial_width`` around 0, widened while the
-    minimum sits at its edge.  Complex field: sweeps of such line searches
+    ``g`` is a callable that takes one scalar of the field and returns a
+    real number; anything else raises ContractViolation.  Real field: a
+    grid line search on a bracket of half-width ``initial_width`` around 0,
+    widened while the minimum sits at its edge.  Complex field: sweeps of such line searches
     along Re, along Im and along the sweep's displacement, each to 1% of
     the sweep's width but no finer than ``xatol``; convexity of the
     objective along every line makes the sweeps monotone.  Sweeping stops
@@ -272,12 +273,21 @@ def minimize_scalar(
     objective still descending (non-coercive input) or the objective has no
     finite minimum on the grid.
     """
+    if not callable(g):
+        raise ContractViolation(f"the objective must be callable, got {g!r}")
     if not all(isinstance(v, Real) and v > 0 and math.isfinite(v)
                for v in (initial_width, xatol, max_width)):
         raise ContractViolation("initial_width, xatol and max_width must be positive and finite")
+
+    def values(lams):
+        out = [g(lam) for lam in lams.tolist()]
+        for v in out:
+            if not isinstance(v, Real):
+                raise ContractViolation(f"the objective must return real numbers, got {v!r}")
+        return np.array(out, dtype=float)
+
     search = _minimize(field, initial_width=initial_width, xatol=xatol, max_width=max_width)
-    return _finish(search, next(search),
-                   lambda lams: np.array([g(lam) for lam in lams.tolist()], dtype=float))
+    return _finish(search, next(search), values)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, HypothesisViolation, KindAmbiguous
-from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _norm,
+from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _is_scalar, _norm,
                      _require_independent, _require_tol, _rng, _sip, as_vec)
 from .wigner import MapOracle, _require_map, _require_smooth
 
@@ -148,8 +148,12 @@ def _frame(m: MapOracle, E: np.ndarray, F: np.ndarray, tol: float,
 
 
 def recover_scalar_action(m: MapOracle, x, lam: Scalar, tol: float = 1e-8) -> Scalar:
-    """The scalar gamma with f(lam*x) = gamma*f(x); |gamma| = |lam| must hold."""
+    """The scalar gamma with f(lam*x) = gamma*f(x); |gamma| = |lam| must hold.
+
+    ``lam`` must be a finite scalar of the source field (``spaces._is_scalar``)."""
     _require_reconstructible(m, tol)
+    if not _is_scalar(lam, m.source.field):
+        raise ContractViolation(f"lam must be a finite scalar of the field, got {lam!r}")
     xv = as_vec(m.source, x)
     nx = _norm(m.source, xv)
     if nx == 0.0:

@@ -54,6 +54,8 @@ The other argument rules live here too, one function each, and raise
 ContractViolation: ``_require_tol`` for a tolerance, ``_require_int`` for
 an integer with a lower bound (dims, seeds, sample and draw counts, perm
 entries; ``_is_int`` is its type test, which ``basis_vec`` shares),
+``_require_flag`` for a bool option, ``_is_scalar`` as the test of a
+finite scalar of a field (a step, a scale factor, a probed scalar),
 ``_require_rng`` for a generator, ``_require_space`` for a space argument
 and ``_require_independent`` for a set of vectors.  That is the package's
 one independence rule: the smallest singular value must exceed 1e-10 of
@@ -345,12 +347,18 @@ def gateaux_sip_oracle(space: Space, x, y, h: float | None = None):
     Uses the central difference (||y + h*v|| - ||y - h*v||)/(2h) for the
     real part of the support functional and, over the complex field, the
     identity Re phi(-i*v) = Im phi(v) for the imaginary part.  Second-order
-    accurate: the error shrinks ~4x when h is halved.  Broadcasts over the
-    leading axes of x and y like ``sip``.
+    accurate: the error shrinks ~4x when h is halved.  A given step ``h``
+    must be a positive finite real number.  Broadcasts over the leading
+    axes of x and y like ``sip``.
     """
     xv, yv = _pair(space, x, y)
     ny = _norm_at_smooth(space, yv)
-    h = 1e-5 * np.maximum(1.0, ny) if h is None else float(h)
+    if h is None:
+        h = 1e-5 * np.maximum(1.0, ny)
+    elif _is_scalar(h, REAL):
+        h = float(h)
+    else:
+        raise ContractViolation(f"step must be a positive finite number, got {h!r}")
     if not np.all((h > 0) & np.isfinite(h)):
         raise ContractViolation(f"step must be a positive finite number, got {_scalar(h)!r}")
     step = np.expand_dims(h, -1)
@@ -382,9 +390,27 @@ def functional_value(space: Space, coeffs, x) -> Scalar:
 
 def _require_tol(tol) -> None:
     """Raise ContractViolation unless the tolerance ``tol`` is a positive,
-    finite real number; NaN fails too, since it compares false."""
-    if not (isinstance(tol, Real) and 0 < tol < inf):
+    finite real number, not a bool; NaN fails too, since it compares false."""
+    if not (isinstance(tol, Real) and not isinstance(tol, bool) and 0 < tol < inf):
         raise ContractViolation("tol must be positive and finite")
+
+
+def _require_flag(value, what: str) -> None:
+    """Raise ContractViolation unless ``value`` is a bool (numpy's too);
+    ``what`` names it in the message."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ContractViolation(f"{what} must be a bool, got {value!r}")
+
+
+def _is_scalar(value, field: str) -> bool:
+    """Whether ``value`` is a finite scalar of ``field``: an int, a float or
+    a numpy number, complex ones over the complex field only, never a
+    bool; an int counts as finite inside the float range."""
+    kinds = (int, float, np.integer, np.floating)
+    if field == COMPLEX:
+        kinds += (complex, np.complexfloating)
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and (abs(value) <= float_info.max if isinstance(value, int) else np.isfinite(value)))
 
 
 def _is_int(value) -> bool:

@@ -543,6 +543,17 @@ def test_random_isometry_spec_obeys_field():
     (lambda: random_unitary("x", np.random.default_rng(0)), "the space must be a Space, got str"),
     (lambda: reproduction_residual(identity_oracle(lp_space(REAL, 2, 3.0)), "rec", np.eye(2)),
      "rec must be a Reconstruction, got str"),
+    # a flag is a bool, not any truthy value
+    (lambda: matrix_oracle(lp_space(COMPLEX, 2, 3.0), np.eye(2), conjugate_first="no"),
+     "conjugate_first must be a bool, got 'no'"),
+    (lambda: default_samples(lp_space(REAL, 2, 3.0), 4, 1, unit="no"),
+     "unit must be a bool, got 'no'"),
+    (lambda: structured_samples(lp_space(REAL, 2, 3.0), unit="no"),
+     "unit must be a bool, got 'no'"),
+    # a spec is an IsometrySpec, whose perm and diag are tuples
+    (lambda: make_isometry(lp_space(REAL, 2, 3.0), "x"), "spec must be an IsometrySpec, got str"),
+    (lambda: IsometrySpec(3, (1.0,)), "perm and diag must be tuples, got 3 and"),
+    (lambda: IsometrySpec(None, None), "perm and diag must be tuples, got None and None"),
 ], ids=["complex-weight-real-field", "perm-not-array", "matrix-shape", "conjugate-real-matrix",
         "isometry-on-fixture", "isometry-dim", "conjugation-real", "perm-float", "diag-string",
         "diag-none", "diag-nan", "diag-bool", "conjugate-string", "matrix-nan", "matrix-inf", "matrix-ragged", "matrix-complex-list", "matrix-complex-array",
@@ -551,7 +562,9 @@ def test_random_isometry_spec_obeys_field():
         "oracle-source-string", "phase-space-string", "samples-space-string",
         "structured-space-string", "sphere-space-string", "isometry-space-string",
         "identity-space-string", "matrix-space-string", "conjugation-space-none",
-        "isometry-spec-space-string", "unitary-space-string", "residual-rec-string"])
+        "isometry-spec-space-string", "unitary-space-string", "residual-rec-string",
+        "matrix-conjugate-string", "samples-unit-string", "structured-unit-string",
+        "isometry-spec-string", "perm-int", "perm-none"])
 def test_fixture_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()

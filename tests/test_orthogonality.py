@@ -149,6 +149,13 @@ def test_minimize_rejects_bad_arguments():
         minimize_scalar(lambda c: c * c, "quaternion")
     with pytest.raises(ContractViolation):
         minimize_scalar(lambda c: c * c, REAL, xatol=0.0)
+    # the objective is a callable returning real numbers
+    with pytest.raises(ContractViolation, match="the objective must be callable, got 3"):
+        minimize_scalar(3, REAL)
+    for value in ("a", 1j):
+        with pytest.raises(ContractViolation,
+                           match=f"the objective must return real numbers, got {value!r}"):
+            minimize_scalar(lambda c, value=value: value, REAL)
 
 
 # ---------------------------------------------------------------- bj_orthogonal

@@ -256,10 +256,18 @@ def test_complex_coordinates_with_zero_imaginary_part_are_real_coordinates():
      r"x and y do not broadcast: shapes \(2, 2\) and \(3, 2\)"),
     (lambda: gateaux_sip_oracle(LP3, np.ones((2, 2)), np.ones((3, 2))),
      r"x and y do not broadcast: shapes \(2, 2\) and \(3, 2\)"),
+    # a given step is a real number, tested before float() sees it
+    (lambda: gateaux_sip_oracle(LP3, [1.0, 0.0], [1.0, 1.0], h="a"),
+     "step must be a positive finite number, got 'a'"),
+    (lambda: gateaux_sip_oracle(LP3, [1.0, 0.0], [1.0, 1.0], h=1j),
+     "step must be a positive finite number, got 1j"),
+    (lambda: gateaux_sip_oracle(LP3, [1.0, 0.0], [1.0, 1.0], h=np.array([1e-5, 1e-5])),
+     r"step must be a positive finite number, got array\("),
 ], ids=["basis-past-dim", "basis-negative", "basis-bool", "basis-float", "norm-string",
         "linf2-false", "lp-string", "lp-none", "lp-past-float-range", "lp-space-past-float-range",
         "lp-space-string", "lp-space-none", "lp-space-complex", "sip-no-broadcast",
-        "oracle-no-broadcast"])
+        "oracle-no-broadcast", "oracle-step-string", "oracle-step-complex",
+        "oracle-step-array"])
 def test_space_builders_refuse_bad_input(build, message):
     with pytest.raises(ContractViolation, match=message):
         build()

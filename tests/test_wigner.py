@@ -7,9 +7,12 @@ import pytest
 
 from sipwigner import (
     COMPLEX,
+    KIND_CONJUGATE,
     KIND_LINEAR,
     REAL,
     ContractViolation,
+    HypothesisViolation,
+    KindAmbiguous,
     MapOracle,
     UnsupportedField,
     UnsupportedSpace,
@@ -441,6 +444,55 @@ def test_the_real_field_theorem_ties_the_two_checks_together(p):
                 if expected:
                     rec = reconstruct(f, seed=seed)
                     assert rec.kind == KIND_LINEAR and rec.residual <= 1e-8, (n, name)
+
+
+def _reconstructed_kind(f):
+    """The kind ``reconstruct`` recovers f with, at its default tol, so with
+    a residual within it; None when a hypothesis breaks or the kind is
+    ambiguous."""
+    try:
+        return reconstruct(f, seed=3).kind
+    except (HypothesisViolation, KindAmbiguous):
+        return None
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 7.0, 50.0, 100.0])
+def test_the_complex_field_theorem_holds_both_ways(p):
+    """On complex l_p^n, ``check_wigner`` passes a spanning sample set
+    exactly when ``reconstruct`` recovers f as a phase times a linear or a
+    conjugate-linear isometry of the expected kind, residual within tol.
+
+    Phase-twisted linear and conjugate-linear isometries pass both (at
+    n = 1 conjugation is a phase, so the kind is linear).  A map that
+    switches kind by region, a map that conjugates one coordinate, the
+    doubled map, a 1e-3 radial distortion and, for n >= 2, the identity
+    from l_p^n to l_q^n with q != p fail both.
+    """
+    rng = np.random.default_rng([int(p * 10), 23])
+    for n in (1, 2, 3, 5):
+        s = lp_space(COMPLEX, n, p)
+        other = lp_space(COMPLEX, n, 3.0 if p == 2.0 else 2.0)
+        # past the all-real structured prefix, so complex draws are present
+        samples = default_samples(s, n * n + 8, int(rng.integers(2 ** 63)))
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        maps = {}
+        for conj in (False, True):
+            base = make_isometry(s, random_isometry_spec(s, rng, conjugate=conj))
+            twisted = make_phase_equivalent(base, seeded_phase(s, int(rng.integers(2 ** 63))))
+            maps[f"twisted-{conj}"] = (twisted, KIND_CONJUGATE if conj and n > 1 else KIND_LINEAR)
+        U = base.fn
+        maps["doubled"] = (scale_oracle(base, 2.0), None)
+        maps["radial"] = (MapOracle(s, s, lambda x, U=U, w=w, s=s: U(x) * (
+            1.0 + 1e-3 * np.tanh((w @ x).real / norm(s, x) + 0.3))), None)
+        if n >= 2:
+            maps["region-switching"] = (MapOracle(s, s, lambda x, U=U: U(
+                x if x[0].real >= 0 else np.conj(x))), None)
+            maps["one-coordinate-conjugation"] = (MapOracle(s, s, lambda x, U=U: U(
+                np.concatenate([np.conj(x[:1]), x[1:]]))), None)
+            maps["lp-to-lq"] = (MapOracle(s, other, lambda x: x), None)
+        for name, (f, kind) in maps.items():
+            assert check_wigner(f, samples).passed == (kind is not None), (n, name)
+            assert _reconstructed_kind(f) == kind, (n, name)
 
 
 @pytest.mark.parametrize("space", [RC3, CC2], ids=["real", "complex"])

@@ -7,7 +7,11 @@ Usage (from the repository root):
 The requests are the ``check`` and ``solve`` workloads of ``perfbench/`` at
 seeds 401 and 9 (490 requests), then each of their ``check`` and
 ``reconstruct`` requests again without ``--json``, so in the CLI's default
-pretty layout, then ``selftest --json``.  Each goes through
+pretty layout, then ``EXTRA``: requests for the CLI branches the workloads
+never reach (``counterexample`` in both layouts, ``sip-eval`` at a
+max-norm tie, ``check`` on a missing config file and ``check`` on the
+``identity`` and ``swap_linf2`` builtins), then ``selftest --json``.  Each
+goes through
 ``cli.main`` in this one process, and a sha256 runs over each request's exit
 code, stdout and stderr in order.  ``selftest --json`` prints only names and
 verdicts, so the digest then also takes ``(name, passed, detail)`` of the
@@ -24,8 +28,8 @@ in a process of its own and prints both lines (``REF`` first).  When the
 digests differ it then prints one line per replayed item that differs,
 naming the parts that do (exit code, stdout, stderr; a criterion's verdict
 or detail), and exits 1.  A request is named by its seed and workload
-label, with `` (pretty)`` for the second layout; ``selftest --json`` and
-the criteria go by their own names.  numpy's RuntimeWarnings
+label, with `` (pretty)`` for the second layout; ``selftest --json``, the
+``EXTRA`` requests and the criteria go by their own names.  numpy's RuntimeWarnings
 are silenced while replaying: their text holds the install path and source
 line numbers, and Python prints each one only once per process.
 """
@@ -52,6 +56,21 @@ SEEDS = (401, 9)
 TIMELESS = ("3_", "4_", "6a_", "6b_", "7_")  # criteria whose detail holds no timing
 PRETTY = ("check", "reconstruct")  # commands replayed in the pretty layout too
 TIMED = ("2_", "5_")  # criteria whose detail ends in ", <elapsed>s ..."
+_LINF2 = {"field": "real", "dim": 2, "norm": {"linf2_fixture": True}}
+_L33 = {"field": "real", "dim": 3, "norm": {"lp": 3.0}}
+EXTRA = [  # (name, argv, stdin) of the requests for the unreached branches
+    ("counterexample", ["counterexample", "--json"], None),
+    ("counterexample (pretty)", ["counterexample"], None),
+    ("sip-eval at the max-norm tie", ["sip-eval", "--json", "--space", json.dumps(_LINF2),
+                                      "--x", "[1, 0]", "--y", "[1, 1]"], None),
+    ("check on a missing config", ["check", "--json", "--config",
+                                   "/nonexistent/sipwigner-config.json"], None),
+    ("check identity, config seed", ["check", "--json", "--config", "-"], json.dumps(
+        {"source": _L33, "map": {"builtin": "identity"}, "seed": 5,
+         "checks": ["wigner", "phase_isometry_sets", "exact_preservation", "linearity"]})),
+    ("check swap_linf2", ["check", "--json", "--config", "-", "--seed", "11"], json.dumps(
+        {"map": {"builtin": "swap_linf2"}, "checks": ["phase_isometry_sets", "linearity"]})),
+]
 
 
 def replay(main, run_all) -> tuple[list, list]:
@@ -63,7 +82,7 @@ def replay(main, run_all) -> tuple[list, list]:
     requests = [(f"seed {seed} {op.label}", op.argv, op.stdin) for seed, op in ops]
     requests += [(f"seed {seed} {op.label} (pretty)", [a for a in op.argv if a != "--json"],
                   op.stdin) for seed, op in ops if op.argv[0] in PRETTY]
-    requests.append(("selftest --json", ["selftest", "--json"], None))
+    requests += EXTRA + [("selftest --json", ["selftest", "--json"], None)]
     answers = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
