@@ -261,14 +261,15 @@ def minimize_scalar(
     ``g`` is a callable that takes one scalar of the field and returns a
     real number; anything else raises ContractViolation.  Real field: a
     grid line search on a bracket of half-width ``initial_width`` around 0,
-    widened while the minimum sits at its edge.  Complex field: sweeps of such line searches
-    along Re, along Im and along the sweep's displacement, each to 1% of
-    the sweep's width but no finer than ``xatol``; convexity of the
-    objective along every line makes the sweeps monotone.  Sweeping stops
-    once a sweep run to ``xatol`` moves the point by at most 2*xatol, or
-    the value stalls (improves by at most 1e-13 relative, a constant) twice
-    in a row, or after 60 sweeps.  ``flat`` is reported as the real line
-    search measures it (see ``ScalarMin``); over C it is never set.
+    widened while the minimum sits at its edge.  Complex field: sweeps of
+    such line searches along Re, along Im and along the sweep's
+    displacement, each to 1% of the sweep's width but no finer than
+    ``xatol``; convexity of the objective along every line makes the
+    sweeps monotone.  Sweeping stops once a sweep run to ``xatol`` moves
+    the point by at most 2*xatol, or the value stalls (improves by at most
+    1e-13 relative, a constant) twice in a row, or after 60 sweeps.
+    ``flat`` is reported as the real line search measures it (see
+    ``ScalarMin``); over C it is never set.
     Raises SolverError when the bracket widens past ``max_width`` with the
     objective still descending (non-coercive input) or the objective has no
     finite minimum on the grid.

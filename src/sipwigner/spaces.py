@@ -353,12 +353,9 @@ def gateaux_sip_oracle(space: Space, x, y, h: float | None = None):
     """
     xv, yv = _pair(space, x, y)
     ny = _norm_at_smooth(space, yv)
-    if h is None:
-        h = 1e-5 * np.maximum(1.0, ny)
-    elif _is_scalar(h, REAL):
-        h = float(h)
-    else:
+    if not (h is None or _is_scalar(h, REAL)):
         raise ContractViolation(f"step must be a positive finite number, got {h!r}")
+    h = 1e-5 * np.maximum(1.0, ny) if h is None else float(h)
     if not np.all((h > 0) & np.isfinite(h)):
         raise ContractViolation(f"step must be a positive finite number, got {_scalar(h)!r}")
     step = np.expand_dims(h, -1)
