@@ -276,7 +276,7 @@ def minimize_scalar(
     """
     if not callable(g):
         raise ContractViolation(f"the objective must be callable, got {g!r}")
-    if not all(isinstance(v, Real) and v > 0 and math.isfinite(v)
+    if not all(isinstance(v, Real) and not isinstance(v, bool) and v > 0 and math.isfinite(v)
                for v in (initial_width, xatol, max_width)):
         raise ContractViolation("initial_width, xatol and max_width must be positive and finite")
 

@@ -15,7 +15,9 @@ from black-box evaluations of f:
 
 ``_probes`` lays out the points that fix the columns and the kind, and
 ``_frame`` reads both off their images, for ``reconstruct`` and
-``detect_kind`` alike.
+``detect_kind`` alike.  The verification set is drawn by the package's one
+sphere sampler, ``fixtures.unit_sphere_samples``, with its one rule for
+rejecting small draws, and scaled by one stack of uniforms in [0.5, 2).
 
 Span coefficients come from a least-squares solve.  Under the hypothesis
 f(x+y) lies exactly in span{f(x), f(y)}, so the target-norm residual is at
@@ -36,6 +38,7 @@ import numpy as np
 from .errors import ContractViolation, HypothesisViolation, KindAmbiguous
 from .spaces import (COMPLEX, Scalar, Space, Vector, _as_array, _is_scalar, _norm,
                      _require_independent, _require_tol, _rng, _sip, as_vec)
+from .fixtures import unit_sphere_samples
 from .wigner import MapOracle, _require_map, _require_smooth
 
 KIND_LINEAR = "linear"
@@ -225,37 +228,16 @@ def reconstruct(m: MapOracle, *, tol: float = 1e-8, seed: int = 7) -> Reconstruc
     before any HypothesisViolation or KindAmbiguous, even one a column would
     raise.
 
-    The draws keep the stream of a per-draw loop: n normals (2n over C), then
-    u for the scale 0.5 + 1.5*u, numpy's ``uniform(0.5, 2.0)``.  A loop of
-    bare generator calls makes them; norms and scales are taken on the stack.
-    A draw of norm below 1e-6 takes no scale: at the first one the generator
-    is reset to the round's start, replays the draws before it and its
-    normals, and a new round draws the rest.  The first failing draw is
-    reported, tested for isometry, then phase, then residual.
+    The verification draws are ``unit_sphere_samples(source, 64, rng)``
+    times one stack ``rng.uniform(0.5, 2.0, (64, 1))``, at the generator of
+    ``seed``.  The first failing draw is reported, tested for isometry, then
+    phase, then residual.
     """
     _require_reconstructible(m, tol)
     source, n = m.source, m.source.dim
 
     rng = _rng(seed)
-    shape = (2, n) if source.field == COMPLEX else (n,)
-    rows, left = [], _N_TEST
-    while left:
-        state = rng.bit_generator.state
-        V, u = zip(*[(rng.standard_normal(shape), rng.random()) for _ in range(left)])
-        V = np.array(V)
-        if source.field == COMPLEX:
-            V = V[:, 0] + 1j * V[:, 1]
-        nv = _norm(source, V)
-        r = int(np.argmax(np.append(nv < 1e-6, True)))  # the first rejected draw, or left
-        rows.append(V[:r] * ((0.5 + 1.5 * np.array(u[:r])) / nv[:r])[:, None])
-        if r < left:  # draw r takes no scale: replay the stream up to its normals
-            rng.bit_generator.state = state
-            for _ in range(r):
-                rng.standard_normal(shape)
-                rng.random()
-            rng.standard_normal(shape)
-        left -= min(r + 1, left)
-    X = np.concatenate(rows)
+    X = np.array(unit_sphere_samples(source, _N_TEST, rng)) * rng.uniform(0.5, 2.0, (_N_TEST, 1))
 
     # dim-1 maps are always phase-equivalent to a linear isometry:
     # sigma absorbs any conjugation of the lone coordinate.

@@ -62,8 +62,7 @@ one independence rule: the smallest singular value must exceed 1e-10 of
 the largest, for ``best_coeffs``, ``check_linearity``,
 ``recover_pair_coeffs`` and ``reconstruct``'s span solves alike.
 ``wigner._require_map`` is the rule for a map argument.  ``_gaussian`` is
-the one Gaussian draw of space vectors, which the samplers share, and
-``_index_draws`` the one uniform index draw.
+the one Gaussian draw of space vectors, which the samplers share.
 """
 
 from __future__ import annotations
@@ -94,8 +93,11 @@ class Lp:
     p: float
 
     def __post_init__(self):
-        # compared, not converted: an integer past the float range is refused too
-        if not (isinstance(self.p, Real) and 1.0 < self.p <= float_info.max):
+        # compared, not converted: an integer past the float range is refused
+        # too.  A numpy float meets a float64 bound, so a float32 exponent
+        # does not cast float_info.max to float32, which overflows
+        top = np.float64(float_info.max) if isinstance(self.p, np.floating) else float_info.max
+        if not (isinstance(self.p, Real) and 1.0 < self.p <= top):
             raise ContractViolation(f"Lp exponent must satisfy 1 < p < inf, got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))
 
@@ -435,39 +437,6 @@ def _require_space(space) -> None:
     it once per call, before they read any attribute of it."""
     if not isinstance(space, Space):
         raise ContractViolation(f"the space must be a Space, got {type(space).__name__}")
-
-
-def _index_draws(rng: np.random.Generator):
-    """``rng.integers(n)`` for 1 <= n <= 2**32, as a callable on raw words.
-
-    numpy draws such an index from 32 bits: the low half of a fresh 64-bit
-    word, or the high half that the last draw left in the generator's
-    buffer, mapped to [0, n) by Lemire's multiply-and-reject method, and
-    n = 1 draws nothing.  The callable replays this over
-    ``bit_generator.random_raw`` with a half-word buffer of its own, so it
-    gives the same indices and leaves the same words to the normal draws,
-    which never read that buffer.  It assumes a generator whose buffer is
-    empty, like a fresh one, and leaves the generator's buffer empty.
-    """
-    raw = rng.bit_generator.random_raw
-    spare = None  # the high half of the last word, not yet drawn
-
-    def draw(n: int) -> int:
-        nonlocal spare
-        if n == 1:
-            return 0
-        floor = (1 << 32) % n  # low products below it would bias the draw
-        while True:
-            if spare is None:
-                word = raw()
-                u, spare = word & 0xFFFFFFFF, word >> 32
-            else:
-                u, spare = spare, None
-            m = u * n
-            if m & 0xFFFFFFFF >= floor:
-                return m >> 32
-
-    return draw
 
 
 def _gaussian(space: Space, rng, *lead: int) -> np.ndarray:

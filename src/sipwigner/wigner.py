@@ -28,9 +28,11 @@ checks its own spaces and ``fn`` when built.  ``_require_smooth`` refuses
 a map unless both of its ends are Lp spaces; the semi-inner-product checks
 and ``reconstruct`` call it.  ``_prepared`` runs ``spaces._require_tol``
 and ``spaces._as_rows`` and returns the samples with their images and norms;
-``n_draws`` and ``seed`` go through ``spaces._require_int``,
-``check_linearity``'s spanning test is ``spaces._require_independent`` and
-its sample indices are ``spaces._index_draws``.
+``n_draws`` and ``seed`` go through ``spaces._require_int`` and
+``check_linearity``'s spanning test is ``spaces._require_independent``.
+``check_linearity`` draws its combinations as two stacks at the generator
+of ``seed``: the index pairs, ``rng.integers(n, size=(2, n_draws))``, then
+the coefficients' normals, ``rng.standard_normal((n_draws, width))``.
 
 A check's ``tol`` is relative to the magnitudes it compares: a violation
 passes within tol*||x_i||*||x_j|| for the Gram entries, tol*(||x_i|| +
@@ -49,8 +51,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolation, UnsupportedField, UnsupportedSpace
-from .spaces import (COMPLEX, Lp, REAL, Space, Vector, _as_array, _as_rows, _index_draws,
-                     _norm, _require_independent, _require_int, _require_tol, _rng, _sip)
+from .spaces import (COMPLEX, Lp, REAL, Space, Vector, _as_array, _as_rows, _norm,
+                     _require_independent, _require_int, _require_tol, _rng, _sip)
 
 PASS = "pass"
 FAIL = "fail"
@@ -244,14 +246,9 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     _require_independent(np.linalg.svd(xs, compute_uv=False), m.source.dim,
                          "samples must span the source space")
 
-    # per draw, in stream order: two indices, then the coefficients' normals.
-    # The indices are rng.integers(n)'s, replayed on raw words by
-    # _index_draws at a fraction of a generator call's cost
     n, width = len(xs), 4 if m.source.field == COMPLEX else 2
-    index, normal = _index_draws(rng), rng.standard_normal
-    draws = [v for _ in range(n_draws) for v in (index(n), index(n), normal(width))]
-    i, j = np.array(draws[0::3], dtype=int), np.array(draws[1::3], dtype=int)
-    c = np.array(draws[2::3]).reshape(n_draws, width)
+    i, j = rng.integers(n, size=(2, n_draws))
+    c = rng.standard_normal((n_draws, width))
     if width == 4:  # (ar, ai, br, bi) -> (a, b)
         c = c[:, 0::2] + 1j * c[:, 1::2]
     a, b = c.T[:, :, None]

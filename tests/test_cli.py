@@ -26,6 +26,15 @@ def write_config(tmp_path, obj, name="cfg.json"):
     return str(path)
 
 
+def test_an_overflowing_request_exits_2_with_one_error_line_and_no_warning(capsys):
+    # the suite raises RuntimeWarnings as errors (pyproject.toml), so a numpy
+    # warning on the way to the refusal would escape main
+    code, out, err = run(capsys, ["sip-eval", "--space", LP3, "--x", "[1e150, 1]",
+                                  "--y", "[1e150, 1]"])
+    assert (code, out) == (2, "")
+    assert err == "error: step must be a positive finite number, got inf\n"
+
+
 def test_sip_eval_reports_value_oracle_and_gap(capsys):
     code, out, _ = run(capsys, ["sip-eval", "--space", LP3,
                                 "--x", "[1,0]", "--y", "[1,1]", "--json"])
@@ -275,8 +284,8 @@ def test_reconstruct_double_map_violates_hypotheses(tmp_path, capsys):
 
 
 def test_complex_reconstruct_output_is_pinned(tmp_path, capsys):
-    # the README's RunConfig, conjugated: bytes of an earlier release, pinned
-    # by digest because the 64 phase samples make ~15 kB
+    # the README's RunConfig, conjugated, pinned by digest because the 64
+    # phase samples make ~15 kB; U is the bytes of an earlier release
     cfg = write_config(tmp_path, {
         "source": {"field": "complex", "dim": 3, "norm": {"lp": 1.5}},
         "map": {"isometry": {"perm": [3, 1, 2],
@@ -296,10 +305,10 @@ def test_complex_reconstruct_output_is_pinned(tmp_path, capsys):
         '[{"re":0.005875850634319179,"im":0.99998273704065666},'
         '{"re":0,"im":-0},{"re":0,"im":-0}],'
         '[{"re":0,"im":-0},{"re":-0.0058758506343191998,"im":-0.99998273704065688},'
-        '{"re":0,"im":-0}]],"residual":1.3836080204126784e-15,"gauge":"sigma(e_1)=1"')
-    assert len(out) == 15211
+        '{"re":0,"im":-0}]],"residual":8.8427702691302752e-16,"gauge":"sigma(e_1)=1"')
+    assert len(out) == 15229
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "038f40e8ede1df6678f0956386dc93cd0c6206557e55b4c818fc2f3a4003160a")
+        "b94a39c2ac5b9fab6922853142b08f4dc6025da9bec15af84189c971916e712d")
 
 
 def test_counterexample_prints_the_rational_witness(capsys):
@@ -366,8 +375,7 @@ def test_one_parser_serves_every_request_without_leaking_state(tmp_path, capsys)
 
 
 def test_complex_reconstruct_pretty_output_is_pinned(tmp_path, capsys):
-    # the default (pretty) bytes of the pinned --json request above, taken
-    # from the encoder this one replaced
+    # the default (pretty) bytes of the pinned --json request above
     cfg = write_config(tmp_path, {
         "source": {"field": "complex", "dim": 3, "norm": {"lp": 1.5}},
         "map": {"isometry": {"perm": [3, 1, 2],
@@ -379,9 +387,9 @@ def test_complex_reconstruct_pretty_output_is_pinned(tmp_path, capsys):
     })
     code, out, err = run(capsys, ["reconstruct", "--config", cfg])
     assert (code, err) == (0, "")
-    assert len(out) == 27735
+    assert len(out) == 27753
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "bd1213cac624214bcfad86dc67f8e00c73cc2c32dba99e25d64de8656e12b094")
+        "b8497649b91bcca5b0bb48ed1d40b91fa7e388c93f4c9d81c23bc07a242f8bda")
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan"])

@@ -589,6 +589,10 @@ def test_fixture_builders_refuse_bad_input(build, message):
     lambda: reconstruct(identity_oracle(lp_space(REAL, 2, 3.0)), tol="x"),
     lambda: bj_orthogonal(lp_space(REAL, 2, 3.0), [1.0, 0.0], [0.0, 1.0], tol="x"),
     lambda: minimize_scalar(lambda t: t * t, REAL, xatol="x"),
+    # a width is a number, not a bool read as 1
+    lambda: minimize_scalar(lambda t: (t - 0.3) ** 2, REAL, xatol=True),
+    lambda: minimize_scalar(lambda t: (t - 0.3) ** 2, REAL, initial_width=True),
+    lambda: minimize_scalar(lambda t: (t - 0.3) ** 2, REAL, max_width=True),
     # a generator is a numpy Generator, not a seed
     lambda: random_isometry_spec(lp_space(REAL, 2, 3.0), 1),
     lambda: unit_sphere_samples(lp_space(REAL, 2, 3.0), 3, 5),
@@ -607,6 +611,7 @@ def test_fixture_builders_refuse_bad_input(build, message):
         "samples-float-seed", "samples-float-count", "samples-bool-count", "space-bool-dim",
         "space-float-dim", "sphere-float-count", "sphere-negative-count", "phase-str-seed",
         "wigner-str-tol", "reconstruct-str-tol", "bj-str-tol", "minimize-str-xatol",
+        "minimize-bool-xatol", "minimize-bool-initial-width", "minimize-bool-max-width",
         "isometry-spec-int-rng", "sphere-int-rng", "unitary-int-rng", "wigner-str-map",
         "multiset-str-map", "linearity-none-map", "reconstruct-int-map", "kind-str-map",
         "pair-int-map", "residual-str-map"])

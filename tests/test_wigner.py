@@ -328,15 +328,13 @@ def reference_scan(check, m, samples, tol=1e-8, seed=101):
         for x, fx in zip(xs, fxs):
             entries.append((abs(norm(t, fx) - norm(s, x)), tol * norm(s, x), x, x))
         rng = np.random.default_rng(seed)
-        for _ in range(50):
-            i = int(rng.integers(len(xs)))
-            j = int(rng.integers(len(xs)))
+        index = rng.integers(len(xs), size=(2, 50))
+        coeffs = rng.standard_normal((50, 4 if s.field == COMPLEX else 2)).tolist()
+        for i, j, c in zip(*index.tolist(), coeffs):
             if s.field == COMPLEX:
-                a = complex(rng.standard_normal(), rng.standard_normal())
-                b = complex(rng.standard_normal(), rng.standard_normal())
+                a, b = complex(*c[:2]), complex(*c[2:])
             else:
-                a = float(rng.standard_normal())
-                b = float(rng.standard_normal())
+                a, b = c
             dev = norm(t, m(a * xs[i] + b * xs[j]) - a * fxs[i] - b * fxs[j])
             bound = tol * (abs(a) * norm(s, xs[i]) + abs(b) * norm(s, xs[j]))
             entries.append((dev, bound, xs[i], xs[j]))
@@ -501,10 +499,10 @@ def test_linearity_witness_carries_the_per_draw_coefficients(space):
     m = make_phase_equivalent(identity_oracle(space), seeded_phase(space, 5))
     xs = samples_for(space)
     rng = np.random.default_rng(101)
+    index = rng.integers(len(xs), size=(2, 50))
+    coeffs = rng.standard_normal((50, 4 if space.field == COMPLEX else 2)).tolist()
     draws = []
-    for _ in range(50):  # the reference stream, one scalar call at a time
-        i, j = int(rng.integers(len(xs))), int(rng.integers(len(xs)))
-        c = rng.standard_normal(4 if space.field == COMPLEX else 2).tolist()
+    for i, j, c in zip(*index.tolist(), coeffs):  # one combination at a time
         a, b = (complex(*c[:2]), complex(*c[2:])) if space.field == COMPLEX else tuple(c)
         draws.append((norm(space, m(a * xs[i] + b * xs[j]) - a * m(xs[i]) - b * m(xs[j])),
                       i, j, (a, b)))

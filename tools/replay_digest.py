@@ -27,11 +27,14 @@ that tree with ``git archive`` into a temporary directory, replays each side
 in a process of its own and prints both lines (``REF`` first).  When the
 digests differ it then prints one line per replayed item that differs,
 naming the parts that do (exit code, stdout, stderr; a criterion's verdict
-or detail), and exits 1.  A request is named by its seed and workload
-label, with `` (pretty)`` for the second layout; ``selftest --json``, the
-``EXTRA`` requests and the criteria go by their own names.  numpy's RuntimeWarnings
-are silenced while replaying: their text holds the install path and source
-line numbers, and Python prints each one only once per process.
+or detail), then one summary line that counts them by command and part,
+such as ``187 differ: reconstruct stdout 116, check stdout 71`` (criteria
+count under ``criterion``), and exits 1.  A request is named by its seed
+and workload label, with `` (pretty)`` for the second layout;
+``selftest --json``, the ``EXTRA`` requests and the criteria go by their
+own names.  numpy's RuntimeWarnings are silenced while replaying: their
+text holds the install path and source line numbers, and Python prints
+each one only once per process.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,10 +78,10 @@ EXTRA = [  # (name, argv, stdin) of the requests for the unreached branches
 
 
 def replay(main, run_all) -> tuple[list, list]:
-    """The replayed items in digest order, each as (name, parts): the
-    requests with their exit code, stdout and stderr, then the criteria of
-    ``run_all()`` named in TIMELESS and TIMED with their name, verdict and
-    detail."""
+    """The replayed items in digest order, each as (name, command, parts):
+    the requests with their exit code, stdout and stderr, then the criteria
+    of ``run_all()`` named in TIMELESS and TIMED, under the command
+    ``criterion``, with their name, verdict and detail."""
     ops = [(seed, op) for seed in SEEDS for op in wl.check_ops(seed) + wl.solve_ops(seed)]
     requests = [(f"seed {seed} {op.label}", op.argv, op.stdin) for seed, op in ops]
     requests += [(f"seed {seed} {op.label} (pretty)", [a for a in op.argv if a != "--json"],
@@ -88,11 +92,13 @@ def replay(main, run_all) -> tuple[list, list]:
         warnings.simplefilter("ignore", RuntimeWarning)
         for name, argv, stdin in requests:
             code, out, err = run.call_cli(main, argv, stdin)
-            answers.append((name, {"exit code": str(code), "stdout": out, "stderr": err}))
+            answers.append((name, argv[0], {"exit code": str(code), "stdout": out,
+                                            "stderr": err}))
         criteria = [r for r in run_all() if r.name.startswith(TIMELESS + TIMED)]
-    verdicts = [(r.name, {"name": r.name, "verdict": str(r.passed),
-                          "detail": r.detail.rsplit(", ", 1)[0] if r.name.startswith(TIMED)
-                          else r.detail}) for r in criteria]
+    verdicts = [(r.name, "criterion", {"name": r.name, "verdict": str(r.passed),
+                                       "detail": r.detail.rsplit(", ", 1)[0]
+                                       if r.name.startswith(TIMED) else r.detail})
+                for r in criteria]
     return answers, verdicts
 
 
@@ -108,11 +114,12 @@ def replay_src(src: Path) -> tuple[str, list]:
     acceptance = importlib.import_module("sipwigner.acceptance")
     answers, verdicts = replay(cli.main, acceptance.run_all)
     digest = hashlib.sha256()
-    for _, parts in answers + verdicts:
+    for _, _, parts in answers + verdicts:
         digest.update("".join(f"{v}\0" for v in parts.values()).encode())
     line = f"{len(answers)} requests, {len(verdicts)} criteria sha256 {digest.hexdigest()}"
-    return line, [(name, {k: hashlib.sha256(v.encode()).hexdigest() for k, v in parts.items()})
-                  for name, parts in answers + verdicts]
+    return line, [(name, command,
+                   {k: hashlib.sha256(v.encode()).hexdigest() for k, v in parts.items()})
+                  for name, command, parts in answers + verdicts]
 
 
 # a child process's replay: the digest line and the hashed items, as JSON
@@ -123,8 +130,9 @@ CHILD = ("import json, sys; from pathlib import Path; sys.path.insert(0, sys.arg
 def against(ref: str, src: Path) -> int:
     """Replay the ``src/`` of commit ``ref`` and then ``src``, each in a
     child process, and print both lines.  When they differ, print each item
-    whose parts differ and return 1."""
-    lines, sides = [], []
+    whose parts differ, then their count by command and part, and return
+    1."""
+    lines, sides, commands = [], [], {}
     with tempfile.TemporaryDirectory() as tmp:
         tree = subprocess.run(["git", "archive", ref, "src"], cwd=ROOT, capture_output=True)
         if tree.returncode:
@@ -135,16 +143,21 @@ def against(ref: str, src: Path) -> int:
                                  stdout=subprocess.PIPE, text=True, check=True).stdout
             line, items = json.loads(out)
             lines.append(line)
-            sides.append(dict(items))
+            sides.append({name: parts for name, _, parts in items})
+            commands.update((name, command) for name, command, _ in items)
             print(f"{label}: {line}")
     if lines[0] == lines[1]:
         return 0
     old, new = sides
+    differ, counts = 0, Counter()
     for name in old | new:  # ref's order, then the items only this side has
         a, b = old.get(name, {}), new.get(name, {})
         parts = [k for k in a | b if a.get(k) != b.get(k)]
         if parts:
+            differ += 1
+            counts.update(f"{commands[name]} {part}" for part in parts)
             print(f"differs ({', '.join(parts)}): {name}")
+    print(f"{differ} differ: " + ", ".join(f"{key} {n}" for key, n in counts.most_common()))
     return 1
 
 
