@@ -16,7 +16,13 @@ sweep's displacement, each search yielding its real grid t with the line
 (lam, d) that maps it to the points lam + t*d; a 2-D grid argmin is not a
 sound bracket for elongated convex level sets.  In smooth spaces the
 decision agrees with the semi-inner product criterion [y, x] = 0, which
-callers can cross-check through ``spaces.sip``.
+callers can cross-check through ``spaces.sip``.  The relation is
+homogeneous in y, and ``bj_orthogonal`` keeps it so at every float scale:
+each pair is searched at unit scale, by one of two scalings that one
+condition picks.  A common scale serves while ||x|| and ||y|| are within a
+factor of 100 (the threshold keeps every replayed answer's bytes), each
+vector's own scale past that, so the minimizer is of order 1; a margin or
+a minimizer that maps back past the float range is a SolverError.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, SolverError
-from .spaces import (COMPLEX, REAL, Scalar, Space, _as_rows, _pair, _require_independent,
-                     _require_tol, as_vec, norm_fn)
+from .spaces import (COMPLEX, REAL, Scalar, Space, _as_rows, _is_finite, _pair,
+                     _require_independent, _require_tol, as_vec, norm_fn)
 
 _SPAN = np.linspace(-1.0, 1.0, 17)  # the first grid, width * _SPAN, holds 0 exactly
 _FRAC = np.linspace(0.0, 1.0, 17)  # a grid across a bracket: a + (b - a) * _FRAC
@@ -276,8 +282,7 @@ def minimize_scalar(
     """
     if not callable(g):
         raise ContractViolation(f"the objective must be callable, got {g!r}")
-    if not all(isinstance(v, Real) and not isinstance(v, bool) and v > 0 and math.isfinite(v)
-               for v in (initial_width, xatol, max_width)):
+    if not all(_is_finite(v) and v > 0 for v in (initial_width, xatol, max_width)):
         raise ContractViolation("initial_width, xatol and max_width must be positive and finite")
 
     def values(lams):
@@ -319,6 +324,13 @@ class OrthVerdict:
         return {k: v for k, v in vars(self).items() if k != "nfev"}
 
 
+def _over(v: np.ndarray, s: float):
+    """v / s for a float s >= max|v_i| > 0.  numpy divides a complex v by
+    multiplying it with 1/s, which overflows for s below 1/float_max (about
+    5.6e-309), so there both are first scaled by 2^64, which is exact."""
+    return v * 2.0 ** 64 / (s * 2.0 ** 64) if s < 1e-300 else v / s
+
+
 def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     """Decide x perp y (Birkhoff-James) by minimizing ||x + lam*y||.
 
@@ -328,17 +340,24 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     pair ``nfev`` included); one vector each gives Python scalars.  The
     searches of all pairs share each norm call.
 
-    Each pair is solved at unit scale: x and y are divided once by
-    s = max(|x_i|, |y_i|), which leaves every minimizer in place and keeps
-    the norm finite at any float scale, and the margin is multiplied back
-    by s, so ``tol`` stays an absolute margin in norm units.  Where that
-    common scale leaves ||x|| or ||y|| at 0 for a nonzero vector, the two
-    are divided by their own maxima sx and sy instead: the minimizer mu for
-    x/sx and y/sy maps back to lam = mu*sx/sy, the margin is
-    (value - ||x/sx||)*sx, and mu stays within |lam| <= 1e300.  The margin
-    only needs norm-value accuracy, so the line searches run at a loose
-    coordinate tolerance (1e-6): around a smooth minimum the value error is
-    quadratic in the coordinate error, ~1e-12, well inside tol.
+    Each pair is solved at unit scale, by one of two scalings that one
+    condition picks.  While ||x|| and ||y|| lie within a factor of 100 of
+    each other and s = max(|x_i|, |y_i|) is above 1e-300, x and y are
+    divided once by s, which leaves every minimizer in place and keeps the
+    norm finite at any float scale, and the margin is multiplied back by s,
+    so ``tol`` stays an absolute margin in norm units.  The factor 100 is
+    the one that keeps every replayed CLI answer's bytes.  Farther apart,
+    that common scale would put the minimizer, of the order of
+    ||x||/||y||, where the searches' absolute coordinate tolerance (1e-6) is
+    too coarse or needlessly fine for it, or underflow a norm to 0; so x
+    and y are divided by their own maxima sx and sy instead: the minimizer
+    mu for x/sx and y/sy maps back to lam = mu*sx/sy and the margin is
+    (value - ||x/sx||)*sx.  Either way the bound |mu| <= 2||x||/||y|| at
+    unit scale, below 200 or at most 2*n**(1/p), seeds the bracket.  A
+    margin or a minimizer past the float range raises SolverError, so no
+    field is inf or NaN.  The margin only needs norm-value accuracy, so the
+    coordinate tolerance is loose: around a smooth minimum the value error
+    is quadratic in the coordinate error, ~1e-12, well inside tol.
     """
     _require_tol(tol)
     xv, yv = _pair(space, x, y)
@@ -349,7 +368,9 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     ax, ay = np.maximum.reduce(np.abs(xv), axis=1), np.maximum.reduce(np.abs(yv), axis=1)
     if 0.0 in ax.tolist():
         raise ContractViolation("orthogonality is decided at nonzero x only")
-    scale = np.maximum(ax, ay)[:, None]
+    # a scale below 1e-300 is raised to it, so that no division overflows
+    # (see _over), and its pair takes the own scale below
+    scale = np.maximum(np.maximum(ax, ay), 1e-300)[:, None]
     X, Y = xv / scale, yv / scale
     nrm = norm_fn(space)
     nx, ny = nrm(X).tolist(), nrm(Y).tolist()
@@ -360,19 +381,12 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     for k, (common, a) in enumerate(zip(scale[:, 0].tolist(), ay.tolist())):
         if a == 0.0:
             continue
-        sx = sy = common
-        own = nx[k] == 0.0 or ny[k] == 0.0
-        if own:  # a nonzero vector's norm underflows: scale each by its own max
-            sx, sy = float(ax[k]), a
-            X[k], Y[k] = xv[k] / sx, yv[k] / sy
+        own = not (common > 1e-300 and nx[k] / 100.0 < ny[k] < 100.0 * nx[k])
+        sx, sy = (float(ax[k]), a) if own else (common, common)
+        if own:  # far-apart or tiny magnitudes: scale each vector by its own max
+            X[k], Y[k] = _over(xv[k], sx), _over(yv[k], sy)
             nx[k], ny[k] = nrm(X[k]), nrm(Y[k])
-        # any minimizer satisfies |lam| <= 2||x||/||y||, so seed the bracket
-        # there; where the bound leaves the float range, searching the
-        # representable lam is all that value queries can decide anyway
-        cap = max(1e300 * sy / sx, math.ulp(0.0)) if own else 1e300
         reach = 2.0 * nx[k] / ny[k] + 1.0
-        if not math.isfinite(reach) or reach > cap:
-            reach = cap
         rows.append((k, sx, sy, own))
         searches.append(_minimize(space.field, initial_width=reach, max_width=64.0 * reach,
                                   xatol=1e-6))
@@ -386,9 +400,13 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
         value, minimizer = res.value, res.argmin
         if nx[k] <= value:
             value, minimizer = nx[k], zero
-        elif own:
-            minimizer = minimizer * sx / sy
+        elif own:  # in the order that overflows only where lam does
+            minimizer = minimizer * sx / sy if abs(minimizer) <= 1.0 else minimizer * (sx / sy)
         margin = (value - nx[k]) * sx
+        if not (math.isfinite(margin) and math.isfinite(minimizer.real)
+                and math.isfinite(minimizer.imag)):
+            raise SolverError(f"the margin {margin!r} or the minimizer {minimizer!r} is past "
+                              "the float range")
         verdicts[k] = (margin >= -tol, margin, minimizer, res.flat, res.nfev + 2 + 2 * own)
     if not shape:
         return OrthVerdict(*verdicts[0])

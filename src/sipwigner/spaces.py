@@ -51,11 +51,14 @@ and ``_sip``, the one product of ``_support`` and ``_apply``; package code
 that holds validated arrays (the checkers, ``reconstruct``, the samplers)
 calls them directly and passes on the norms it already holds.
 The other argument rules live here too, one function each, and raise
-ContractViolation: ``_require_tol`` for a tolerance, ``_require_int`` for
-an integer with a lower bound (dims, seeds, sample and draw counts, perm
-entries; ``_is_int`` is its type test, which ``basis_vec`` shares),
-``_require_flag`` for a bool option, ``_is_scalar`` as the test of a
-finite scalar of a field (a step, a scale factor, a probed scalar),
+ContractViolation: ``_is_finite`` as the one test of a number inside the
+float64 range (compared, never converted; an exponent, a tolerance, a
+width and each part of a scalar), ``_require_tol`` for a tolerance,
+``_require_int`` for an integer with a lower bound (dims, seeds, sample
+and draw counts, perm entries; ``_is_int`` is its type test, which
+``basis_vec`` shares), ``_require_flag`` for a bool option,
+``_is_scalar`` as the test of a finite scalar of a field (a step, a scale
+factor, a probed scalar, an isometry weight),
 ``_require_rng`` for a generator, ``_require_space`` for a space argument
 and ``_require_independent`` for a set of vectors.  That is the package's
 one independence rule: the smallest singular value must exceed 1e-10 of
@@ -68,7 +71,6 @@ the one Gaussian draw of space vectors, which the samplers share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from numbers import Real
 from sys import float_info
 from typing import Union
@@ -93,11 +95,7 @@ class Lp:
     p: float
 
     def __post_init__(self):
-        # compared, not converted: an integer past the float range is refused
-        # too.  A numpy float meets a float64 bound, so a float32 exponent
-        # does not cast float_info.max to float32, which overflows
-        top = np.float64(float_info.max) if isinstance(self.p, np.floating) else float_info.max
-        if not (isinstance(self.p, Real) and 1.0 < self.p <= top):
+        if not (_is_finite(self.p) and self.p > 1.0):
             raise ContractViolation(f"Lp exponent must satisfy 1 < p < inf, got {self.p!r}")
         object.__setattr__(self, "p", float(self.p))
 
@@ -387,10 +385,21 @@ def functional_value(space: Space, coeffs, x) -> Scalar:
     return _scalar(_apply(as_vec(space, coeffs), as_vec(space, x)), space.field)
 
 
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, inside the float64
+    range; NaN is not, since it compares false.  The package's one
+    finiteness test of a number argument.  Compared, not converted, so an
+    int, a Fraction or a long double past the range is refused too; a numpy
+    number meets a float64 bound, so a float32 is not cast to the bound,
+    which would overflow."""
+    top = np.float64(float_info.max) if isinstance(value, np.generic) else float_info.max
+    return isinstance(value, Real) and not isinstance(value, bool) and -top <= value <= top
+
+
 def _require_tol(tol) -> None:
-    """Raise ContractViolation unless the tolerance ``tol`` is a positive,
-    finite real number, not a bool; NaN fails too, since it compares false."""
-    if not (isinstance(tol, Real) and not isinstance(tol, bool) and 0 < tol < inf):
+    """Raise ContractViolation unless the tolerance ``tol`` is a positive
+    number that passes ``_is_finite``."""
+    if not (_is_finite(tol) and tol > 0):
         raise ContractViolation("tol must be positive and finite")
 
 
@@ -404,12 +413,12 @@ def _require_flag(value, what: str) -> None:
 def _is_scalar(value, field: str) -> bool:
     """Whether ``value`` is a finite scalar of ``field``: an int, a float or
     a numpy number, complex ones over the complex field only, never a
-    bool; an int counts as finite inside the float range."""
+    bool, with real and imaginary parts that pass ``_is_finite``."""
     kinds = (int, float, np.integer, np.floating)
     if field == COMPLEX:
         kinds += (complex, np.complexfloating)
     return (isinstance(value, kinds) and not isinstance(value, bool)
-            and (abs(value) <= float_info.max if isinstance(value, int) else np.isfinite(value)))
+            and _is_finite(value.real) and _is_finite(value.imag))
 
 
 def _is_int(value) -> bool:

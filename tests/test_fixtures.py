@@ -497,6 +497,10 @@ def test_random_isometry_spec_obeys_field():
     (lambda: IsometrySpec((1,), (None,)), "diag entries must be unimodular, got None"),
     (lambda: IsometrySpec((1, 2), (float("nan"), 1.0)), "diag entries must be unimodular, got nan"),
     (lambda: IsometrySpec((1, 2), (True, 1.0)), "diag entries must be unimodular, got True"),
+    (lambda: IsometrySpec((1, 2), (10 ** 400, 1.0)), "diag entries must be unimodular, got 1000"),
+    (lambda: IsometrySpec((1,), (Fraction(1),)), "diag entries must be unimodular, got Fraction"),
+    (lambda: IsometrySpec((1,), (complex(1.7e308, 1.7e308),)),
+     r"diag entries must be unimodular, got \(1.7e\+308\+1.7e\+308j\)"),
     (lambda: IsometrySpec((1, 2), (1.0, 1.0), "false"),
      "conjugate_first must be a bool, got 'false'"),
     (lambda: matrix_oracle(lp_space(REAL, 2, 3.0), [[np.nan, 0], [0, 1]]),
@@ -516,6 +520,8 @@ def test_random_isometry_spec_obeys_field():
     (lambda: scale_oracle(identity_oracle(lp_space(REAL, 2, 3.0)), True),
      "scale factor must be a finite number, got True"),
     (lambda: scale_oracle(identity_oracle(lp_space(REAL, 2, 3.0)), 10 ** 400),
+     "scale factor must be a finite number"),
+    (lambda: scale_oracle(identity_oracle(lp_space(REAL, 2, 3.0)), np.longdouble("1e400")),
      "scale factor must be a finite number"),
     # a map argument, a phase and an oracle's fn are checked when built, too
     (lambda: scale_oracle("x", 2.0), "the map must be a MapOracle, got str"),
@@ -556,8 +562,11 @@ def test_random_isometry_spec_obeys_field():
     (lambda: IsometrySpec(None, None), "perm and diag must be tuples, got None and None"),
 ], ids=["complex-weight-real-field", "perm-not-array", "matrix-shape", "conjugate-real-matrix",
         "isometry-on-fixture", "isometry-dim", "conjugation-real", "perm-float", "diag-string",
-        "diag-none", "diag-nan", "diag-bool", "conjugate-string", "matrix-nan", "matrix-inf", "matrix-ragged", "matrix-complex-list", "matrix-complex-array",
+        "diag-none", "diag-nan", "diag-bool", "diag-past-float-range", "diag-fraction", "diag-modulus-past-float-range",
+        "conjugate-string",
+        "matrix-nan", "matrix-inf", "matrix-ragged", "matrix-complex-list", "matrix-complex-array",
         "scale-string", "scale-none", "scale-nan", "scale-bool", "scale-past-float-range",
+        "scale-longdouble-past-float-range",
         "scale-map-string", "phase-map-string", "phase-sigma-int", "oracle-fn-int",
         "oracle-source-string", "phase-space-string", "samples-space-string",
         "structured-space-string", "sphere-space-string", "isometry-space-string",

@@ -5,6 +5,7 @@ numpy broadcasting, independently of the grid line search they verify.
 """
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from sipwigner import (
 )
 from sipwigner.acceptance import GateConfig, criterion_3_orthogonality_routes
 from sipwigner.jsonio import dumps
-from sipwigner.spaces import norm_fn
 
 
 def lp_norms(p, pts):
@@ -149,6 +149,12 @@ def test_minimize_rejects_bad_arguments():
         minimize_scalar(lambda c: c * c, "quaternion")
     with pytest.raises(ContractViolation):
         minimize_scalar(lambda c: c * c, REAL, xatol=0.0)
+    # a width past the float range is as good as infinite
+    for width in ({"initial_width": 10 ** 400}, {"xatol": Fraction(10 ** 400)},
+                  {"max_width": np.longdouble("1e400")}):
+        with pytest.raises(ContractViolation,
+                           match="initial_width, xatol and max_width must be positive and finite"):
+            minimize_scalar(lambda c: c * c, REAL, **width)
     # the objective is a callable returning real numbers
     with pytest.raises(ContractViolation, match="the objective must be callable, got 3"):
         minimize_scalar(3, REAL)
@@ -190,9 +196,9 @@ def test_bj_parallel_vector_is_far_from_orthogonal():
 
 
 def test_bj_tiny_y_keeps_the_bracket_search_terminating():
-    # ||y|| ~ 1e-16 pushes the bracket out to ~1e16 where float spacing
-    # exceeds the coordinate tolerance; the search must still terminate
-    # and the margin is unaffected (it only rescales the minimizer).
+    # a y 1e16 times smaller than x is searched at its own scale, so the
+    # bracket stays near 1 instead of reaching out to ~1e16; the margin is
+    # unaffected, and only the minimizer scales by 1e16.
     s = lp_space(REAL, 2, 3.0)
     verdict = bj_orthogonal(s, [1.0, 1.0], [1e-16, -1e-16])
     assert verdict.orthogonal
@@ -218,12 +224,37 @@ def test_bj_overflowing_norm_is_decided_at_unit_scale():
 
 
 def test_bj_subnormal_y_is_decided_without_overflow():
-    # 2*||x||/||y|| overflows for subnormal ||y||; within representable
-    # lam such a y cannot move the norm, so the verdict is orthogonal.
+    # x perp y iff x perp c*y, so a tiny y gets the verdict of y = [1, 0]
+    # with its minimizer scaled back, or SolverError where that minimizer
+    # is past the float range
     s = lp_space(REAL, 2, 3.0)
-    verdict = bj_orthogonal(s, [1.0, 1.0], [5e-324, 0.0])
-    assert verdict.orthogonal
-    assert verdict.margin == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(SolverError, match="past the float range"):
+        bj_orthogonal(s, [1.0, 1.0], [5e-324, 0.0])
+    with pytest.raises(SolverError, match="past the float range"):
+        bj_orthogonal(s, [1e300, 1e300], [1e-300, 0.0])
+    verdict = bj_orthogonal(s, [1.0, 0.0], [0.0, 5e-324])
+    assert verdict.orthogonal and verdict.margin == 0.0 and verdict.minimizer == 0.0
+    verdict = bj_orthogonal(s, [1.0, 1.0], [1e-305, 0.0])
+    assert not verdict.orthogonal
+    assert verdict.margin == pytest.approx(1.0 - 2.0 ** (1.0 / 3.0), abs=1e-12)
+    assert verdict.minimizer == pytest.approx(-1e305, rel=1e-6)
+    # numpy divides a complex vector by multiplying it with 1/s, which is
+    # past the float range at a subnormal scale s
+    verdict = bj_orthogonal(lp_space(COMPLEX, 2, 2.0), [1e-310, 1e-310], [0.0, 1e-310j])
+    assert verdict.margin == pytest.approx((1.0 - 2.0 ** 0.5) * 1e-310, rel=1e-6)
+    assert verdict.minimizer == pytest.approx(1j, abs=1e-5)
+
+
+def test_bj_large_y_keeps_its_dip():
+    # at the common scale the minimizer of ||[1, 1] + lam*[c, 0]||, -1/c, lies
+    # below the searches' coordinate tolerance from c ~ 1e7 on, and the pair
+    # read as orthogonal; each vector at its own scale keeps the dip
+    s = lp_space(REAL, 2, 3.0)
+    for c in (1e7, 1e150, 1e300):
+        verdict = bj_orthogonal(s, [1.0, 1.0], [c, 0.0])
+        assert not verdict.orthogonal
+        assert verdict.margin == pytest.approx(1.0 - 2.0 ** (1.0 / 3.0), abs=1e-12)
+        assert verdict.minimizer == pytest.approx(-1.0 / c, rel=1e-6)
 
 
 def test_bj_complex_imaginary_sip_is_detected():
@@ -394,34 +425,33 @@ def test_bj_stacked_edge_rows():
                                      one.flat_minimizer, one.nfev)
 
 
-def test_bj_padded_row_keeps_its_minimum_at_its_own_last_point(monkeypatch):
-    # a plateau row probes 18-point grids while a row with a tiny y, whose
-    # plateau reaches past its first grids, probes 17 points with the minimum
-    # at the last one.  Its padding repeats that minimum, so the stack's last
-    # argmin lands on the padding and must be clipped to the row's own grid.
-    s = linf2_space()
-    x, y = np.array([[0.0, 1.0], [-1.0, 1.0]]), np.array([[1.0, 0.0], [1e-301, 0.0]])
+def test_bj_padded_row_keeps_its_minimum_at_its_own_last_point():
+    # in one stacked round a plateau row probes 18 points while a row still
+    # descending past its bracket probes 17 with the minimum at the last one.
+    # Its padding repeats that minimum, so the stack's last argmin lands on
+    # the padding and must be clipped to the row's own grid.
+    objectives = [lambda t: np.maximum(np.abs(t), 0.5), lambda t: np.abs(t - 100.0)]
     stacked = []
 
-    def recording(space):
-        nrm = norm_fn(space)
+    def G(live):
+        if len(live) == 1:
+            return objectives[live[0]]
 
-        def evaluate(v):
-            values = nrm(v)
-            if np.ndim(values) == 2:
-                stacked.append(values)
+        def evaluate(points):
+            values = np.array([objectives[k](row) for k, row in zip(live, points)])
+            stacked.append(values)
             return values
         return evaluate
 
-    monkeypatch.setattr(orthogonality, "norm_fn", recording)
-    v = bj_orthogonal(s, x, y)
-    monkeypatch.undo()
+    def searches():
+        return [orthogonality._line_min(1.0, 1e-9, 1e6) for _ in objectives]
+
+    results = orthogonality._run(searches(), G)
     assert any(values.shape == (2, 18) and values[1, 16] == values[1, 17] == values[1].min()
                for values in stacked)
-    for r in range(2):
-        one = bj_orthogonal(s, x[r], y[r])
-        assert verdict_row(v, r) == (one.orthogonal, one.margin, one.minimizer,
-                                     one.flat_minimizer, one.nfev)
+    for search, f, res in zip(searches(), objectives, results):
+        assert orthogonality._finish(search, next(search), f) == res
+    assert results[1].argmin == pytest.approx(100.0)
 
 
 @pytest.mark.parametrize("field, x, y", [

@@ -1,5 +1,6 @@
 """Axioms as properties: the form, the verdicts, and the generators."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from sipwigner import (
     COMPLEX,
     REAL,
     IsometrySpec,
+    SolverError,
     bj_orthogonal,
     linf2_space,
     lp_space,
@@ -169,6 +171,52 @@ def test_bj_verdict_is_scale_invariant(svx, t):
     base = bj_orthogonal(s, x, y)
     # scaling y moves the minimizer but never the verdict
     assert bj_orthogonal(s, x, t * y).orthogonal == base.orthogonal
+
+
+def times_pow2(v, k):
+    """v * 2**k in two exact steps, since 2**k alone may be past the float
+    range; only a result below the normal range is rounded."""
+    return v * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
+
+
+@given(space_and_vectors(count=2), st.floats(min_value=0.25, max_value=4.0),
+       st.integers(-1000, 1000),
+       st.one_of(st.integers(-7, 7), st.integers(-2095, 2095),
+                 st.sampled_from((-2095, -1200, -1074, -1000, 1000, 1074, 1200, 2095))))
+@settings(max_examples=60, deadline=None)
+def test_bj_verdict_holds_across_the_float_range(svx, t, j, gap):
+    # x at 2^j and t*y at 2^k, k = j + gap: a small gap keeps the common
+    # scale, a wide one takes each vector's own, up to 2^2095 apart.
+    # (xu, yu) is that pair back at unit scale, exactly: only a coordinate
+    # that the scaling rounded keeps its rounded value.
+    s, x, y = svx
+    k = j + gap
+    assume(-1074 <= k <= 1018 and norm(s, x) >= 0.3 and norm(s, y) >= 0.3)  # |t*y_i| < 2^5
+    xs, ys = times_pow2(x, j), times_pow2(t * y, k)
+    xu, yu = times_pow2(xs, -j), times_pow2(ys, -k)
+    # the scaled pair is searched on other grids than (xu, yu), so the two
+    # margins agree to the searches' accuracy, the slack.  The searches find
+    # the minimizer at unit scale to 1e-6, and where it sits on the norm's
+    # kink at 0 (a y parallel to x) the value error is linear in that: up to
+    # 1e-6*||Y||, and ||Y|| < 100*||X|| at the common scale
+    tol, slack = 1e-3, 2e-4 * norm(s, xu)
+    base = bj_orthogonal(s, xu, yu, tol=tol)
+    # x perp y iff x perp c*y: the verdict stays, the margin scales by 2^j and
+    # the minimizer by 2^(j - k), or SolverError where that is past the float
+    # range.  A dip at rounding level has a minimizer that is noise, so there
+    # either outcome holds.
+    log_lam = math.log2(abs(base.minimizer)) + j - k if base.minimizer else -math.inf
+    noise = abs(base.margin) <= 1e-12 * norm(s, xu)
+    try:
+        scaled = bj_orthogonal(s, xs, ys, tol=times_pow2(tol, j))
+    except SolverError:
+        assert log_lam > 1023.9 or noise
+        return
+    assert log_lam < 1024.1 or noise
+    if abs(base.margin + tol) > slack:  # a verdict the slack cannot tip
+        assert scaled.orthogonal == base.orthogonal
+    assert times_pow2(scaled.margin, -j) == pytest.approx(base.margin, rel=1e-6, abs=slack)
+    assert all(np.isfinite([scaled.margin, scaled.minimizer]))
 
 
 @given(st.sampled_from((REAL, COMPLEX)), st.sampled_from((1.5, 2.0, 3.0, 7.0, 50.0, 100.0)),

@@ -203,12 +203,15 @@ TOL_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("tol", [np.inf, np.nan, True], ids=["inf", "nan", "bool"])
+@pytest.mark.parametrize("tol", [np.inf, np.nan, True, 10 ** 400, np.longdouble("1e400")],
+                         ids=["inf", "nan", "bool", "int-past-float-range",
+                              "longdouble-past-float-range"])
 @pytest.mark.parametrize("name", sorted(TOL_TAKERS))
 def test_every_public_tol_must_be_finite(name, tol):
     # an infinite tol passes every bound test, so orthogonality, the
     # checkers and reconstruction would accept anything; nan compares false,
-    # and a bool is no tolerance (True would decide with tolerance 1)
+    # a bool is no tolerance (True would decide with tolerance 1), and a
+    # number past the float range is as good as infinite
     m = identity_oracle(RC3)
     xs = [basis_vec(RC3, i) for i in range(3)]
     with pytest.raises(ContractViolation, match="^tol must be positive and finite$"):
@@ -487,12 +490,14 @@ def test_recover_scalar_action_refuses_each_broken_hypothesis(fn, x, error, mess
 
 @pytest.mark.parametrize("space, lam", [
     (RC3, "a"), (RC3, None), (RC3, np.ones(3)), (RC3, 2j), (RC3, True), (RC3, np.inf),
-    (RC3, 10 ** 400), (CC3, np.complex128(np.nan)),
+    (RC3, 10 ** 400), (CC3, np.complex128(np.nan)), (RC3, np.longdouble("1e400")),
+    (CC3, np.clongdouble(1) * np.longdouble("1e400")),
 ], ids=["string", "none", "array", "complex-on-real", "bool", "inf", "past-float-range",
-        "complex-nan"])
+        "complex-nan", "longdouble-past-float-range", "clongdouble-past-float-range"])
 def test_recover_scalar_action_refuses_a_lam_outside_the_field(space, lam):
     with pytest.raises(ContractViolation, match="lam must be a finite scalar of the field"):
         recover_scalar_action(identity_oracle(space), basis_vec(space, 0), lam)
-    # numpy scalars of the field are scalars too
-    assert recover_scalar_action(identity_oracle(space), basis_vec(space, 0),
-                                 np.float64(2.0)) == pytest.approx(2.0)
+    # numpy scalars of the field are scalars too, a float32 without a warning
+    for two in (np.float64(2.0), np.float32(2.0)):
+        assert recover_scalar_action(identity_oracle(space), basis_vec(space, 0),
+                                     two) == pytest.approx(2.0)
