@@ -261,7 +261,8 @@ def cmd_selftest(args) -> int:
 
 
 @functools.cache  # built on the first request, then reused
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="sipwigner",
         description="semi-inner products, Birkhoff-James orthogonality, and "
@@ -301,11 +302,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("selftest", cmd_selftest, "run the acceptance criteria")
     p.add_argument("--seed", type=_u64, default=None)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # A request that opens with its command is parsed once, by that
+    # command's parser alone; every other request (no arguments, --help, an
+    # unknown command, an option before the command) takes the top-level
+    # parser.  Either way the usage and help bytes are those of parse_args.
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
+    else:
+        args = parser.parse_args(argv)
     try:
         # an overflow on the way to a refused input is no output: jsonio
         # refuses every non-finite value, so numpy's warning text is noise

@@ -27,7 +27,8 @@ from math import inf
 import numpy as np
 import pytest
 
-from sipwigner import (COMPLEX, REAL, gateaux_sip_oracle, lp_space, norm, sip,
+from sipwigner import (COMPLEX, REAL, SipwignerError, best_coeffs, check_phase_isometry_sets,
+                       gateaux_sip_oracle, identity_oracle, lp_space, norm, sip,
                        support_functional)
 
 DIGITS = 60
@@ -127,6 +128,7 @@ def test_norm_and_sip_are_within_their_ulp_budgets(field, p):
 # ---------------------------------------------------------------- known wrong answers
 
 R3 = lp_space(REAL, 2, 3.0)
+R33 = lp_space(REAL, 3, 3.0)
 R100 = lp_space(REAL, 2, 100.0)
 
 
@@ -173,3 +175,48 @@ def test_gateaux_oracle_at_1e100():
     ref = ref_norm(y, 3.0)
     # a central difference, not a closed form: criterion 2's 1e-7 relative
     assert ulps(value, ref_sip(y, y, 3.0), ref * ref) <= 1e-7 / EPS
+
+
+def outcome(call):
+    """``call()``'s value, or the SipwignerError it raised."""
+    try:
+        return call()
+    except SipwignerError as exc:
+        return exc
+
+
+@xfail("|v_i|^3 overflows and the true norm 2.1e308 is past the float range: "
+       "norm returns inf, not a typed error")
+def test_norm_past_the_float_range_is_a_typed_error():
+    with np.errstate(over="ignore"):
+        got = outcome(lambda: norm(R3, [1.7e308, 1.7e308]))
+    assert isinstance(got, SipwignerError), got
+
+
+@pytest.mark.parametrize("t_scale, basis_scale, expected", [
+    pytest.param(1e-100, 1.0, [7.5e-101, 2e-100],
+                 marks=xfail("the searches' tolerances are absolute: "
+                             "best_coeffs returns [-0, 0]")),
+    pytest.param(1e-200, 1e-200, [0.75, 2.0],
+                 marks=xfail("|r_i|^3 underflows: best_coeffs returns [-0, 0]")),
+    pytest.param(1e200, 1.0, [7.5e199, 2e200],
+                 marks=xfail("|r_i|^3 overflows: best_coeffs raises SolverError (NaN)")),
+], ids=["target-1e-100", "all-1e-200", "target-1e200"])
+def test_best_coeffs_out_of_unit_scale(t_scale, basis_scale, expected):
+    # min ||t - c1*b1 - c2*b2||_3 at unit scale: c2 = 2 zeroes the middle
+    # coordinate and c1 = 0.75 splits |1 - c1| = |0.5 - c1|
+    t = np.array([1.0, 2.0, 0.5]) * t_scale
+    basis = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) * basis_scale
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = outcome(lambda: best_coeffs(R33, t, basis))
+    assert not isinstance(got, SipwignerError), got
+    assert np.allclose(got, expected, rtol=1e-8, atol=0), got
+
+
+@xfail("v[i] + v[j] overflows to inf: the identity fails with max_violation NaN")
+def test_phase_isometry_sets_at_1_5e308_is_no_nan_fail():
+    # passing the identity is the right answer; a typed refusal is no wrong one
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome(lambda: check_phase_isometry_sets(identity_oracle(R33),
+                                                        np.eye(3) * 1.5e308))
+    assert isinstance(got, SipwignerError) or (got.passed and np.isfinite(got.max_violation)), got

@@ -1,5 +1,6 @@
 """Exit codes, JSON payloads, and rerun determinism of the command line."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -349,18 +350,18 @@ def test_one_parser_serves_every_request_without_leaking_state(tmp_path, capsys)
 
     missing_y = ["orth-check", "--space", LP3, "--x", "[1,0]"]
     first_error = usage(main, missing_y)
-    parser = cli._build_parser()
+    parser, _ = cli._build_parser()
     help_text = usage(main, ["--help"])
     assert run(capsys, ["orth-check", "--space", LP3,
                         "--x", "[1,1]", "--y", "[1,-1]", "--json"])[0] == 0
     second_error = usage(main, missing_y)
-    assert cli._build_parser() is parser
+    assert cli._build_parser()[0] is parser
     assert first_error[0] == second_error[0] == 2
     assert first_error == second_error
     assert "the following arguments are required: --y" in first_error[2]
     assert help_text[0] == 0 and help_text[1].startswith("usage: sipwigner")
     # a parser built afresh prints the same bytes
-    fresh = cli._build_parser.__wrapped__()
+    fresh, _ = cli._build_parser.__wrapped__()
     assert usage(fresh.parse_args, missing_y) == first_error
     assert usage(fresh.parse_args, ["--help"]) == help_text
 
@@ -535,6 +536,15 @@ HELP_AND_USAGE_SHA256 = {
         (2, "9d8bf4e0e2028c14b2a105bee6c770bbaa9c5d6cc90fc655396e904da6cf81d4"),
     ("selftest", "--seed", "abc"):
         (2, "b101f76773aa9e82a3587128e0fdf0fd72fd2f1f5b25d8166772a9e8c771fc1d"),
+    # the requests that the top-level parser answers: no command, an
+    # unknown one, an option before the command, and a stray argument
+    # after a well-formed request
+    (): (2, "939297a27b71d8b228583a188f75b0b3c20323dde367328eba93196759b2b466"),
+    ("nope",): (2, "7fe8d79ee2fcac985fb9e7393553a468a515614b7b05c794d7cb581b62a31e38"),
+    ("--json", "sip-eval", "--space", LP3, "--x", "[1,0]", "--y", "[1,1]"):
+        (2, "6766988da1463bc6f98ee7a6356457efd4b473686adc1f2f40a86214b8b90a8a"),
+    ("orth-check", "--space", LP3, "--x", "[1,1]", "--y", "[1,-1]", "extra"):
+        (2, "3f88ab2c16273e2696f496addd515e0e35ed3aea7c02f00661f8ae9a7ed616aa"),
 }
 
 
@@ -549,3 +559,23 @@ def test_help_and_usage_bytes_are_pinned(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     digest = hashlib.sha256((captured.out + "\0" + captured.err).encode()).hexdigest()
     assert (info.value.code, digest) == HELP_AND_USAGE_SHA256[argv]
+
+
+def test_main_reads_its_request_from_sys_argv(capsys, monkeypatch):
+    expected = run(capsys, ["counterexample", "--json"])
+    monkeypatch.setattr(sys, "argv", ["sipwigner", "counterexample", "--json"])
+    assert run(capsys, None) == expected
+
+
+def test_a_well_formed_request_is_parsed_once(capsys, monkeypatch):
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    argv = ["orth-check", "--space", LP3, "--x", "[1,1]", "--y", "[1,-1]", "--json"]
+    assert run(capsys, argv)[0] == 0
+    assert calls == ["sipwigner orth-check"]
