@@ -17,12 +17,11 @@ sweep's displacement, each search yielding its real grid t with the line
 sound bracket for elongated convex level sets.  In smooth spaces the
 decision agrees with the semi-inner product criterion [y, x] = 0, which
 callers can cross-check through ``spaces.sip``.  The relation is
-homogeneous in y, and ``bj_orthogonal`` keeps it so at every float scale:
-each pair is searched at unit scale, by one of two scalings that one
-condition picks.  A common scale serves while ||x|| and ||y|| are within a
-factor of 100 (the threshold keeps every replayed answer's bytes), each
-vector's own scale past that, so the minimizer is of order 1; a margin or
-a minimizer that maps back past the float range is a SolverError.
+homogeneous in both vectors, and ``bj_orthogonal`` keeps it so at every
+float scale by one rule: each vector is scaled by the power of two that
+brings its largest coordinate into [0.5, 1), which is exact, so the
+minimizer is searched at order 1; the margin and the minimizer map back by
+powers of two, and one past the float range is a SolverError.
 """
 
 from __future__ import annotations
@@ -324,11 +323,11 @@ class OrthVerdict:
         return {k: v for k, v in vars(self).items() if k != "nfev"}
 
 
-def _over(v: np.ndarray, s: float):
-    """v / s for a float s >= max|v_i| > 0.  numpy divides a complex v by
-    multiplying it with 1/s, which overflows for s below 1/float_max (about
-    5.6e-309), so there both are first scaled by 2^64, which is exact."""
-    return v * 2.0 ** 64 / (s * 2.0 ** 64) if s < 1e-300 else v / s
+def _ldexp_rows(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Row i of v times 2**e[i], exact except where a coordinate rounds to
+    a subnormal; a complex row scales its real and imaginary parts."""
+    v = np.ascontiguousarray(v)
+    return np.ldexp(v.view(np.float64), e[:, None]).view(v.dtype)
 
 
 def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
@@ -340,20 +339,16 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     pair ``nfev`` included); one vector each gives Python scalars.  The
     searches of all pairs share each norm call.
 
-    Each pair is solved at unit scale, by one of two scalings that one
-    condition picks.  While ||x|| and ||y|| lie within a factor of 100 of
-    each other and s = max(|x_i|, |y_i|) is above 1e-300, x and y are
-    divided once by s, which leaves every minimizer in place and keeps the
-    norm finite at any float scale, and the margin is multiplied back by s,
-    so ``tol`` stays an absolute margin in norm units.  The factor 100 is
-    the one that keeps every replayed CLI answer's bytes.  Farther apart,
-    that common scale would put the minimizer, of the order of
-    ||x||/||y||, where the searches' absolute coordinate tolerance (1e-6) is
-    too coarse or needlessly fine for it, or underflow a norm to 0; so x
-    and y are divided by their own maxima sx and sy instead: the minimizer
-    mu for x/sx and y/sy maps back to lam = mu*sx/sy and the margin is
-    (value - ||x/sx||)*sx.  Either way the bound |mu| <= 2||x||/||y|| at
-    unit scale, below 200 or at most 2*n**(1/p), seeds the bracket.  A
+    The relation is homogeneous in both vectors: x perp y exactly when
+    a*x perp b*y for nonzero a and b.  So every pair is searched at unit
+    scale by one rule: with 2**ex and 2**ey the powers of two that
+    ``frexp`` gives max|x_i| and max|y_i|, the search runs on X = x*2**-ex
+    and Y = y*2**-ey, whose largest coordinates lie in [0.5, 1).  The
+    scaling is exact except where a coordinate rounds to a subnormal.
+    Every norm is then finite, and the bound |mu| <= 2||X||/||Y||, at most
+    4*n**(1/p), seeds the bracket.  The minimizer mu of ||X + mu*Y|| maps
+    back to lam = mu*2**(ex - ey) and the margin is (min - ||X||)*2**ex,
+    each rounded once, so ``tol`` stays an absolute margin in norm units; a
     margin or a minimizer past the float range raises SolverError, so no
     field is inf or NaN.  The margin only needs norm-value accuracy, so the
     coordinate tolerance is loose: around a smooth minimum the value error
@@ -368,46 +363,36 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     ax, ay = np.maximum.reduce(np.abs(xv), axis=1), np.maximum.reduce(np.abs(yv), axis=1)
     if 0.0 in ax.tolist():
         raise ContractViolation("orthogonality is decided at nonzero x only")
-    # a scale below 1e-300 is raised to it, so that no division overflows
-    # (see _over), and its pair takes the own scale below
-    scale = np.maximum(np.maximum(ax, ay), 1e-300)[:, None]
-    X, Y = xv / scale, yv / scale
+    ex, ey = np.frexp(ax)[1], np.frexp(ay)[1]
+    X, Y = _ldexp_rows(xv, -ex), _ldexp_rows(yv, -ey)
     nrm = norm_fn(space)
     nx, ny = nrm(X).tolist(), nrm(Y).tolist()
     # ||x + lam*0|| is constant: trivially orthogonal, every lam minimizes
     zero = space.zero_scalar()
     verdicts = [(True, 0.0, zero, True, 2)] * len(nx)
-    rows, searches = [], []
-    for k, (common, a) in enumerate(zip(scale[:, 0].tolist(), ay.tolist())):
-        if a == 0.0:
-            continue
-        own = not (common > 1e-300 and nx[k] / 100.0 < ny[k] < 100.0 * nx[k])
-        sx, sy = (float(ax[k]), a) if own else (common, common)
-        if own:  # far-apart or tiny magnitudes: scale each vector by its own max
-            X[k], Y[k] = _over(xv[k], sx), _over(yv[k], sy)
-            nx[k], ny[k] = nrm(X[k]), nrm(Y[k])
-        reach = 2.0 * nx[k] / ny[k] + 1.0
-        rows.append((k, sx, sy, own))
-        searches.append(_minimize(space.field, initial_width=reach, max_width=64.0 * reach,
-                                  xatol=1e-6))
+    rows = [k for k, a in enumerate(ay.tolist()) if a != 0.0]
+    reaches = [2.0 * nx[k] / ny[k] + 1.0 for k in rows]
+    searches = [_minimize(space.field, initial_width=reach, max_width=64.0 * reach, xatol=1e-6)
+                for reach in reaches]
 
     def G(live):
-        pick = [rows[r][0] for r in live]
+        pick = [rows[r] for r in live]
         xs, ys = (X[pick[0]], Y[pick[0]]) if len(pick) == 1 else (X[pick, None], Y[pick, None])
         return lambda lams: nrm(xs + lams[..., None] * ys)
 
-    for (k, sx, sy, own), res in zip(rows, _run(searches, G)):
-        value, minimizer = res.value, res.argmin
+    for k, res in zip(rows, _run(searches, G)):
+        value, mu = res.value, res.argmin
         if nx[k] <= value:
-            value, minimizer = nx[k], zero
-        elif own:  # in the order that overflows only where lam does
-            minimizer = minimizer * sx / sy if abs(minimizer) <= 1.0 else minimizer * (sx / sy)
-        margin = (value - nx[k]) * sx
-        if not (math.isfinite(margin) and math.isfinite(minimizer.real)
-                and math.isfinite(minimizer.imag)):
-            raise SolverError(f"the margin {margin!r} or the minimizer {minimizer!r} is past "
-                              "the float range")
-        verdicts[k] = (margin >= -tol, margin, minimizer, res.flat, res.nfev + 2 + 2 * own)
+            value, mu = nx[k], zero
+        e, d = int(ex[k]), int(ex[k] - ey[k])
+        try:
+            margin = math.ldexp(value - nx[k], e)
+            minimizer = (complex(math.ldexp(mu.real, d), math.ldexp(mu.imag, d))
+                         if isinstance(mu, complex) else math.ldexp(mu, d))
+        except OverflowError:
+            raise SolverError(f"the margin {value - nx[k]!r}*2**{e} or the minimizer "
+                              f"{mu!r}*2**{d} is past the float range") from None
+        verdicts[k] = (margin >= -tol, margin, minimizer, res.flat, res.nfev + 2)
     if not shape:
         return OrthVerdict(*verdicts[0])
     columns = zip(*verdicts) if verdicts else [()] * 5

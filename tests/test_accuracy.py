@@ -213,6 +213,16 @@ def test_best_coeffs_out_of_unit_scale(t_scale, basis_scale, expected):
     assert np.allclose(got, expected, rtol=1e-8, atol=0), got
 
 
+@xfail("the coefficient -1e320j is past the float range: best_coeffs returns [nan+nanj]")
+def test_best_coeffs_past_the_float_range_is_a_typed_error():
+    # on complex l_3^2 the nearest multiple of [1e-320j, 0] to [1, 1e-320j]
+    # is [1, 0], at the coefficient 1/1e-320j = -1e320j
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got = outcome(lambda: best_coeffs(lp_space(COMPLEX, 2, 3.0), [1, 1e-320j],
+                                          [[1e-320j, 0]]))
+    assert isinstance(got, SipwignerError), got
+
+
 @xfail("v[i] + v[j] overflows to inf: the identity fails with max_violation NaN")
 def test_phase_isometry_sets_at_1_5e308_is_no_nan_fail():
     # passing the identity is the right answer; a typed refusal is no wrong one

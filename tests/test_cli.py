@@ -98,8 +98,9 @@ def test_orth_check_json_carries_no_counters(capsys):
 
 
 def test_complex_orth_check_output_is_pinned(capsys):
-    # bytes of an earlier release: a non-orthogonal complex pair, whose
-    # margin and minimizer come from the complex sweeps of the minimizer
+    # the bytes of a non-orthogonal complex pair, whose margin and minimizer
+    # come from the complex sweeps of the minimizer on x and y each scaled
+    # by its own power of two (x by 2^-1, y by 2^-1)
     code, out, err = run(capsys, ["orth-check", "--space",
                                   '{"field":"complex","dim":2,"norm":{"lp":3}}',
                                   "--x", '[1,{"re":0,"im":1}]',
@@ -108,8 +109,8 @@ def test_complex_orth_check_output_is_pinned(capsys):
     assert out == ('{"space":{"field":"complex","dim":2,"norm":{"lp":3}},'
                    '"x":[{"re":1,"im":0},{"re":0,"im":1}],'
                    '"y":[{"re":1,"im":1},{"re":0.5,"im":0}],"orthogonal":false,'
-                   '"margin":-0.13743018052547684,'
-                   '"minimizer":{"re":-0.41314663760588088,"im":0.065733117368639904},'
+                   '"margin":-0.13743018052547673,'
+                   '"minimizer":{"re":-0.41314662539884967,"im":0.065733105161608657},'
                    '"flat_minimizer":false}\n')
 
 

@@ -196,9 +196,9 @@ def test_bj_parallel_vector_is_far_from_orthogonal():
 
 
 def test_bj_tiny_y_keeps_the_bracket_search_terminating():
-    # a y 1e16 times smaller than x is searched at its own scale, so the
-    # bracket stays near 1 instead of reaching out to ~1e16; the margin is
-    # unaffected, and only the minimizer scales by 1e16.
+    # a y 1e16 times smaller than x is searched at its own power of two, so
+    # the bracket stays near 1 instead of reaching out to ~1e16; the margin
+    # is unaffected, and only the minimizer scales by 1e16.
     s = lp_space(REAL, 2, 3.0)
     verdict = bj_orthogonal(s, [1.0, 1.0], [1e-16, -1e-16])
     assert verdict.orthogonal
@@ -238,17 +238,18 @@ def test_bj_subnormal_y_is_decided_without_overflow():
     assert not verdict.orthogonal
     assert verdict.margin == pytest.approx(1.0 - 2.0 ** (1.0 / 3.0), abs=1e-12)
     assert verdict.minimizer == pytest.approx(-1e305, rel=1e-6)
-    # numpy divides a complex vector by multiplying it with 1/s, which is
-    # past the float range at a subnormal scale s
+    # a subnormal complex pair, whose real and imaginary parts are scaled up
+    # by 2^1029 exactly; numpy would divide it by 1e-310 as a product with
+    # 1/1e-310, which is past the float range
     verdict = bj_orthogonal(lp_space(COMPLEX, 2, 2.0), [1e-310, 1e-310], [0.0, 1e-310j])
     assert verdict.margin == pytest.approx((1.0 - 2.0 ** 0.5) * 1e-310, rel=1e-6)
     assert verdict.minimizer == pytest.approx(1j, abs=1e-5)
 
 
 def test_bj_large_y_keeps_its_dip():
-    # at the common scale the minimizer of ||[1, 1] + lam*[c, 0]||, -1/c, lies
-    # below the searches' coordinate tolerance from c ~ 1e7 on, and the pair
-    # read as orthogonal; each vector at its own scale keeps the dip
+    # the minimizer of ||[1, 1] + lam*[c, 0]||, -1/c, lies below the searches'
+    # coordinate tolerance (1e-6) from c ~ 1e7 on; with each vector at its
+    # own power of two it is searched at mu = -1, so the dip is seen
     s = lp_space(REAL, 2, 3.0)
     for c in (1e7, 1e150, 1e300):
         verdict = bj_orthogonal(s, [1.0, 1.0], [c, 0.0])
@@ -377,7 +378,7 @@ def test_bj_orthogonal_bits_are_pinned_on_criterion_3(monkeypatch):
             rows[k] = verdict_row(v, r)
     assert sorted(rows) == list(range(1000))
     assert hashlib.sha256(repr([rows[k] for k in range(1000)]).encode()).hexdigest() == (
-        "e62498ec792a0278e2c621e2c2f49c2556f87637025fc3fa7d82bbb40f8123df")
+        "01ac95758f6e9956221a24d48997c5b84a3e5afeb1e687c0996d07b3f7b45167")
 
 
 def test_stacked_rows_equal_one_pair_calls_on_criterion_3(monkeypatch):

@@ -179,44 +179,47 @@ def times_pow2(v, k):
     return v * 2.0 ** (k // 2) * 2.0 ** (k - k // 2)
 
 
+def ldexp_scalar(z, k):
+    """A real or complex scalar times 2**k, each part rounded once;
+    OverflowError past the float range."""
+    if isinstance(z, complex):
+        return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
+    return math.ldexp(z, k)
+
+
 @given(space_and_vectors(count=2), st.floats(min_value=0.25, max_value=4.0),
        st.integers(-1000, 1000),
        st.one_of(st.integers(-7, 7), st.integers(-2095, 2095),
                  st.sampled_from((-2095, -1200, -1074, -1000, 1000, 1074, 1200, 2095))))
 @settings(max_examples=60, deadline=None)
 def test_bj_verdict_holds_across_the_float_range(svx, t, j, gap):
-    # x at 2^j and t*y at 2^k, k = j + gap: a small gap keeps the common
-    # scale, a wide one takes each vector's own, up to 2^2095 apart.
-    # (xu, yu) is that pair back at unit scale, exactly: only a coordinate
-    # that the scaling rounded keeps its rounded value.
+    # x at 2^j and t*y at 2^k, k = j + gap, up to 2^2095 apart.  (xu, yu) is
+    # that pair back at unit scale, exactly: only a coordinate that the
+    # scaling rounded keeps its rounded value, so xs = xu*2^j and ys = yu*2^k
+    # hold exactly.
     s, x, y = svx
     k = j + gap
     assume(-1074 <= k <= 1018 and norm(s, x) >= 0.3 and norm(s, y) >= 0.3)  # |t*y_i| < 2^5
     xs, ys = times_pow2(x, j), times_pow2(t * y, k)
     xu, yu = times_pow2(xs, -j), times_pow2(ys, -k)
-    # the scaled pair is searched on other grids than (xu, yu), so the two
-    # margins agree to the searches' accuracy, the slack.  The searches find
-    # the minimizer at unit scale to 1e-6, and where it sits on the norm's
-    # kink at 0 (a y parallel to x) the value error is linear in that: up to
-    # 1e-6*||Y||, and ||Y|| < 100*||X|| at the common scale
-    tol, slack = 1e-3, 2e-4 * norm(s, xu)
+    # each vector is searched at its own power of two, so both calls search
+    # the same unit rows bit for bit.  x perp y iff x perp c*y: the verdict,
+    # the flag and the count stay, the margin scales by 2^j and the minimizer
+    # by 2^(j - k), each rounded once, or SolverError exactly where that
+    # minimizer is past the float range
+    tol = 1e-3
     base = bj_orthogonal(s, xu, yu, tol=tol)
-    # x perp y iff x perp c*y: the verdict stays, the margin scales by 2^j and
-    # the minimizer by 2^(j - k), or SolverError where that is past the float
-    # range.  A dip at rounding level has a minimizer that is noise, so there
-    # either outcome holds.
-    log_lam = math.log2(abs(base.minimizer)) + j - k if base.minimizer else -math.inf
-    noise = abs(base.margin) <= 1e-12 * norm(s, xu)
     try:
-        scaled = bj_orthogonal(s, xs, ys, tol=times_pow2(tol, j))
-    except SolverError:
-        assert log_lam > 1023.9 or noise
+        minimizer = ldexp_scalar(base.minimizer, j - k)
+    except OverflowError:
+        with pytest.raises(SolverError, match="past the float range"):
+            bj_orthogonal(s, xs, ys, tol=times_pow2(tol, j))
         return
-    assert log_lam < 1024.1 or noise
-    if abs(base.margin + tol) > slack:  # a verdict the slack cannot tip
-        assert scaled.orthogonal == base.orthogonal
-    assert times_pow2(scaled.margin, -j) == pytest.approx(base.margin, rel=1e-6, abs=slack)
-    assert all(np.isfinite([scaled.margin, scaled.minimizer]))
+    scaled = bj_orthogonal(s, xs, ys, tol=times_pow2(tol, j))
+    assert (scaled.orthogonal, scaled.flat_minimizer, scaled.nfev) == (
+        base.orthogonal, base.flat_minimizer, base.nfev)
+    assert scaled.margin == math.ldexp(base.margin, j)
+    assert scaled.minimizer == minimizer
 
 
 @given(st.sampled_from((REAL, COMPLEX)), st.sampled_from((1.5, 2.0, 3.0, 7.0, 50.0, 100.0)),

@@ -3,17 +3,20 @@
 Usage (from the repository root):
 
     python3 tools/ab_pairs.py --against REF --workload W \
-        [--pairs N --seconds S --seed K]
+        [--change DIR --pairs N --seconds S --seed K]
 
 The parent side is the ``src/`` and ``perfbench/`` of the git commit
 ``REF``, extracted with ``git archive`` into a temporary directory, as
-``tools/replay_digest.py --against`` does.  The change side is this
-checkout's ``src/`` and ``perfbench/``, copied into a second temporary
-directory without ``perfbench/results/``, so neither side writes into the
-checkout.  Each pair runs ``python3 perfbench/run.py --workload W --seed K
---seconds S --trace 0`` once on each side, in a process of its own; odd
-pairs run the parent first and even pairs the change first, so that a
-drift in machine speed falls on both sides alike.
+``tools/replay_digest.py --against`` does.  The change side is the
+``src/`` and ``perfbench/`` under ``DIR``, by default this checkout,
+copied into a second temporary directory without ``perfbench/results/``,
+so neither side writes into ``DIR``.  So a tree kept outside the checkout,
+such as a prototype, is paired without touching the checkout, as
+``tools/replay_digest.py --src`` replays one.  Each pair runs
+``python3 perfbench/run.py --workload W --seed K --seconds S --trace 0``
+once on each side, in a process of its own; odd pairs run the parent
+first and even pairs the change first, so that a drift in machine speed
+falls on both sides alike.
 
 It prints one line per run with its end-to-end metrics, then one line per
 metric: each side's median and quartiles, the change/parent ratio of the
@@ -49,11 +52,13 @@ def extract(ref: str, dest: Path) -> None:
     subprocess.run(["tar", "x", "-C", str(dest)], input=tree.stdout, check=True)
 
 
-def copy_checkout(dest: Path) -> None:
-    """This checkout's ``src/`` and ``perfbench/``, under ``dest``."""
+def copy_change(change: Path, dest: Path) -> None:
+    """The ``src/`` and ``perfbench/`` under ``change``, under ``dest``."""
     skip = shutil.ignore_patterns("results", "__pycache__", ".pytest_cache")
     for name in TREES:
-        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+        if not (change / name).is_dir():
+            raise SystemExit(f"ab_pairs: no {name}/ under {change}")
+        shutil.copytree(change / name, dest / name, ignore=skip)
 
 
 def bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -82,6 +87,9 @@ def main(argv=None) -> int:
     parser.add_argument("--against", required=True, metavar="REF",
                         help="git commit of the parent side")
     parser.add_argument("--workload", required=True, help="perfbench workload to run")
+    parser.add_argument("--change", type=Path, default=ROOT, metavar="DIR",
+                        help="directory holding the change side's src/ and perfbench/ "
+                             "(default: this checkout)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     parser.add_argument("--seed", type=int, default=401)
@@ -95,7 +103,7 @@ def main(argv=None) -> int:
         for side in sides.values():
             side.mkdir()
         extract(args.against, sides["parent"])
-        copy_checkout(sides["change"])
+        copy_change(args.change.resolve(), sides["change"])
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for label in order:
