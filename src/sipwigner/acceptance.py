@@ -43,6 +43,7 @@ from .orthogonality import bj_orthogonal
 from .reconstruct import KIND_CONJUGATE, KIND_LINEAR, reconstruct, reproduction_residual
 from .spaces import COMPLEX, REAL, _gaussian, _norm, _sip, gateaux_sip_oracle, lp_space, norm, sip
 from .wigner import (
+    _one_preparation,
     check_exact_preservation,
     check_linearity,
     check_phase_isometry_sets,
@@ -298,12 +299,14 @@ def criterion_4_checker_verdicts(cfg: GateConfig) -> CriterionResult:
         checks = [(check_wigner, "wigner")]
         if s.field == REAL:
             checks.append((check_phase_isometry_sets, "multiset"))
-        for check, label in checks:
-            if not check(f, samples, seed=sample_seed).passed:
-                bad.append((k, f"{label} pass"))
-            doubled = check(scale_oracle(f, 2.0), samples, seed=sample_seed)
-            if doubled.passed or doubled.max_violation < CHECKER_FAIL_FLOOR:
-                bad.append((k, f"{label} 2U fail floor"))
+        twice = scale_oracle(f, 2.0)
+        with _one_preparation():  # f and 2f are each called on the samples once
+            for check, label in checks:
+                if not check(f, samples, seed=sample_seed).passed:
+                    bad.append((k, f"{label} pass"))
+                doubled = check(twice, samples, seed=sample_seed)
+                if doubled.passed or doubled.max_violation < CHECKER_FAIL_FLOOR:
+                    bad.append((k, f"{label} 2U fail floor"))
     elapsed = time.perf_counter() - started
     detail = f"{CHECKER_SPECS} specs over n in (1,2,3,5); offenders: {bad[:4]}"
     return CriterionResult("4_checker_verdicts", not bad, detail, elapsed)
@@ -386,10 +389,11 @@ def criterion_6a_preservation_implies_linearity(cfg: GateConfig) -> CriterionRes
         # and differences); size past it so random draws are present, else
         # conjugation is invisible to an exact check over real-sip pairs
         samples = default_samples(s, s.dim ** 2 + 8, sample_seed)
-        if check_exact_preservation(f, samples, seed=sample_seed).passed:
-            passed_exact += 1
-            if not check_linearity(f, samples, seed=sample_seed).passed:
-                exceptions.append(k)
+        with _one_preparation():  # linearity reuses exact preservation's images
+            if check_exact_preservation(f, samples, seed=sample_seed).passed:
+                passed_exact += 1
+                if not check_linearity(f, samples, seed=sample_seed).passed:
+                    exceptions.append(k)
     elapsed = time.perf_counter() - started
     detail = (
         f"{passed_exact}/{IMPLICATION_SEEDS} maps passed exact preservation, "

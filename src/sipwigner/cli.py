@@ -59,6 +59,7 @@ from .reconstruct import reconstruct
 from .spaces import Space, Vector, _require_int, _require_tol, gateaux_sip_oracle, sip
 from .wigner import (
     MapOracle,
+    _one_preparation,
     check_exact_preservation,
     check_linearity,
     check_phase_isometry_sets,
@@ -222,7 +223,8 @@ def cmd_orth_check(args) -> int:
 def cmd_check(args) -> int:
     cfg, seed, tol, m, head = _map_request(args)
     samples = default_samples(cfg.source, cfg.samples, seed)
-    reports = [CHECKS[name](m, samples, tol=tol, seed=seed) for name in cfg.checks]
+    with _one_preparation():  # the map is called on the samples once for all checks
+        reports = [CHECKS[name](m, samples, tol=tol, seed=seed) for name in cfg.checks]
     _emit({**head, "tol": tol, "reports": [r.to_dict() for r in reports]}, args)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -20,13 +20,25 @@ compare Gram-type matrices) and ends in ``_report``, the one verdict tail:
 a failing Report's witness is the first pair, in row-major order,
 attaining the largest violation.
 
+Checks of one map on one sample set share one preparation inside a
+``_one_preparation`` block: ``sipwigner check`` runs its whole list of
+checks in one, and acceptance criteria 4 and 6a run the checks of each
+map in one.  There the samples are validated, the map is called on them and
+their norms are taken once, and the Gram pair (G_f, G) is built once, for
+all the block's checks of that map on those samples; outside a block each
+check prepares its own.  Each check still applies its own argument rules
+first, so a request meets the error its first refusing check would meet
+alone.  ``Report.map_calls`` counts the map calls charged to a check: a
+shared evaluation of the samples goes to the first check that reads it,
+so the counts of a block's reports add up to the calls made.
+
 The argument rules each have one home.  ``_require_map`` is the rule for
 a map argument: a MapOracle, tested before any attribute of it is read,
 with one scalar field at both ends.  The checks, ``reconstruct`` and the
 ``fixtures`` composers run it before they touch the map, and a MapOracle
 checks its own spaces and ``fn`` when built.  ``_require_smooth`` refuses
 a map unless both of its ends are Lp spaces; the semi-inner-product checks
-and ``reconstruct`` call it.  ``_prepared`` runs ``spaces._require_tol``
+and ``reconstruct`` call it.  ``_Run.prepared`` runs ``spaces._require_tol``
 and ``spaces._as_rows`` and returns the samples with their images and norms;
 ``n_draws`` and ``seed`` go through ``spaces._require_int`` and
 ``check_linearity``'s spanning test is ``spaces._require_independent``.
@@ -44,6 +56,8 @@ norms stay inside the float range.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import inf
 from typing import Any, Callable, Sequence
@@ -110,7 +124,9 @@ class Report:
 
     ``to_dict`` records ``ASSUMPTIONS``, which every check rests on.
     ``pairs`` counts the sample pairs (or combinations) examined and
-    ``map_calls`` the batched map calls made; both stay out of ``to_dict``.
+    ``map_calls`` the batched map calls charged to the check (a shared
+    evaluation of the samples goes to the first check that reads it); both
+    stay out of ``to_dict``.
     """
 
     check: str
@@ -151,18 +167,77 @@ def _require_smooth(m: MapOracle) -> None:
         raise UnsupportedSpace("the map needs smooth (Lp) spaces on both ends")
 
 
-def _prepared(m: MapOracle, samples: Sequence,
-              tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The samples and their images, stacked as rows, and the samples'
-    norms, after ``spaces._require_tol``; the caller has run ``_require_map``.
+# the runs of the open _one_preparation block, by (id(map), id(samples))
+_RUNS: ContextVar[dict | None] = ContextVar("_RUNS", default=None)
 
-    This is where a check validates its samples (and ``m`` its images),
-    once: the checks compute on the results with the ``spaces`` kernels
-    ``_norm`` and ``_sip``, and ``_gram_check`` reuses the norms as the
-    ||y|| of the source Gram matrix."""
-    _require_tol(tol)
-    xs = _as_rows(m.source, samples, inf, "need at least one sample")
-    return xs, m(xs), _norm(m.source, xs)
+
+@contextmanager
+def _one_preparation():
+    """A block in which checks of one map on one sample set share a ``_Run``.
+
+    The map and the samples are matched by identity, and the block's runs
+    hold both, so neither may change inside the block."""
+    token = _RUNS.set({})
+    try:
+        yield
+    finally:
+        _RUNS.reset(token)
+
+
+class _Run:
+    """One map's preparation of one sample set, each part built on first use.
+
+    ``map`` counts the calls it makes and ``charged`` hands them to the
+    report being finished, so a shared evaluation of the samples is charged
+    to the first check that reads it."""
+
+    __slots__ = ("m", "samples", "calls", "_rows", "_gram")
+
+    def __init__(self, m: MapOracle, samples: Sequence):
+        self.m, self.samples, self.calls = m, samples, 0
+        self._rows = self._gram = None
+
+    def map(self, x) -> np.ndarray:
+        self.calls += 1
+        return self.m(x)
+
+    def charged(self) -> int:
+        calls, self.calls = self.calls, 0
+        return calls
+
+    def prepared(self, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The samples and their images, stacked as rows, and the samples'
+        norms, after ``spaces._require_tol``; the caller has run
+        ``_require_map``.
+
+        This is where a run validates its samples (and ``m`` their images),
+        once: the checks compute on the results with the ``spaces``
+        kernels ``_norm`` and ``_sip``, and ``gram`` reuses the norms as the
+        ||y|| of the source Gram matrix."""
+        _require_tol(tol)
+        if self._rows is None:
+            xs = _as_rows(self.m.source, self.samples, inf, "need at least one sample")
+            self._rows = xs, self.map(xs), _norm(self.m.source, xs)
+        return self._rows
+
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """G_f[i, j] = [f(x_i), f(x_j)] and G[i, j] = [x_i, x_j], after ``prepared``."""
+        if self._gram is None:
+            m, (xs, fxs, nx) = self.m, self._rows
+            self._gram = (_sip(m.target, fxs[:, None], fxs[None], _norm(m.target, fxs)),
+                          _sip(m.source, xs[:, None], xs[None], nx))
+        return self._gram
+
+
+def _run(m: MapOracle, samples: Sequence) -> _Run:
+    """The open block's run of ``m`` on ``samples``, or a fresh run outside a block."""
+    runs = _RUNS.get()
+    if runs is None:
+        return _Run(m, samples)
+    key = (id(m), id(samples))
+    if key not in runs:
+        runs[key] = _Run(m, samples)
+    return runs[key]
 
 
 def _report(check: str, violation: np.ndarray, bound: np.ndarray, witness: Callable,
@@ -181,14 +256,14 @@ def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
     G[i, j] = [x_i, x_j] entrywise, in modulus or as they are."""
     _require_map(m)
     _require_smooth(m)
-    xs, fxs, nx = _prepared(m, samples, tol)
-    lhs = _sip(m.target, fxs[:, None], fxs[None], _norm(m.target, fxs))
-    rhs = _sip(m.source, xs[:, None], xs[None], nx)
+    run = _run(m, samples)
+    xs, _, nx = run.prepared(tol)
+    lhs, rhs = run.gram()
     if modulus:
         lhs, rhs = np.abs(lhs), np.abs(rhs)
     return _report(check, np.abs(lhs - rhs), tol * nx[:, None] * nx[None],
                    lambda i, j: Witness(xs[i], xs[j], lhs[i, j].item(), rhs[i, j].item()),
-                   seed, len(xs) ** 2, 1)
+                   seed, len(xs) ** 2, run.charged())
 
 
 def check_wigner(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -209,7 +284,8 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
     _require_map(m)
     if m.source.field != REAL:
         raise UnsupportedField("the multiset criterion is a real-field check")
-    xs, fxs, nx = _prepared(m, samples, tol)
+    run = _run(m, samples)
+    xs, fxs, nx = run.prepared(tol)
     i, j = np.tril_indices(len(xs))  # row-major: (0, 0), (1, 0), (1, 1), ...
 
     def sorted_pair(space, v):
@@ -222,7 +298,7 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
                    tol * (nx[i] + nx[j]),
                    lambda k: Witness(xs[i[k]], xs[j[k]], [lo_f[k].item(), hi_f[k].item()],
                                      [lo[k].item(), hi[k].item()]),
-                   seed, len(i), 1)
+                   seed, len(i), run.charged())
 
 
 def check_exact_preservation(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -242,7 +318,8 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     _require_int(n_draws, 0, "n_draws")
     rng = _rng(seed)
     _require_map(m)
-    xs, fxs, nx = _prepared(m, samples, tol)
+    run = _run(m, samples)
+    xs, fxs, nx = run.prepared(tol)
     _require_independent(np.linalg.svd(xs, compute_uv=False), m.source.dim,
                          "samples must span the source space")
 
@@ -252,7 +329,7 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     if width == 4:  # (ar, ai, br, bi) -> (a, b)
         c = c[:, 0::2] + 1j * c[:, 1::2]
     a, b = c.T[:, :, None]
-    images = m(a * xs[i] + b * xs[j])
+    images = run.map(a * xs[i] + b * xs[j])
 
     # the scan runs over the sample norms first, then the seeded combinations
     nfx = _norm(m.target, fxs)
@@ -266,4 +343,4 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
 
     return _report("linearity", np.concatenate([np.abs(nfx - nx), combo_dev]),
                    tol * np.concatenate([nx, np.abs(a[:, 0]) * nx[i] + np.abs(b[:, 0]) * nx[j]]),
-                   witness, seed, n + n_draws, 2)
+                   witness, seed, n + n_draws, run.charged())

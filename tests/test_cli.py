@@ -258,6 +258,40 @@ def test_check_output_is_byte_identical_across_reruns(tmp_path, capsys):
     assert first == second
 
 
+CROSS_CHECK_ERRORS = {
+    # each check applies its own argument rules before it reads the shared
+    # samples, so the first check to refuse the request names the error
+    "multiset-on-complex": ({"source": {"field": "complex", "dim": 3, "norm": {"lp": 3.0}},
+                             "map": {"builtin": "identity"},
+                             "checks": ["wigner", "phase_isometry_sets"]},
+                            "error: the multiset criterion is a real-field check\n"),
+    "linearity-then-wigner-on-swap": ({"map": {"builtin": "swap_linf2"},
+                                       "checks": ["linearity", "wigner"]},
+                                      "error: the map needs smooth (Lp) spaces on both ends\n"),
+    "wigner-then-linearity-short-of-a-span": (
+        {"source": {"field": "real", "dim": 5, "norm": {"lp": 3.0}},
+         "map": {"builtin": "double"}, "samples": 3, "checks": ["wigner", "linearity"]},
+        "error: samples must span the source space\n"),
+}
+
+
+@pytest.mark.parametrize("obj, message", CROSS_CHECK_ERRORS.values(),
+                         ids=CROSS_CHECK_ERRORS.keys())
+def test_a_multi_check_request_meets_its_first_error(tmp_path, capsys, obj, message):
+    code, out, err = run(capsys, ["check", "--config", write_config(tmp_path, obj)])
+    assert (code, out, err) == (2, "", message)
+
+
+def test_a_repeated_check_gives_equal_reports(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "source": {"field": "complex", "dim": 2, "norm": {"lp": 3.0}},
+        "map": {"builtin": "double"}, "checks": ["wigner", "wigner"], "seed": 5,
+    })
+    code, out, _ = run(capsys, ["check", "--config", cfg, "--json"])
+    first, second = json.loads(out)["reports"]
+    assert code == 1 and first == second and first["verdict"] == "fail"
+
+
 def test_reconstruct_identity_gives_identity_matrix(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "source": {"field": "real", "dim": 2, "norm": {"lp": 3.0}},

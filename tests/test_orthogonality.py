@@ -123,6 +123,14 @@ def test_non_coercive_objective_raises():
             minimize_scalar(lambda c: np.inf, field)
 
 
+def test_a_plateau_past_max_width_keeps_the_probed_part():
+    # a constant objective never stops the bracket growing; once it is wider
+    # than max_width the search settles on what it has probed instead of
+    # raising, since the minimum is attained there
+    res = minimize_scalar(lambda t: 1.0, REAL, max_width=10.0)
+    assert res == orthogonality.ScalarMin(0.0, 1.0, True, 51, 3)
+
+
 def test_line_search_probe_cap_raises(monkeypatch):
     # the cap guards the loop against never settling; a quadratic needs ~14 probes
     monkeypatch.setattr(orthogonality, "_MAX_PROBES", 3)

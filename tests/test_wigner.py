@@ -40,6 +40,7 @@ from sipwigner import (
     swap_counterexample,
 )
 from sipwigner.jsonio import dumps
+from sipwigner.wigner import _one_preparation
 
 RC3 = lp_space(REAL, 3, 3.0)
 R2 = lp_space(REAL, 2, 3.0)
@@ -195,6 +196,61 @@ def test_reports_count_pairs_and_map_calls_outside_to_dict():
             assert (r.pairs, r.map_calls) == (pairs, len(calls))
             assert r.map_calls == (2 if r.check == "linearity" else 1)
             assert set(r.to_dict()) == keys
+
+
+PUBLIC_CHECKS = {
+    "wigner": check_wigner,
+    "phase_isometry_sets": check_phase_isometry_sets,
+    "exact_preservation": check_exact_preservation,
+    "linearity": check_linearity,
+}
+RUN_MAPS = {
+    "plain": lambda s: make_isometry(s, random_isometry_spec(s, np.random.default_rng(8))),
+    "phase": lambda s: make_phase_equivalent(
+        make_isometry(s, random_isometry_spec(s, np.random.default_rng(8))),
+        seeded_phase(s, 21)),
+    "double": lambda s: scale_oracle(identity_oracle(s), 2.0),
+}
+
+
+@pytest.mark.parametrize("build", RUN_MAPS.values(), ids=RUN_MAPS.keys())
+@pytest.mark.parametrize("space", [RC3, CC2], ids=["real", "complex"])
+def test_checks_in_one_preparation_evaluate_the_samples_once(space, build):
+    calls = []
+
+    class CountingOracle(MapOracle):
+        def __call__(self, x):
+            calls.append(np.shape(x))
+            return super().__call__(x)
+
+    base = build(space)
+    m = CountingOracle(base.source, base.target, base.fn)
+    xs = samples_for(space)
+    names = ["exact_preservation", "linearity", "wigner", "linearity", "wigner"]
+    if space.field == REAL:
+        names.insert(2, "phase_isometry_sets")
+    with _one_preparation():
+        reports = [PUBLIC_CHECKS[name](m, xs, seed=3) for name in names]
+    assert len(calls) == 1 + names.count("linearity")
+    # the samples' images are charged to the first check, which reads them
+    assert [r.map_calls for r in reports] == [1] + [int(n == "linearity") for n in names[1:]]
+    assert sum(r.map_calls for r in reports) == len(calls)
+    calls.clear()
+    for name, report in zip(names, reports):
+        alone = PUBLIC_CHECKS[name](m, xs, seed=3)
+        assert dumps(report.to_dict()) == dumps(alone.to_dict()), name  # witnesses hold arrays
+    # outside a block each check prepares its own
+    assert len(calls) == len(names) + names.count("linearity")
+
+
+def test_a_shared_preparation_keeps_each_checks_own_rules():
+    m, xs = identity_oracle(RC3), samples_for(RC3)
+    with _one_preparation():
+        assert check_wigner(m, xs).passed
+        with pytest.raises(ContractViolation, match="tol must be positive"):
+            check_exact_preservation(m, xs, tol=0.0)
+        with pytest.raises(ContractViolation, match="n_draws"):
+            check_linearity(m, xs, n_draws=-1)
 
 
 def test_map_oracle_validates_shapes_and_fields():
