@@ -172,13 +172,25 @@ def _resolve_map(cfg: RunConfig) -> MapOracle:
     raise ContractViolation('map spec needs "builtin" or "isometry"')
 
 
+class _InputError(Exception):
+    """An argument or a config file that is not JSON text."""
+
+
+def _from_json(source):
+    """The value of one JSON input: the text of --space, --x or --y, or a
+    config file open for reading.  Malformed JSON, a file that is not UTF-8
+    and nesting past the recursion limit all raise _InputError."""
+    try:
+        return json.loads(source) if isinstance(source, str) else json.load(source)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise _InputError(exc) from None
+
+
 def _load_config(path: str) -> RunConfig:
     if path == "-":
-        raw = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read()
-    return RunConfig.from_dict(json.loads(raw))
+        return RunConfig.from_dict(_from_json(sys.stdin))
+    with open(path, "r", encoding="utf-8") as fh:
+        return RunConfig.from_dict(_from_json(fh))
 
 
 def _map_request(args) -> tuple[RunConfig, int, float, MapOracle, dict]:
@@ -200,8 +212,8 @@ def _emit(obj, args) -> None:
 def _pair_request(args) -> tuple[Space, Vector, Vector, dict]:
     """The space and the vectors x, y of a sip-eval or orth-check request,
     and the head of its answer."""
-    space = Space.from_dict(json.loads(args.space))
-    x, y = vec_from_json(json.loads(args.x)), vec_from_json(json.loads(args.y))
+    space = Space.from_dict(_from_json(args.space))
+    x, y = vec_from_json(_from_json(args.x)), vec_from_json(_from_json(args.y))
     return space, x, y, {"space": space.to_dict(), "x": x, "y": y}
 
 
@@ -338,7 +350,7 @@ def main(argv=None) -> int:
     except (ContractViolation, UnsupportedSpace, UnsupportedField) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, OSError) as exc:
+    except (_InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,14 +23,17 @@ attaining the largest violation.
 Checks of one map on one sample set share one preparation inside a
 ``_one_preparation`` block: ``sipwigner check`` runs its whole list of
 checks in one, and acceptance criteria 4 and 6a run the checks of each
-map in one.  There the samples are validated, the map is called on them and
-their norms are taken once, and the Gram pair (G_f, G) is built once, for
-all the block's checks of that map on those samples; outside a block each
-check prepares its own.  Each check still applies its own argument rules
-first, so a request meets the error its first refusing check would meet
-alone.  ``Report.map_calls`` counts the map calls charged to a check: a
-shared evaluation of the samples goes to the first check that reads it,
-so the counts of a block's reports add up to the calls made.
+map in one.  The block holds one memo, keyed by a part's name and the
+identities of the map and the samples (``_shared``).  There the samples
+are validated, the map is called on them and the norms of both are taken
+once (``_prepared``), and the Gram pair (G_f, G) is built once, for all the
+block's checks of that map on those samples; outside a block each check
+prepares its own.  Identity decides, not equality: two equal but distinct
+sample lists are each evaluated.  Each check still applies its own argument
+rules first, so a request meets the error its first refusing check would
+meet alone.  ``Report.map_calls`` counts the map calls its own check made:
+a shared evaluation of the samples counts for the check that made it, and
+a check that raises puts its calls in no report.
 
 The argument rules each have one home.  ``_require_map`` is the rule for
 a map argument: a MapOracle, tested before any attribute of it is read,
@@ -38,7 +41,7 @@ with one scalar field at both ends.  The checks, ``reconstruct`` and the
 ``fixtures`` composers run it before they touch the map, and a MapOracle
 checks its own spaces and ``fn`` when built.  ``_require_smooth`` refuses
 a map unless both of its ends are Lp spaces; the semi-inner-product checks
-and ``reconstruct`` call it.  ``_Run.prepared`` runs ``spaces._require_tol``
+and ``reconstruct`` call it.  ``_prepared`` runs ``spaces._require_tol``
 and ``spaces._as_rows`` and returns the samples with their images and norms;
 ``n_draws`` and ``seed`` go through ``spaces._require_int`` and
 ``check_linearity``'s spanning test is ``spaces._require_independent``.
@@ -124,9 +127,9 @@ class Report:
 
     ``to_dict`` records ``ASSUMPTIONS``, which every check rests on.
     ``pairs`` counts the sample pairs (or combinations) examined and
-    ``map_calls`` the batched map calls charged to the check (a shared
-    evaluation of the samples goes to the first check that reads it); both
-    stay out of ``to_dict``.
+    ``map_calls`` the batched map calls the check made (a shared evaluation
+    of the samples counts for the check that made it); both stay out of
+    ``to_dict``.
     """
 
     check: str
@@ -167,77 +170,53 @@ def _require_smooth(m: MapOracle) -> None:
         raise UnsupportedSpace("the map needs smooth (Lp) spaces on both ends")
 
 
-# the runs of the open _one_preparation block, by (id(map), id(samples))
-_RUNS: ContextVar[dict | None] = ContextVar("_RUNS", default=None)
+# the open _one_preparation block's memo: (part, id(map), id(samples)) -> (map, samples, value)
+_MEMO: ContextVar[dict] = ContextVar("_MEMO")
 
 
 @contextmanager
 def _one_preparation():
-    """A block in which checks of one map on one sample set share a ``_Run``.
+    """A block in which checks of one map on one sample set share their
+    preparation (see ``_shared``).
 
-    The map and the samples are matched by identity, and the block's runs
-    hold both, so neither may change inside the block."""
-    token = _RUNS.set({})
+    The map and the samples are matched by identity, and the memo holds
+    both, so neither may change inside the block."""
+    token = _MEMO.set({})
     try:
         yield
     finally:
-        _RUNS.reset(token)
+        _MEMO.reset(token)
 
 
-class _Run:
-    """One map's preparation of one sample set, each part built on first use.
-
-    ``map`` counts the calls it makes and ``charged`` hands them to the
-    report being finished, so a shared evaluation of the samples is charged
-    to the first check that reads it."""
-
-    __slots__ = ("m", "samples", "calls", "_rows", "_gram")
-
-    def __init__(self, m: MapOracle, samples: Sequence):
-        self.m, self.samples, self.calls = m, samples, 0
-        self._rows = self._gram = None
-
-    def map(self, x) -> np.ndarray:
-        self.calls += 1
-        return self.m(x)
-
-    def charged(self) -> int:
-        calls, self.calls = self.calls, 0
-        return calls
-
-    def prepared(self, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The samples and their images, stacked as rows, and the samples'
-        norms, after ``spaces._require_tol``; the caller has run
-        ``_require_map``.
-
-        This is where a run validates its samples (and ``m`` their images),
-        once: the checks compute on the results with the ``spaces``
-        kernels ``_norm`` and ``_sip``, and ``gram`` reuses the norms as the
-        ||y|| of the source Gram matrix."""
-        _require_tol(tol)
-        if self._rows is None:
-            xs = _as_rows(self.m.source, self.samples, inf, "need at least one sample")
-            self._rows = xs, self.map(xs), _norm(self.m.source, xs)
-        return self._rows
-
-    def gram(self) -> tuple[np.ndarray, np.ndarray]:
-        """G_f[i, j] = [f(x_i), f(x_j)] and G[i, j] = [x_i, x_j], after ``prepared``."""
-        if self._gram is None:
-            m, (xs, fxs, nx) = self.m, self._rows
-            self._gram = (_sip(m.target, fxs[:, None], fxs[None], _norm(m.target, fxs)),
-                          _sip(m.source, xs[:, None], xs[None], nx))
-        return self._gram
+def _shared(part: str, m: MapOracle, samples: Sequence, build: Callable) -> tuple[Any, bool]:
+    """``build()``, and whether this call built it: once per ``part`` of
+    ``m`` on ``samples`` inside a block, every time outside one."""
+    memo = _MEMO.get({})  # outside a block, a memo of this call alone
+    key = (part, id(m), id(samples))
+    built = key not in memo
+    if built:  # holding m and samples keeps their ids from being reused
+        memo[key] = m, samples, build()
+    return memo[key][2], built
 
 
-def _run(m: MapOracle, samples: Sequence) -> _Run:
-    """The open block's run of ``m`` on ``samples``, or a fresh run outside a block."""
-    runs = _RUNS.get()
-    if runs is None:
-        return _Run(m, samples)
-    key = (id(m), id(samples))
-    if key not in runs:
-        runs[key] = _Run(m, samples)
-    return runs[key]
+def _prepared(m: MapOracle, samples: Sequence, tol: float) -> tuple:
+    """The samples and their images, stacked as rows, the norms of both, and
+    the map calls made for them (1, or 0 if shared), after
+    ``spaces._require_tol``; the caller has run ``_require_map``.
+
+    This is where the samples are validated (and ``m`` their images): the
+    checks compute on the results with the ``spaces`` kernels ``_norm`` and
+    ``_sip``, and the Gram pair reuses the norms as the ||y|| of its
+    matrices."""
+    _require_tol(tol)
+
+    def build():
+        xs = _as_rows(m.source, samples, inf, "need at least one sample")
+        fxs = m(xs)
+        return xs, fxs, _norm(m.source, xs), _norm(m.target, fxs)
+
+    rows, built = _shared("rows", m, samples, build)
+    return (*rows, int(built))
 
 
 def _report(check: str, violation: np.ndarray, bound: np.ndarray, witness: Callable,
@@ -256,14 +235,14 @@ def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
     G[i, j] = [x_i, x_j] entrywise, in modulus or as they are."""
     _require_map(m)
     _require_smooth(m)
-    run = _run(m, samples)
-    xs, _, nx = run.prepared(tol)
-    lhs, rhs = run.gram()
+    xs, fxs, nx, nfx, calls = _prepared(m, samples, tol)
+    (lhs, rhs), _ = _shared("gram", m, samples, lambda: (
+        _sip(m.target, fxs[:, None], fxs[None], nfx), _sip(m.source, xs[:, None], xs[None], nx)))
     if modulus:
         lhs, rhs = np.abs(lhs), np.abs(rhs)
     return _report(check, np.abs(lhs - rhs), tol * nx[:, None] * nx[None],
                    lambda i, j: Witness(xs[i], xs[j], lhs[i, j].item(), rhs[i, j].item()),
-                   seed, len(xs) ** 2, run.charged())
+                   seed, len(xs) ** 2, calls)
 
 
 def check_wigner(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -284,8 +263,7 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
     _require_map(m)
     if m.source.field != REAL:
         raise UnsupportedField("the multiset criterion is a real-field check")
-    run = _run(m, samples)
-    xs, fxs, nx = run.prepared(tol)
+    xs, fxs, nx, _, calls = _prepared(m, samples, tol)
     i, j = np.tril_indices(len(xs))  # row-major: (0, 0), (1, 0), (1, 1), ...
 
     def sorted_pair(space, v):
@@ -298,7 +276,7 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
                    tol * (nx[i] + nx[j]),
                    lambda k: Witness(xs[i[k]], xs[j[k]], [lo_f[k].item(), hi_f[k].item()],
                                      [lo[k].item(), hi[k].item()]),
-                   seed, len(i), run.charged())
+                   seed, len(i), calls)
 
 
 def check_exact_preservation(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -318,8 +296,7 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     _require_int(n_draws, 0, "n_draws")
     rng = _rng(seed)
     _require_map(m)
-    run = _run(m, samples)
-    xs, fxs, nx = run.prepared(tol)
+    xs, fxs, nx, nfx, calls = _prepared(m, samples, tol)
     _require_independent(np.linalg.svd(xs, compute_uv=False), m.source.dim,
                          "samples must span the source space")
 
@@ -329,10 +306,9 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
     if width == 4:  # (ar, ai, br, bi) -> (a, b)
         c = c[:, 0::2] + 1j * c[:, 1::2]
     a, b = c.T[:, :, None]
-    images = run.map(a * xs[i] + b * xs[j])
+    images = m(a * xs[i] + b * xs[j])
 
     # the scan runs over the sample norms first, then the seeded combinations
-    nfx = _norm(m.target, fxs)
     combo_dev = _norm(m.target, images - a * fxs[i] - b * fxs[j])
 
     def witness(k) -> Witness:
@@ -343,4 +319,4 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
 
     return _report("linearity", np.concatenate([np.abs(nfx - nx), combo_dev]),
                    tol * np.concatenate([nx, np.abs(a[:, 0]) * nx[i] + np.abs(b[:, 0]) * nx[j]]),
-                   witness, seed, n + n_draws, run.charged())
+                   witness, seed, n + n_draws, calls + 1)

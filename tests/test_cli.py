@@ -13,6 +13,7 @@ from sipwigner.cli import main
 
 LP3 = json.dumps({"field": "real", "dim": 2, "norm": {"lp": 3.0}})
 FIX = json.dumps({"field": "real", "dim": 2, "norm": {"linf2_fixture": True}})
+DEEP = "[" * 100_000  # nested past Python's recursion limit
 
 
 def run(capsys, argv):
@@ -66,9 +67,12 @@ def test_sip_eval_parse_error_exits_2(capsys):
         (json.dumps({"field": "real", "dim": 2.7, "norm": {"lp": 3}}), "[1,0]", "[1,1]"),
         (json.dumps({"field": "real", "dim": "2", "norm": {"lp": 3}}), "[1,0]", "[1,1]"),
         (json.dumps({"field": "real", "dim": True, "norm": {"lp": 3}}), "[1]", "[1]"),
+        (DEEP, "[1,0]", "[1,1]"),
+        (LP3, DEEP, "[1,1]"),
+        (LP3, "[1,0]", DEEP),
     ):
         code, _, err = run(capsys, ["sip-eval", "--space", space, "--x", x, "--y", y])
-        assert code == 2, (space, x, y)
+        assert (code, err.count("\n")) == (2, 1), (space, x, y)
 
 
 def test_orth_check_exit_codes(capsys):
@@ -214,9 +218,11 @@ def test_check_config_validation_exit_2(tmp_path, capsys):
     for obj in bad:
         code, _, err = run(capsys, ["check", "--config", write_config(tmp_path, obj)])
         assert code == 2, obj
-    (tmp_path / "broken.json").write_text("{not json")
-    code, _, _ = run(capsys, ["check", "--config", str(tmp_path / "broken.json")])
-    assert code == 2
+    for name, raw in (("broken.json", b"{not json"), ("utf16.json", b"\xff\xfe{}"),
+                      ("deep.json", DEEP.encode())):
+        (tmp_path / name).write_bytes(raw)
+        code, _, err = run(capsys, ["check", "--config", str(tmp_path / name)])
+        assert (code, err.startswith("input error: "), err.count("\n")) == (2, True, 1), name
     code, _, _ = run(capsys, ["check", "--config", str(tmp_path / "missing.json")])
     assert code == 2
 
@@ -524,11 +530,12 @@ def test_config_from_stdin_matches_the_config_file(tmp_path, capsys, monkeypatch
 
 
 def test_selftest_table_has_one_aligned_row_per_criterion(capsys, monkeypatch):
-    from sipwigner import cli
     from sipwigner.acceptance import CriterionResult
 
     names = ["1_a", "2_bb", "3_ccc", "4_dddd", "5_e", "6a_f", "6b_gg", "7_hhhhhhh"]
-    monkeypatch.setattr(cli, "run_all", lambda seed: [
+    # patch the module that the imported main runs in, which a re-import of
+    # sipwigner elsewhere in the session would not replace
+    monkeypatch.setitem(main.__globals__, "run_all", lambda seed: [
         CriterionResult(name, name != "6b_gg", f"detail {k}", 0.0) for k, name in enumerate(names)])
     code, out, _ = run(capsys, ["selftest"])
     assert code == 1

@@ -172,7 +172,8 @@ def test_report_shape_and_serialization():
     dumps(d)
 
 
-def test_reports_count_pairs_and_map_calls_outside_to_dict():
+def counting(m):
+    """``m`` as an oracle that records the shape of each call, and the record."""
     calls = []
 
     class CountingOracle(MapOracle):
@@ -180,11 +181,15 @@ def test_reports_count_pairs_and_map_calls_outside_to_dict():
             calls.append(np.shape(x))
             return super().__call__(x)
 
+    return CountingOracle(m.source, m.target, m.fn), calls
+
+
+def test_reports_count_pairs_and_map_calls_outside_to_dict():
     xs = samples_for(RC3)
     k = len(xs)
     keys = {"check", "verdict", "max_violation", "witness", "seed", "assumptions"}
-    for fn in (identity_oracle(RC3).fn, scale_oracle(identity_oracle(RC3), 2.0).fn):
-        m = CountingOracle(RC3, RC3, fn)
+    for base in (identity_oracle(RC3), scale_oracle(identity_oracle(RC3), 2.0)):
+        m, calls = counting(base)
         for report, pairs in (
             (lambda: check_wigner(m, xs, seed=3), k * k),
             (lambda: check_exact_preservation(m, xs, seed=3), k * k),
@@ -216,15 +221,7 @@ RUN_MAPS = {
 @pytest.mark.parametrize("build", RUN_MAPS.values(), ids=RUN_MAPS.keys())
 @pytest.mark.parametrize("space", [RC3, CC2], ids=["real", "complex"])
 def test_checks_in_one_preparation_evaluate_the_samples_once(space, build):
-    calls = []
-
-    class CountingOracle(MapOracle):
-        def __call__(self, x):
-            calls.append(np.shape(x))
-            return super().__call__(x)
-
-    base = build(space)
-    m = CountingOracle(base.source, base.target, base.fn)
+    m, calls = counting(build(space))
     xs = samples_for(space)
     names = ["exact_preservation", "linearity", "wigner", "linearity", "wigner"]
     if space.field == REAL:
@@ -251,6 +248,37 @@ def test_a_shared_preparation_keeps_each_checks_own_rules():
             check_exact_preservation(m, xs, tol=0.0)
         with pytest.raises(ContractViolation, match="n_draws"):
             check_linearity(m, xs, n_draws=-1)
+
+
+def test_one_preparation_matches_samples_by_identity_not_equality():
+    m, calls = counting(identity_oracle(RC3))
+    xs = samples_for(RC3)
+    with _one_preparation():
+        reports = [check_wigner(m, list(xs)) for _ in range(2)]
+    assert len(calls) == 2 and [r.map_calls for r in reports] == [1, 1]
+
+
+def test_a_sample_list_rebuilt_in_one_preparation_is_evaluated_again():
+    # each list is dropped before the next is built, so without the block
+    # holding it the next one could take its id and read its preparation
+    m, calls = counting(scale_oracle(identity_oracle(RC3), 2.0))
+    with _one_preparation():
+        reports = [check_wigner(m, samples_for(RC3, seed)) for seed in range(8)]
+    assert len(calls) == 8 and all(r.map_calls == 1 for r in reports)
+    for seed, report in enumerate(reports):
+        alone = check_wigner(m, samples_for(RC3, seed))
+        assert dumps(report.to_dict()) == dumps(alone.to_dict()), seed
+
+
+def test_a_check_that_raises_after_preparing_puts_its_call_in_no_report():
+    m, calls = counting(identity_oracle(RC3))
+    flat = [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]  # spans one line
+    with _one_preparation():
+        with pytest.raises(ContractViolation, match="span"):
+            check_linearity(m, flat)
+        report = check_wigner(m, flat)
+    # the samples were evaluated once, by linearity, which made no report
+    assert (len(calls), report.map_calls) == (1, 0)
 
 
 def test_map_oracle_validates_shapes_and_fields():
