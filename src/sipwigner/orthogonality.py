@@ -18,10 +18,8 @@ sound bracket for elongated convex level sets.  In smooth spaces the
 decision agrees with the semi-inner product criterion [y, x] = 0, which
 callers can cross-check through ``spaces.sip``.  The relation is
 homogeneous in both vectors, and ``bj_orthogonal`` keeps it so at every
-float scale by one rule: each vector is scaled by the power of two that
-brings its largest coordinate into [0.5, 1), which is exact, so the
-minimizer is searched at order 1; the margin and the minimizer map back by
-powers of two, and one past the float range is a SolverError.
+float scale by searching at the unit scale of ``spaces._unit_rows``, the
+package's one scale rule.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 
 from .errors import ContractViolation, SolverError
 from .spaces import (COMPLEX, REAL, Scalar, Space, _as_rows, _is_finite, _pair,
-                     _require_independent, _require_tol, as_vec, norm_fn)
+                     _require_independent, _require_tol, _unit_rows, as_vec, norm_fn)
 
 _SPAN = np.linspace(-1.0, 1.0, 17)  # the first grid, width * _SPAN, holds 0 exactly
 _FRAC = np.linspace(0.0, 1.0, 17)  # a grid across a bracket: a + (b - a) * _FRAC
@@ -323,13 +321,6 @@ class OrthVerdict:
         return {k: v for k, v in vars(self).items() if k != "nfev"}
 
 
-def _ldexp_rows(v: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Row i of v times 2**e[i], exact except where a coordinate rounds to
-    a subnormal; a complex row scales its real and imaginary parts."""
-    v = np.ascontiguousarray(v)
-    return np.ldexp(v.view(np.float64), e[:, None]).view(v.dtype)
-
-
 def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     """Decide x perp y (Birkhoff-James) by minimizing ||x + lam*y||.
 
@@ -341,18 +332,16 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
 
     The relation is homogeneous in both vectors: x perp y exactly when
     a*x perp b*y for nonzero a and b.  So every pair is searched at unit
-    scale by one rule: with 2**ex and 2**ey the powers of two that
-    ``frexp`` gives max|x_i| and max|y_i|, the search runs on X = x*2**-ex
-    and Y = y*2**-ey, whose largest coordinates lie in [0.5, 1).  The
-    scaling is exact except where a coordinate rounds to a subnormal.
-    Every norm is then finite, and the bound |mu| <= 2||X||/||Y||, at most
-    4*n**(1/p), seeds the bracket.  The minimizer mu of ||X + mu*Y|| maps
-    back to lam = mu*2**(ex - ey) and the margin is (min - ||X||)*2**ex,
-    each rounded once, so ``tol`` stays an absolute margin in norm units; a
-    margin or a minimizer past the float range raises SolverError, so no
-    field is inf or NaN.  The margin only needs norm-value accuracy, so the
-    coordinate tolerance is loose: around a smooth minimum the value error
-    is quadratic in the coordinate error, ~1e-12, well inside tol.
+    scale: ``spaces._unit_rows`` gives X = x*2**-ex and Y = y*2**-ey.
+    Every norm is then finite, a nonzero row's at least 0.5, and the bound
+    |mu| <= 2||X||/||Y||, at most 4*n**(1/p), seeds the bracket.  The
+    minimizer mu of ||X + mu*Y|| maps back to lam = mu*2**(ex - ey) and the
+    margin is (min - ||X||)*2**ex, each rounded once, so ``tol`` stays an
+    absolute margin in norm units; a margin or a minimizer past the float
+    range raises SolverError, so no field is inf or NaN.  The margin only
+    needs norm-value accuracy, so the coordinate tolerance is loose: around
+    a smooth minimum the value error is quadratic in the coordinate error,
+    ~1e-12, well inside tol.
     """
     _require_tol(tol)
     xv, yv = _pair(space, x, y)
@@ -360,17 +349,15 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
         xv, yv = np.broadcast_arrays(xv, yv)
     shape = xv.shape[:-1]
     xv, yv = xv.reshape(-1, space.dim), yv.reshape(-1, space.dim)
-    ax, ay = np.maximum.reduce(np.abs(xv), axis=1), np.maximum.reduce(np.abs(yv), axis=1)
-    if 0.0 in ax.tolist():
-        raise ContractViolation("orthogonality is decided at nonzero x only")
-    ex, ey = np.frexp(ax)[1], np.frexp(ay)[1]
-    X, Y = _ldexp_rows(xv, -ex), _ldexp_rows(yv, -ey)
+    (X, ex), (Y, ey) = _unit_rows(xv), _unit_rows(yv)
     nrm = norm_fn(space)
     nx, ny = nrm(X).tolist(), nrm(Y).tolist()
+    if 0.0 in nx:
+        raise ContractViolation("orthogonality is decided at nonzero x only")
     # ||x + lam*0|| is constant: trivially orthogonal, every lam minimizes
     zero = space.zero_scalar()
     verdicts = [(True, 0.0, zero, True, 2)] * len(nx)
-    rows = [k for k, a in enumerate(ay.tolist()) if a != 0.0]
+    rows = [k for k, v in enumerate(ny) if v != 0.0]
     reaches = [2.0 * nx[k] / ny[k] + 1.0 for k in rows]
     searches = [_minimize(space.field, initial_width=reach, max_width=64.0 * reach, xatol=1e-6)
                 for reach in reaches]

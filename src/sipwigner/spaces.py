@@ -66,6 +66,10 @@ the largest, for ``best_coeffs``, ``check_linearity``,
 ``recover_pair_coeffs`` and ``reconstruct``'s span solves alike.
 ``wigner._require_map`` is the rule for a map argument.  ``_gaussian`` is
 the one Gaussian draw of space vectors, which the samplers share.
+``_unit_rows`` is the package's one scale rule: it scales each row exactly
+by a power of two to a largest |coordinate| in [0.5, 1) and returns the
+exponents, so a homogeneous decision (``orthogonality.bj_orthogonal``) can
+run at order 1 and map its results back.
 """
 
 from __future__ import annotations
@@ -216,6 +220,18 @@ def _pair(space: Space, x, y) -> tuple[np.ndarray, np.ndarray]:
             raise ContractViolation(
                 f"x and y do not broadcast: shapes {xv.shape} and {yv.shape}") from None
     return xv, yv
+
+
+def _unit_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one scale rule: each row of ``v`` times 2**-e, with
+    2**e the power of two that ``frexp`` gives the row's largest
+    |coordinate|, so that coordinate lands in [0.5, 1); returns the scaled
+    rows and the exponents e.  A zero row gets e = 0; a complex row scales
+    its real and imaginary parts through its float64 view.  The scaling is
+    exact except where a coordinate rounds to a subnormal."""
+    e = np.frexp(np.maximum.reduce(np.abs(v), axis=1))[1]
+    v = np.ascontiguousarray(v)
+    return np.ldexp(v.view(np.float64), -e[:, None]).view(v.dtype), e
 
 
 def _require_independent(svals, count: int, message: str) -> None:

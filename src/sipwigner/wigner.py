@@ -126,10 +126,10 @@ class Report:
     """A check's verdict, worst violation and witness.
 
     ``to_dict`` records ``ASSUMPTIONS``, which every check rests on.
-    ``pairs`` counts the sample pairs (or combinations) examined and
-    ``map_calls`` the batched map calls the check made (a shared evaluation
-    of the samples counts for the check that made it); both stay out of
-    ``to_dict``.
+    ``pairs`` counts the values compared (one per sample pair, sample or
+    combination examined) and ``map_calls`` the batched map calls the
+    check made (a shared evaluation of the samples counts for the check
+    that made it); both stay out of ``to_dict``.
     """
 
     check: str
@@ -220,14 +220,15 @@ def _prepared(m: MapOracle, samples: Sequence, tol: float) -> tuple:
 
 
 def _report(check: str, violation: np.ndarray, bound: np.ndarray, witness: Callable,
-            seed: int | None, pairs: int, map_calls: int) -> Report:
+            seed: int | None, map_calls: int) -> Report:
     """Every check's verdict tail: fail unless each violation is within its
     bound (a NaN violation never passes), the maximum violation, and on a
-    fail ``witness(*k)`` at the first index k, row-major, attaining it."""
+    fail ``witness(*k)`` at the first index k, row-major, attaining it;
+    ``pairs`` is the number of violations."""
     k = np.unravel_index(np.argmax(violation), violation.shape)
     failed = not np.all(violation <= bound)
     return Report(check, FAIL if failed else PASS, float(violation[k]),
-                  witness(*k) if failed else None, seed, pairs, map_calls)
+                  witness(*k) if failed else None, seed, violation.size, map_calls)
 
 
 def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
@@ -242,7 +243,7 @@ def _gram_check(check, m, samples, tol, seed, modulus) -> Report:
         lhs, rhs = np.abs(lhs), np.abs(rhs)
     return _report(check, np.abs(lhs - rhs), tol * nx[:, None] * nx[None],
                    lambda i, j: Witness(xs[i], xs[j], lhs[i, j].item(), rhs[i, j].item()),
-                   seed, len(xs) ** 2, calls)
+                   seed, calls)
 
 
 def check_wigner(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -276,7 +277,7 @@ def check_phase_isometry_sets(m: MapOracle, samples: Sequence, tol: float = 1e-8
                    tol * (nx[i] + nx[j]),
                    lambda k: Witness(xs[i[k]], xs[j[k]], [lo_f[k].item(), hi_f[k].item()],
                                      [lo[k].item(), hi[k].item()]),
-                   seed, len(i), calls)
+                   seed, calls)
 
 
 def check_exact_preservation(m: MapOracle, samples: Sequence, tol: float = 1e-8,
@@ -319,4 +320,4 @@ def check_linearity(m: MapOracle, samples: Sequence, tol: float = 1e-8,
 
     return _report("linearity", np.concatenate([np.abs(nfx - nx), combo_dev]),
                    tol * np.concatenate([nx, np.abs(a[:, 0]) * nx[i] + np.abs(b[:, 0]) * nx[j]]),
-                   witness, seed, n + n_draws, calls + 1)
+                   witness, seed, calls + 1)

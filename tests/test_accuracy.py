@@ -16,9 +16,9 @@ The budgets follow the forward error of the float formulas (Higham,
   of ``||y||`` multiplied by ``p - 1``.
 
 An ulp here is ``2**-52``, the spacing of floats at 1.  The wrong answers
-that the evaluators still give outside unit scale are listed at the end as
-strict xfails, each asserting the right value and naming its defect, so a
-fix shows up as an XPASS.
+that the evaluators and the checkers still give outside unit scale are
+listed at the end as strict xfails, each asserting the right outcome and
+naming its defect, so a fix shows up as an XPASS.
 """
 
 from decimal import Decimal, localcontext
@@ -27,9 +27,10 @@ from math import inf
 import numpy as np
 import pytest
 
-from sipwigner import (COMPLEX, REAL, SipwignerError, best_coeffs, check_phase_isometry_sets,
-                       gateaux_sip_oracle, identity_oracle, lp_space, norm, sip,
-                       support_functional)
+from sipwigner import (COMPLEX, REAL, SipwignerError, best_coeffs, check_exact_preservation,
+                       check_linearity, check_phase_isometry_sets, check_wigner,
+                       default_samples, gateaux_sip_oracle, identity_oracle, lp_space, norm,
+                       scale_oracle, sip, support_functional)
 
 DIGITS = 60
 EPS = 2.0 ** -52
@@ -185,6 +186,14 @@ def outcome(call):
         return exc
 
 
+@xfail("the step 1e308 sends ||y + h*x|| past the float range: NaN")
+def test_gateaux_oracle_with_a_step_of_1e308():
+    # the step is the caller's; a finite value or a typed refusal is no wrong answer
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome(lambda: gateaux_sip_oracle(R3, [1, 0], [0, 1], 1e308))
+    assert isinstance(got, SipwignerError) or np.isfinite(got), got
+
+
 @xfail("|v_i|^3 overflows and the true norm 2.1e308 is past the float range: "
        "norm returns inf, not a typed error")
 def test_norm_past_the_float_range_is_a_typed_error():
@@ -230,3 +239,35 @@ def test_phase_isometry_sets_at_1_5e308_is_no_nan_fail():
         got = outcome(lambda: check_phase_isometry_sets(identity_oracle(R33),
                                                         np.eye(3) * 1.5e308))
     assert isinstance(got, SipwignerError) or (got.passed and np.isfinite(got.max_violation)), got
+
+
+CHECKS = [check_wigner, check_phase_isometry_sets, check_exact_preservation, check_linearity]
+
+
+def checker_cases(defect):
+    return [pytest.param(check, marks=xfail(defect.format(check.__name__))) for check in CHECKS]
+
+
+def scaled_samples(scale):
+    return np.array(default_samples(R33, 12, 5, unit=True)) * scale
+
+
+@pytest.mark.parametrize("check", checker_cases(
+    "|x_i|^3 overflows: {} fails the identity with max_violation NaN"),
+    ids=[check.__name__ for check in CHECKS])
+def test_checkers_pass_the_identity_at_1e200(check):
+    # passing the identity is the right answer; a typed refusal is no wrong one
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = outcome(lambda: check(identity_oracle(R33), scaled_samples(1e200)))
+    assert isinstance(got, SipwignerError) or (got.passed and np.isfinite(got.max_violation)), got
+
+
+@pytest.mark.parametrize("check", checker_cases(
+    "|x_i|^3 underflows: {} passes 2*identity with max_violation 0"),
+    ids=[check.__name__ for check in CHECKS])
+def test_checkers_fail_twice_the_identity_at_1e_minus_200(check):
+    # 2*identity scales every norm and semi-inner product: no check may pass it
+    with np.errstate(under="ignore"):
+        got = outcome(lambda: check(scale_oracle(identity_oracle(R33), 2.0),
+                                    scaled_samples(1e-200)))
+    assert isinstance(got, SipwignerError) or not got.passed, got

@@ -4,11 +4,13 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sipwigner
 from sipwigner.cli import main
 
 LP3 = json.dumps({"field": "real", "dim": 2, "norm": {"lp": 3.0}})
@@ -374,8 +376,11 @@ def test_selftest_reports_the_known_red_criterion(capsys):
 def test_module_invocation_matches_in_process_output(capsys):
     argv = ["counterexample", "--json"]
     code, out, _ = run(capsys, argv)
-    proc = subprocess.run([sys.executable, "-m", "sipwigner", *argv],
-                          capture_output=True, text=True)
+    # the subprocess imports the package this process imported, with or without PYTHONPATH
+    src = os.path.dirname(os.path.dirname(sipwigner.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "sipwigner", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == code == 0
     assert proc.stdout == out
 
