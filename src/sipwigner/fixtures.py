@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -319,8 +320,14 @@ def _structured_rows(space: Space, rows: int, unit: bool) -> np.ndarray:
     without the rows past them."""
     n = space.dim
     eye = np.eye(n, dtype=space.dtype)
-    i, j = (k[:max(rows - n + 1, 0) // 2] for k in np.triu_indices(n, 1))
-    pm = np.stack([eye[i] + eye[j], eye[i] - eye[j]], axis=1)
+    # index lists, not np.triu_indices: at n <= 5 that call alone costs
+    # more than the whole old per-vector loop
+    pairs = ((a, b) for a in range(n) for b in range(a + 1, n))
+    ij = list(islice(pairs, max(rows - n + 1, 0) // 2))
+    i, j = [a for a, _ in ij], [b for _, b in ij]
+    pm = np.empty((len(ij), 2, n), dtype=space.dtype)
+    pm[:, 0] = eye[i] + eye[j]
+    pm[:, 1] = eye[i] - eye[j]
     vecs = np.concatenate([eye, pm.reshape(-1, n)])[:rows]
     if unit:
         vecs = vecs / _norm(space, vecs)[:, None]

@@ -333,15 +333,14 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     The relation is homogeneous in both vectors: x perp y exactly when
     a*x perp b*y for nonzero a and b.  So every pair is searched at unit
     scale: ``spaces._unit_rows`` gives X = x*2**-ex and Y = y*2**-ey.
-    Every norm is then finite, a nonzero row's at least 0.5, and the bound
-    |mu| <= 2||X||/||Y||, at most 4*n**(1/p), seeds the bracket.  The
-    minimizer mu of ||X + mu*Y|| maps back to lam = mu*2**(ex - ey) and the
-    margin is (min - ||X||)*2**ex, each rounded once, so ``tol`` stays an
-    absolute margin in norm units; a margin or a minimizer past the float
-    range raises SolverError, so no field is inf or NaN.  The margin only
-    needs norm-value accuracy, so the coordinate tolerance is loose: around
-    a smooth minimum the value error is quadratic in the coordinate error,
-    ~1e-12, well inside tol.
+    Every norm is then finite, and the bound |mu| <= 2||X||/||Y||, at most
+    4*n**(1/p), seeds the bracket.  The minimizer mu of ||X + mu*Y|| maps
+    back to lam = mu*2**(ex - ey) and the margin is (min - ||X||)*2**ex,
+    each rounded once, so ``tol`` stays an absolute margin in norm units; a
+    margin or a minimizer past the float range raises SolverError, so no
+    field is inf or NaN.  The margin only needs norm-value accuracy, so the
+    coordinate tolerance is loose: around a smooth minimum the value error
+    is quadratic in the coordinate error, ~1e-12, well inside tol.
     """
     _require_tol(tol)
     xv, yv = _pair(space, x, y)
@@ -352,12 +351,14 @@ def bj_orthogonal(space: Space, x, y, tol: float = 1e-7) -> OrthVerdict:
     (X, ex), (Y, ey) = _unit_rows(xv), _unit_rows(yv)
     nrm = norm_fn(space)
     nx, ny = nrm(X).tolist(), nrm(Y).tolist()
-    if 0.0 in nx:
+    # a zero row has norm 0, but so has a nonzero unit row once p > 1074
+    # (0.5**p underflows): the coordinates decide
+    if 0.0 in nx and False in np.logical_or.reduce(X, axis=1).tolist():
         raise ContractViolation("orthogonality is decided at nonzero x only")
     # ||x + lam*0|| is constant: trivially orthogonal, every lam minimizes
     zero = space.zero_scalar()
     verdicts = [(True, 0.0, zero, True, 2)] * len(nx)
-    rows = [k for k, v in enumerate(ny) if v != 0.0]
+    rows = [k for k, v in enumerate(ny) if v != 0.0 or Y[k].any()]
     reaches = [2.0 * nx[k] / ny[k] + 1.0 for k in rows]
     searches = [_minimize(space.field, initial_width=reach, max_width=64.0 * reach, xatol=1e-6)
                 for reach in reaches]

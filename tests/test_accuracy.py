@@ -27,10 +27,10 @@ from math import inf
 import numpy as np
 import pytest
 
-from sipwigner import (COMPLEX, REAL, SipwignerError, best_coeffs, check_exact_preservation,
-                       check_linearity, check_phase_isometry_sets, check_wigner,
-                       default_samples, gateaux_sip_oracle, identity_oracle, lp_space, norm,
-                       scale_oracle, sip, support_functional)
+from sipwigner import (COMPLEX, REAL, SipwignerError, best_coeffs, bj_orthogonal,
+                       check_exact_preservation, check_linearity, check_phase_isometry_sets,
+                       check_wigner, default_samples, gateaux_sip_oracle, identity_oracle,
+                       lp_space, norm, scale_oracle, sip, support_functional)
 
 DIGITS = 60
 EPS = 2.0 ** -52
@@ -230,6 +230,15 @@ def test_best_coeffs_past_the_float_range_is_a_typed_error():
         got = outcome(lambda: best_coeffs(lp_space(COMPLEX, 2, 3.0), [1, 1e-320j],
                                           [[1e-320j, 0]]))
     assert isinstance(got, SipwignerError), got
+
+
+@pytest.mark.xfail(strict=True, raises=ZeroDivisionError,
+                   reason="|0.5|^1100 underflows: bj divides by the unit-scale ||y|| = 0")
+def test_bj_at_p_1100_with_a_y_whose_unit_norm_underflows():
+    # y rescales to [0.5, 0]; x = 0.9*y is not orthogonal to y, and a typed
+    # refusal is no wrong answer, but the trivial y = 0 verdict is
+    got = outcome(lambda: bj_orthogonal(lp_space(REAL, 2, 1100.0), [0.9, 0.0], [1.0, 0.0]))
+    assert isinstance(got, SipwignerError) or not got.orthogonal, got
 
 
 @xfail("v[i] + v[j] overflows to inf: the identity fails with max_violation NaN")

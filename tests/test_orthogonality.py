@@ -534,6 +534,18 @@ def test_bj_decides_vectors_whose_norm_underflows_at_the_common_scale():
                                      one.flat_minimizer, one.nfev)
 
 
+def test_bj_finds_zero_rows_from_coordinates_where_the_unit_norm_underflows():
+    # at p = 1100 the unit-scale row [0.5, 0] has |0.5|^p below the
+    # subnormals, so its norm is 0; it is still a nonzero x, and only a
+    # zero row is refused
+    s = lp_space(REAL, 2, 1100.0)
+    assert norm(s, [0.5, 0.0]) == 0.0
+    v = bj_orthogonal(s, [1.0, 0.0], [0.0, 0.0])
+    assert (v.orthogonal, v.margin, v.minimizer, v.flat_minimizer) == (True, 0.0, 0.0, True)
+    with pytest.raises(ContractViolation, match="nonzero x only"):
+        bj_orthogonal(s, [0.0, 0.0], [1.0, 0.0])
+
+
 # ---------------------------------------------------------------- best_coeffs
 
 def test_best_coeffs_recovers_exact_combination():
