@@ -27,10 +27,12 @@ from math import inf
 import numpy as np
 import pytest
 
-from sipwigner import (COMPLEX, REAL, SipwignerError, best_coeffs, bj_orthogonal,
-                       check_exact_preservation, check_linearity, check_phase_isometry_sets,
-                       check_wigner, default_samples, gateaux_sip_oracle, identity_oracle,
-                       lp_space, norm, scale_oracle, sip, support_functional)
+from sipwigner import (COMPLEX, REAL, HypothesisViolation, MapOracle, SipwignerError,
+                       best_coeffs, bj_orthogonal, check_exact_preservation, check_linearity,
+                       check_phase_isometry_sets, check_wigner, default_samples,
+                       gateaux_sip_oracle, identity_oracle, lp_space, norm, reconstruct,
+                       recover_pair_coeffs, recover_scalar_action, reproduction_residual,
+                       scale_oracle, sip, support_functional)
 
 DIGITS = 60
 EPS = 2.0 ** -52
@@ -280,3 +282,42 @@ def test_checkers_fail_twice_the_identity_at_1e_minus_200(check):
         got = outcome(lambda: check(scale_oracle(identity_oracle(R33), 2.0),
                                     scaled_samples(1e-200)))
     assert isinstance(got, SipwignerError) or not got.passed, got
+
+
+X33 = np.array([1.0, 0.5, 0.3])
+
+
+@xfail("|x_i|^3 underflows and the zero test reads ||x|| = 0: "
+       "recover_scalar_action refuses a nonzero x")
+def test_scalar_action_at_1e_minus_200():
+    # f(2x) = 2 f(x) for the identity; at unit scale gamma is 2 to 1 ulp
+    with np.errstate(under="ignore", invalid="ignore"):
+        got = outcome(lambda: recover_scalar_action(identity_oracle(R33), X33 * 1e-200, 2.0))
+    assert not isinstance(got, SipwignerError) and abs(got - 2.0) <= 1e-12, got
+
+
+@xfail("|x_i|^3 underflows and the zero test reads ||x|| = 0: "
+       "reproduction_residual refuses a nonzero held-out vector")
+def test_reproduction_residual_at_1e_minus_200():
+    # the identity reproduces itself: 2.3e-16 of ||x|| at unit scale
+    m = identity_oracle(R33)
+    with np.errstate(under="ignore", invalid="ignore", divide="ignore"):
+        got = outcome(lambda: reproduction_residual(m, reconstruct(m), [X33 * 1e-200]))
+    assert not isinstance(got, SipwignerError) and 0.0 <= got <= 1e-12 * 1e-200, got
+
+
+def negate_the_second_coordinate_where_x0_is_negative(v):
+    return np.where(v[0] < 0, [1.0, -1.0, 1.0], 1.0) * v
+
+
+@xfail("the span bound tol*(1 + ||x + y||) is absolute below unit scale: at 1e-100 "
+       "only the unimodularity test refuses the region-switching map")
+def test_recover_pair_coeffs_refuses_a_region_switching_map_by_its_span_at_every_scale():
+    # f(x + y) leaves span(f(x), f(y)) at every scale (residual 0.832 at 1)
+    m = MapOracle(R33, R33, negate_the_second_coordinate_where_x0_is_negative)
+    y = np.array([-2.0, 1.0, 0.25])
+    for scale in (1.0, 1e-100, 1e-200):
+        with np.errstate(under="ignore"):
+            got = outcome(lambda: recover_pair_coeffs(m, X33 * scale, y * scale))
+        assert isinstance(got, HypothesisViolation), (scale, got)
+        assert str(got).startswith("f(x+y) leaves span(f(x), f(y))"), (scale, got)

@@ -13,19 +13,25 @@ from sipwigner import (
     REAL,
     ContractViolation,
     Lp,
+    MapOracle,
     NonSmoothPoint,
     Space,
     as_vec,
     basis_vec,
+    check_phase_isometry_sets,
+    default_samples,
     functional_value,
     gateaux_sip_oracle,
+    identity_oracle,
     is_smooth_point,
     linf2_space,
     lp_space,
     norm,
+    scale_oracle,
     sip,
     support_functional,
 )
+from sipwigner.spaces import _IN_PLACE_POWER
 
 FIX = linf2_space()
 LP3 = lp_space(REAL, 2, 3.0)
@@ -94,6 +100,66 @@ def test_fixture_sip_broadcasts_exactly_over_stacked_pairs():
         for j, y in enumerate(grid):
             assert gram[i, j] == sip(FIX, x, y)
     assert np.array_equal(norm(FIX, grid), [norm(FIX, v) for v in grid])
+
+
+def coordinate_stack(field, kind, rows, dim):
+    """Seeded rows: ``sparse`` with 85% exact zeros, half of them -0.0;
+    ``dense`` standard normal; ``subnormal`` sparse with a quarter of the
+    nonzero coordinates subnormal."""
+    rng = np.random.default_rng([len(kind), field == COMPLEX])
+    v = rng.standard_normal((rows, dim))
+    if field == COMPLEX:
+        v = v + 1j * rng.standard_normal((rows, dim))
+    if kind != "dense":
+        u = rng.random((rows, dim))
+        v[u < 0.85] = 0.0
+        v[u < 0.425] = -0.0 if field == REAL else complex(-0.0, -0.0)
+        if kind == "subnormal":
+            v[(u >= 0.85) & (u < 0.8875)] *= 1e-310
+    return v
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+@pytest.mark.parametrize("kind", ["sparse", "dense", "subnormal"])
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0, 7.0, 50.0, 100.0])
+def test_a_large_stack_has_the_bits_of_its_small_slices(field, kind, p):
+    # stacks of _IN_PLACE_POWER coordinates or more take the in-place power
+    # with zeros mapped to 1; slices below that size take the one expression
+    dim = 16
+    v = coordinate_stack(field, kind, 2 * _IN_PLACE_POWER // dim, dim)
+    s = lp_space(field, dim, p)
+    if kind != "dense":
+        assert np.mean(v == 0) >= 0.8 and np.signbit(v.real).any()
+    whole = norm(s, v)
+    step = _IN_PLACE_POWER // (2 * dim)
+    sliced = np.concatenate([norm(s, v[k:k + step]) for k in range(0, len(v), step)])
+    assert v.size >= _IN_PLACE_POWER > step * dim
+    assert whole.tobytes() == sliced.tobytes()
+
+
+@pytest.mark.parametrize("make_map", [
+    lambda s: scale_oracle(identity_oracle(s), 2.0),
+    lambda s: MapOracle(s, s, lambda v: v ** 3),
+], ids=["double", "cube"])
+def test_phase_isometry_sets_matches_per_pair_norms_on_64_samples(make_map):
+    # the 64 structured samples of l_1.5^16 give 2,080 pairs of 16
+    # coordinates, mostly exact zeros, whose blocks take the in-place power
+    s = lp_space(REAL, 16, 1.5)
+    m, xs = make_map(s), np.array(default_samples(s, 64, 401, unit=True))
+    fxs = m(xs)
+    worst, witness = -1.0, None
+    for i in range(len(xs)):
+        for j in range(i + 1):
+            lo_f, hi_f = sorted([norm(s, fxs[i] + fxs[j]), norm(s, fxs[i] - fxs[j])])
+            lo, hi = sorted([norm(s, xs[i] + xs[j]), norm(s, xs[i] - xs[j])])
+            violation = max(abs(lo_f - lo), abs(hi_f - hi))
+            if violation > worst:
+                worst, witness = violation, (i, j, [lo_f, hi_f], [lo, hi])
+    report = check_phase_isometry_sets(m, xs)
+    assert not report.passed and report.max_violation == worst
+    i, j, lhs, rhs = witness
+    assert np.array_equal(report.witness.x, xs[i]) and np.array_equal(report.witness.y, xs[j])
+    assert [report.witness.lhs, report.witness.rhs] == [lhs, rhs]
 
 
 # ---------------------------------------------------------------- FD oracle

@@ -21,9 +21,13 @@ falls on both sides alike.
 It prints one line per run with its end-to-end metrics, then one line per
 metric: each side's median and quartiles, the change/parent ratio of the
 medians, the pairs the change won (by the metric's ``better`` direction in
-``BENCHMARK.json``; ties count for neither) and whether the parent's
-interquartile range is smaller than the gap between the medians.  It
-exits 1 if any run is not ``correct``.  Defaults: 10 pairs of
+``BENCHMARK.json``; ties count for neither), and two verdicts.  ``claim``
+says whether a gain may be claimed: at least 10 pairs ran, the change won
+at least nine tenths of them, and its median is better than the parent's
+by more than the parent's interquartile range.  ``past bound`` says
+whether the change's median is worse than the parent's by more than the
+metric's ``bound`` in ``BENCHMARK.json``, taken relative to the parent's
+median.  It exits 1 if any run is not ``correct``.  Defaults: 10 pairs of
 ``BENCHMARK.json``'s ``run_seconds`` at seed 401.
 """
 
@@ -41,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 TREES = ("src", "perfbench")
 
 
@@ -71,15 +76,20 @@ def bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def summary(name: str, parent: list[float], change: list[float]) -> str:
     """One metric's line: both sides' quartiles, the ratio of the medians,
-    the pairs the change won, and whether the gap beats the parent's spread."""
+    the pairs the change won, whether a gain may be claimed, and whether the
+    change is worse than the parent by more than the metric's bound."""
     p1, p2, p3 = statistics.quantiles(parent, n=4, method="inclusive")
     c1, c2, c3 = statistics.quantiles(change, n=4, method="inclusive")
     sign = 1 if BETTER[name] == "higher" else -1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    gain = sign * (c2 - p2)  # positive when the change's median is better
+    claim = len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gain > p3 - p1
+    past_bound = -gain > BOUND[name] * abs(p2)
     ratio = f"{c2 / p2:.4f}" if p2 else "n/a"
     return (f"{name}: parent {p2:.6g} [{p1:.6g}, {p3:.6g}]  change {c2:.6g} [{c1:.6g}, "
             f"{c3:.6g}]  change/parent {ratio}  change better in {wins}/{len(parent)} pairs  "
-            f"|median gap| > parent IQR: {abs(c2 - p2) > p3 - p1}")
+            f"claim: {'met' if claim else 'not met'}  "
+            f"past bound ({BOUND[name]:g}): {'yes' if past_bound else 'no'}")
 
 
 def main(argv=None) -> int:
